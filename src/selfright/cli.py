@@ -27,10 +27,10 @@ import numpy as np
 from .config import RunConfig, config_hash, load_config
 from .errors import ConfigError, SelfRightError
 from .gait import joint_vector
-from .rollmodel import (PerturbationSpec, RollState, classify_trial,
-                        energy_landscape, simulate_roll)
+from .rollmodel import (RollState, classify_trial, energy_landscape,
+                        simulate_roll)
 from .sidewinding import displacement_trajectory
-from .sweep import (SweepSpec, binariness, run_sweep, write_diagram_csv,
+from .sweep import (binariness, run_sweep, write_diagram_csv,
                     write_diagram_json)
 
 ENV_PREFIX = "SRSIM_"
@@ -162,11 +162,9 @@ def cmd_energy(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     cfg = _fold_gait(cfg, args)
     cycles = 0.5 if args.half else args.cycles
-    perturb = None
-    rng = None
+    perturb = rng = None
     if args.perturb:
-        perturb = PerturbationSpec(gamma_jitter=cfg.sweep.gamma_jitter,
-                                   gain_noise=cfg.sweep.gain_noise)
+        perturb = cfg.sweep.perturbation()
         rng = np.random.default_rng(cfg.seed)
     traj = simulate_roll(cfg.gait, cfg.morphology, cycles=cycles,
                          init=RollState(gamma=args.gamma0),
@@ -216,18 +214,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     if args.cycles is not None:
         sw = replace(sw, cycles_per_trial=args.cycles)
     cfg = replace(cfg, sweep=sw)
-    spec = SweepSpec(amplitudes=sw.amplitudes, xis=sw.xis,
-                     trials_per_cell=sw.trials_per_cell,
-                     cycles_per_trial=sw.cycles_per_trial,
-                     seed=cfg.seed, morphology=cfg.morphology,
-                     mode=cfg.mode,
-                     perturb=PerturbationSpec(gamma_jitter=sw.gamma_jitter,
-                                              gain_noise=sw.gain_noise),
-                     drive_frequency=cfg.gait.temporal_frequency,
-                     steps_per_cycle=cfg.roll.steps_per_cycle,
-                     mu=cfg.roll.mu, kappa=cfg.roll.kappa,
-                     resolution=cfg.roll.resolution)
-    diagram = run_sweep(spec)
+    diagram = run_sweep(cfg.sweep_spec())
     meta = {"config_sha256": config_hash(cfg), "seed": cfg.seed}
     csv_path = out / "sweep.csv"
     json_path = out / "sweep.json"

@@ -17,9 +17,9 @@ from .errors import ConfigError
 from .gait import GaitParams
 from .kinematics import Morphology
 from .rollmodel import (DEFAULT_RESOLUTION, KAPPA_DEFAULT, MU_DEFAULT,
-                        QUASI_STATIC_OMEGA, STEPS_PER_CYCLE)
+                        QUASI_STATIC_OMEGA, STEPS_PER_CYCLE, PerturbationSpec)
 from .sidewinding import DEFAULT_CONTACT_TOL, DEFAULT_SAMPLES_PER_CYCLE
-from .sweep import DEFAULT_AMPLITUDES, DEFAULT_XIS
+from .sweep import DEFAULT_AMPLITUDES, DEFAULT_XIS, SweepSpec
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,10 @@ class SweepSettings:
         object.__setattr__(self, "xis", tuple(self.xis))
         if self.trials_per_cell < 1 or self.cycles_per_trial < 1:
             raise ConfigError("trials and cycles must be >= 1")
+
+    def perturbation(self) -> PerturbationSpec:
+        return PerturbationSpec(gamma_jitter=self.gamma_jitter,
+                                gain_noise=self.gain_noise)
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("lumped", "segmented"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+
+    def sweep_spec(self) -> SweepSpec:
+        """The behavior-diagram sweep this configuration describes."""
+        sw, roll = self.sweep, self.roll
+        return SweepSpec(amplitudes=sw.amplitudes, xis=sw.xis,
+                         trials_per_cell=sw.trials_per_cell,
+                         cycles_per_trial=sw.cycles_per_trial,
+                         seed=self.seed, morphology=self.morphology,
+                         mode=self.mode, perturb=sw.perturbation(),
+                         drive_frequency=self.gait.temporal_frequency,
+                         steps_per_cycle=roll.steps_per_cycle, mu=roll.mu,
+                         kappa=roll.kappa, resolution=roll.resolution)
 
 
 _SECTIONS = {

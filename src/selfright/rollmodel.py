@@ -10,8 +10,9 @@ segmented mode (per-module gamma with torsional neighbor coupling).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,29 +190,32 @@ def stable_configurations(landscape: EnergyLandscape) -> list[float]:
     return sorted(float(landscape.gamma_samples[i]) for i in idx)
 
 
-_slope_cache: dict[tuple, float] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def _cached_slope(morph: Morphology, n_lat: int) -> float:
-    key = (morph.num_modules, morph.link_length, n_lat)
-    if key not in _slope_cache:
-        _slope_cache[key] = wave_height_slope(morph, n_lat)
-    return _slope_cache[key]
+    return wave_height_slope(morph, n_lat)
 
 
-def drive_gain(params: GaitParams, morph: Morphology) -> float:
-    """Peak drive torque G of the phase-tracking roll drive.
+def _drive_gain_base(params: GaitParams, morph: Morphology) -> float:
+    """Drive gain without the coherence factor.
 
-    Proportional to the vertical wave's lifting moment (linearized wave
-    height times half the body weight) and to the phase coherence of the
-    staggered segment commands.
+    Proportional to the vertical wave's lifting moment: linearized wave
+    height times half the body weight.
     """
     if params.amplitude_vertical == 0.0:
         return 0.0
     slope = _cached_slope(morph, params.num_lateral_joints)
     return (morph.total_mass * GRAVITY
             * (slope * params.amplitude_vertical / 2.0)
-            * DRIVE_CALIBRATION
+            * DRIVE_CALIBRATION)
+
+
+def drive_gain(params: GaitParams, morph: Morphology) -> float:
+    """Peak drive torque G of the phase-tracking roll drive.
+
+    The coherence-free gain times the phase coherence of the staggered
+    segment commands.
+    """
+    return (_drive_gain_base(params, morph)
             * coherence(params.spatial_frequency, params.num_lateral_joints))
 
 
@@ -231,6 +235,22 @@ class PerturbationSpec:
     @staticmethod
     def none() -> "PerturbationSpec":
         return PerturbationSpec(gamma_jitter=0.0, gain_noise=0.0)
+
+    def draw(self, rng: np.random.Generator | None) -> tuple[float, float]:
+        """One trial's initial-roll jitter and drive-gain factor.
+
+        The jitter is drawn first, then the gain noise, each uniform in
+        +-width. A zero width draws nothing, so an all-zero spec needs no
+        rng and a zero jitter leaves the gain draw first in the stream.
+        """
+        def uniform(width: float) -> float:
+            if width <= 0:
+                return 0.0
+            if rng is None:
+                raise ConfigError("perturbation requires an explicit rng")
+            return rng.uniform(-width, width)
+
+        return uniform(self.gamma_jitter), 1.0 + uniform(self.gain_noise)
 
 
 @dataclass(frozen=True)
@@ -280,86 +300,111 @@ def _slope_at(denergy: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Linear interpolation of the landscape slope at unwrapped angles."""
     res = len(denergy)
     x = gamma * (res / TWO_PI)
-    i0 = np.floor(x).astype(np.int64)
-    frac = x - np.floor(x)
-    lo = np.take(denergy, i0, mode="wrap")
-    hi = np.take(denergy, i0 + 1, mode="wrap")
+    floor = np.floor(x)
+    i0 = floor.astype(np.int64)
+    frac = x - floor
+    lo = denergy.take(i0, mode="wrap")
+    hi = denergy.take(i0 + 1, mode="wrap")
     return lo * (1.0 - frac) + hi * frac
 
 
-def _march_interval(gam: np.ndarray, phi1: np.ndarray, dt_len: float,
-                    rate_fn, cap_cur: np.ndarray,
-                    interval_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance all lanes through one output interval with adaptive substeps.
+def _march_interval(gam: np.ndarray, cap_cur: np.ndarray, lanes: np.ndarray,
+                    phi1: np.ndarray, gains: np.ndarray, bias: np.ndarray,
+                    denergy: np.ndarray, mu: float, dt_len: float
+                    ) -> dict[int, str]:
+    """Advance the lanes listed in `lanes` through one output interval.
 
-    Lanes march independently: each substep moves at the current rate,
-    bounded by the working cap and clipped so gamma never advances past
-    the interval-end command phase. An interval ends for a lane when its
-    time is consumed, it rides the command clip, or it has equilibrated.
+    Lanes march independently with adaptive substeps: each substep moves
+    at the current rate, bounded by the working cap and clipped so gamma
+    never advances past the interval-end command phase. An interval ends
+    for a lane when its time is consumed, it rides the command clip, or
+    it has equilibrated; the lane then leaves the working set, so its
+    state and cap stop changing and no lane depends on its batch mates.
+
+    gam, cap_cur, phi1, gains and bias (the coupling torque) hold every
+    lane; gam and cap_cur are updated in place. Returns the lanes that
+    failed (substep guard exhausted, or a non-finite state) with the
+    reason.
     """
-    lanes = gam.shape[0]
-    remaining = np.full(lanes, dt_len)
-    prev_sign = np.zeros(lanes)
-    calm = np.zeros(lanes)
-    cap_cur = np.clip(cap_cur, CAP_KICK, CAP)
-    iterations = 0
-    while True:
-        active = remaining > 0
-        if not active.any():
+    failures: dict[int, str] = {}
+    g, phi, gain, bias = gam[lanes], phi1[lanes], gains[lanes], bias[lanes]
+    cap = np.clip(cap_cur[lanes], CAP_KICK, CAP)
+    remaining = np.full(len(lanes), dt_len)
+    prev_sign = calm = np.zeros(len(lanes))  # rebound below, not written
+    for _ in range(SUBSTEP_GUARD):
+        if not lanes.size:
             break
-        iterations += 1
-        if iterations > SUBSTEP_GUARD:
-            raise IntegrationError(
-                f"substep budget exceeded in output interval {interval_index}")
-        rate = np.where(active, rate_fn(gam), 0.0)
+        rate = mu * (gain * np.sin(phi - g) - _slope_at(denergy, g) + bias)
         sign = np.sign(rate)
         flip = (sign * prev_sign) < 0
         calm = np.where(flip, 0.0, calm + 1)
-        cap_cur = np.where(flip, cap_cur * 0.5,
-                           np.where(calm >= 2, np.minimum(CAP, cap_cur * 1.5), cap_cur))
-        prev_sign = np.where(active, sign, prev_sign)
-        abs_rate = np.abs(rate)
-        dt_sub = np.where(abs_rate > 0,
-                          np.minimum(remaining, cap_cur / np.maximum(abs_rate, 1e-300)),
-                          remaining)
-        proposed = gam + rate * dt_sub
-        hi = np.maximum(gam, phi1)
+        cap = np.where(flip, cap * 0.5,
+                       np.where(calm >= 2, np.minimum(CAP, cap * 1.5), cap))
+        prev_sign = sign
+        # A zero rate takes the whole remaining time and does not move.
+        dt_sub = np.minimum(remaining,
+                            cap / np.maximum(np.abs(rate), 1e-300))
+        proposed = g + rate * dt_sub
+        hi = np.maximum(g, phi)
         clipped = proposed > hi
         new = np.where(clipped, hi, proposed)
-        moved = np.abs(new - gam)
-        done = (~active) | clipped | (abs_rate == 0) | (moved < MOVE_FLOOR)
-        gam = np.where(active, new, gam)
-        if not np.isfinite(gam).all():
-            raise IntegrationError(
-                f"non-finite roll state in output interval {interval_index}")
+        done = clipped | (np.abs(new - g) < MOVE_FLOOR)
+        g = new
         remaining = np.where(done, 0.0, remaining - dt_sub)
-    return gam, cap_cur
+        finite = np.isfinite(g)
+        going = (remaining > 0) & finite
+        if not going.all():
+            gam[lanes], cap_cur[lanes] = g, cap
+            if not finite.all():
+                failures.update(dict.fromkeys(lanes[~finite].tolist(),
+                                              "non-finite roll state"))
+            if not going.any():
+                break
+            lanes, g, phi, gain, bias, cap, remaining, prev_sign, calm = (
+                a[going] for a in (lanes, g, phi, gain, bias, cap, remaining,
+                                   prev_sign, calm))
+    else:
+        gam[lanes], cap_cur[lanes] = g, cap
+        failures.update(dict.fromkeys(lanes.tolist(),
+                                      "substep budget exceeded"))
+    return failures
 
 
 def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
                omega: float, dt: float, n_intervals: int, mu: float,
-               phase_offsets: np.ndarray | None = None,
+               phase_offsets: np.ndarray,
                kappa: float = 0.0,
+               chain: int = 1,
                steps_per_cycle: int = STEPS_PER_CYCLE,
                record_full: bool = True):
     """March all lanes through n_intervals output intervals.
 
-    Command phase per lane: gamma0 + omega*t - phase_offset, referenced to
-    each lane's initial roll. kappa > 0 treats the lanes as a torsionally
-    coupled chain (segmented mode); the coupling bias is frozen over each
-    interval (operator splitting), which keeps identical-state chains
-    exactly equal to the lumped trajectory.
+    Lanes come in consecutive chains of `chain` lanes, one chain per
+    trial. Command phase per lane: gamma0 + omega*t - phase_offset,
+    referenced to each lane's initial roll. With chain > 1 and kappa > 0
+    each chain is torsionally coupled: the spring acts per module pair,
+    so its specific effect on a lane is kappa*chain. The coupling bias is
+    frozen over each interval (operator splitting), which keeps
+    identical-state chains exactly equal to the lumped trajectory.
 
-    Returns (records, stalled): records holds lane states at every interval
-    boundary when record_full, else only at whole-cycle boundaries.
+    A lane's result depends on its own chain only. A lane that exhausts
+    the substep guard or turns non-finite fails its whole chain: the
+    chain stops marching and reads NaN from that interval on.
+
+    Returns (records, stalled, failures): records holds lane states at
+    every interval boundary when record_full, else only at whole-cycle
+    boundaries; failures maps each failed chain's index to the error of
+    its first failed lane.
     """
     lanes = len(gamma0)
     gam = np.asarray(gamma0, dtype=float).copy()
-    offsets = np.zeros(lanes) if phase_offsets is None else np.asarray(phase_offsets)
     cap_cur = np.full(lanes, CAP)
     quiet = np.zeros(lanes, dtype=int)
     quiet_needed = max(1, steps_per_cycle // 4)
     stalled = np.zeros(lanes, dtype=bool)
+    live = np.arange(lanes)
+    dead = np.zeros(lanes // chain, dtype=bool)
+    failures: dict[int, str] = {}
 
     if record_full:
         records = np.empty((n_intervals + 1, lanes))
@@ -369,25 +414,27 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
     records[0] = gam
 
     gamma_ref = gam.copy()
+    bias = np.zeros(lanes)
     for n in range(n_intervals):
-        phi1 = gamma_ref + omega * (n + 1) * dt - offsets
-        if kappa > 0.0:
-            lap = np.empty(lanes)
-            if lanes == 1:
-                lap[0] = 0.0
-            else:
-                lap[1:-1] = gam[:-2] - 2.0 * gam[1:-1] + gam[2:]
-                lap[0] = gam[1] - gam[0]
-                lap[-1] = gam[-2] - gam[-1]
-            bias = kappa * lap
-        else:
-            bias = 0.0
+        phi1 = gamma_ref + omega * (n + 1) * dt - phase_offsets
+        if kappa > 0.0 and chain > 1:
+            g = gam.reshape(-1, chain)
+            lap = np.empty_like(g)
+            lap[:, 1:-1] = g[:, :-2] - 2.0 * g[:, 1:-1] + g[:, 2:]
+            lap[:, 0] = g[:, 1] - g[:, 0]
+            lap[:, -1] = g[:, -2] - g[:, -1]
+            bias = (kappa * chain) * lap.ravel()
 
-        def rate_fn(g):
-            return mu * (gains * np.sin(phi1 - g) - _slope_at(denergy, g) + bias)
-
-        before = gam
-        gam, cap_cur = _march_interval(gam, phi1, dt, rate_fn, cap_cur, n)
+        before = gam.copy()
+        failed = _march_interval(gam, cap_cur, live, phi1, gains, bias,
+                                 denergy, mu, dt)
+        if failed:
+            for lane, reason in sorted(failed.items()):
+                failures.setdefault(lane // chain,
+                                    f"{reason} in output interval {n}")
+            dead[list(failures)] = True
+            gam[np.repeat(dead, chain)] = np.nan
+            live = np.flatnonzero(~np.repeat(dead, chain))
 
         interval_rate = np.abs(gam - before) / dt
         quiet = np.where(interval_rate < STALL_RATE, quiet + 1, 0)
@@ -397,7 +444,34 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
             records[n + 1] = gam
         elif (n + 1) % steps_per_cycle == 0:
             records[(n + 1) // steps_per_cycle] = gam
-    return records, stalled
+    return records, stalled, failures
+
+
+def _trial_lanes(params: GaitParams, morph: Morphology, mode: str,
+                 gamma_starts, gain_factors
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Lanes of trials that share one gait, ready for _integrate.
+
+    gamma_starts and gain_factors hold one value per trial. Returns the
+    per-lane initial roll, drive gain and command phase offset, and the
+    chain length: one lane per lumped trial, one per module for a
+    segmented trial.
+    """
+    gamma_starts = np.asarray(gamma_starts, dtype=float)
+    gain_factors = np.asarray(gain_factors, dtype=float)
+    if mode == "lumped":
+        return (gamma_starts, drive_gain(params, morph) * gain_factors,
+                np.zeros(len(gamma_starts)), 1)
+    # Each lane runs the body's specific dynamics at its own staggered
+    # phase: drive and slope stay whole-body (per-module torque and
+    # inertia scale down together, so the specific rate is unchanged),
+    # which makes an in-phase chain reduce to the lumped trajectory
+    # bitwise. No coherence factor here, the stagger is explicit.
+    m = morph.num_modules
+    offsets = TWO_PI * params.spatial_frequency * np.arange(m) / (m - 1)
+    return (np.repeat(gamma_starts, m),
+            np.repeat(_drive_gain_base(params, morph) * gain_factors, m),
+            np.tile(offsets, len(gamma_starts)), m)
 
 
 def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
@@ -420,7 +494,8 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
 
     Segmented mode evolves one roll angle per module, staggering each
     module's command phase across the body by the gait's total phase span
-    and coupling neighbors with a torsional spring kappa.
+    and coupling neighbors with a torsional spring kappa. Raises
+    IntegrationError when any module fails to integrate.
     """
     if cycles <= 0:
         raise ConfigError("cycles must be positive")
@@ -434,55 +509,23 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     if init is None:
         init = RollState(gamma=0.0, time=0.0)
 
-    omega = params.temporal_frequency
-    gamma_start = float(np.mean(init.gamma))
-    # Coherence-free gain base: the lumped drive applies the coherence
-    # factor, the segmented drive staggers the modules explicitly instead.
-    slope = _cached_slope(morph, params.num_lateral_joints)
-    gain_base = (morph.total_mass * GRAVITY
-                 * (slope * params.amplitude_vertical / 2.0) * DRIVE_CALIBRATION)
+    jitter, gain_factor = (perturb or PerturbationSpec.none()).draw(rng)
+    gamma0, gains, offsets, chain = _trial_lanes(
+        params, morph, mode, [float(np.mean(init.gamma)) + jitter],
+        [gain_factor])
+    if mode == "segmented" and np.ndim(init.gamma) == 1:
+        gamma0 = np.asarray(init.gamma, dtype=float).copy()
+        if len(gamma0) != chain:
+            raise ConfigError("segmented init needs one gamma per module")
 
-    if perturb is not None and (perturb.gamma_jitter > 0 or perturb.gain_noise > 0):
-        if rng is None:
-            raise ConfigError("perturbation requires an explicit rng")
-        gamma_start += rng.uniform(-perturb.gamma_jitter, perturb.gamma_jitter)
-        gain_base *= 1.0 + rng.uniform(-perturb.gain_noise, perturb.gain_noise)
-
-    dt = (TWO_PI / omega) / steps_per_cycle
+    dt = (TWO_PI / params.temporal_frequency) / steps_per_cycle
     n_intervals = max(1, round(cycles * steps_per_cycle))
-
-    if mode == "lumped":
-        gamma0 = np.array([gamma_start])
-        gains = np.array([gain_base * coherence(params.spatial_frequency,
-                                                params.num_lateral_joints)])
-        offsets = None
-        kappa_eff = 0.0
-        denergy = landscape.denergy
-    else:
-        m = morph.num_modules
-        gamma0 = np.full(m, gamma_start)
-        if np.ndim(init.gamma) == 1:
-            gamma0 = np.asarray(init.gamma, dtype=float).copy()
-            if len(gamma0) != m:
-                raise ConfigError("segmented init needs one gamma per module")
-        # Each lane runs the body's specific dynamics at its own staggered
-        # phase: drive and slope stay whole-body (per-module torque and
-        # inertia scale down together, so the specific rate is unchanged),
-        # which makes an in-phase chain reduce to the lumped trajectory
-        # bitwise. No coherence factor here, the stagger is explicit. The
-        # neighbor spring acts per module pair, so its specific effect
-        # carries a factor of the module count.
-        gains = np.full(m, gain_base)
-        offsets = (TWO_PI * params.spatial_frequency
-                   * np.arange(m) / (m - 1))
-        kappa_eff = kappa * m
-        denergy = landscape.denergy
-
-    records, stalled = _integrate(denergy, gains, gamma0, omega, dt,
-                                  n_intervals, mu,
-                                  phase_offsets=offsets, kappa=kappa_eff,
-                                  steps_per_cycle=steps_per_cycle,
-                                  record_full=True)
+    records, stalled, failures = _integrate(
+        landscape.denergy, gains, gamma0, params.temporal_frequency, dt,
+        n_intervals, mu, phase_offsets=offsets, kappa=kappa, chain=chain,
+        steps_per_cycle=steps_per_cycle, record_full=True)
+    if failures:
+        raise IntegrationError(failures[0])
 
     times = init.time + dt * np.arange(n_intervals + 1)
     full_cycles = int(n_intervals // steps_per_cycle)
@@ -491,10 +534,9 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
 
     gammas = records[:, 0] if mode == "lumped" else records
     # A segmented body counts as stalled only when every module went quiet.
-    trial_stalled = bool(stalled.all()) if mode == "segmented" else bool(stalled[0])
     return RollTrajectory(times=times, gammas=gammas, cycles=cycles,
                           delta_gamma_per_cycle=per_cycle,
-                          stalled=trial_stalled, mode=mode)
+                          stalled=bool(stalled.all()), mode=mode)
 
 
 def classify_trial(traj: RollTrajectory) -> TrialOutcome:

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError
 from .gait import TWO_PI, GaitParams
 from .kinematics import Morphology
 from .rollmodel import (DEFAULT_RESOLUTION, KAPPA_DEFAULT, MU_DEFAULT,
-                        QUASI_STATIC_OMEGA, STEPS_PER_CYCLE, EnergyLandscape,
-                        PerturbationSpec, RollState, _integrate, drive_gain,
-                        energy_landscape, simulate_roll)
+                        QUASI_STATIC_OMEGA, STEPS_PER_CYCLE, PerturbationSpec,
+                        _integrate, _trial_lanes, energy_landscape)
+# Kept importable from this module: bench/tracer.py wraps them here.
+from .rollmodel import drive_gain, simulate_roll  # noqa: F401
 
 DEFAULT_AMPLITUDES = tuple(k * math.pi / 24 for k in range(1, 12))
 DEFAULT_XIS = tuple(k / 10 for k in range(13))
@@ -102,116 +103,61 @@ def binariness(diagram: BehaviorDiagram) -> float:
     return float(np.count_nonzero(inside)) / p.size
 
 
-def _trial_draws(seed: int, cell_idx: int, trial: int,
-                 perturb: PerturbationSpec) -> tuple[float, float]:
-    """Per-trial jitter and gain factor from an order-independent stream."""
-    rng = np.random.default_rng(
+def _trial_rng(seed: int, cell_idx: int, trial: int) -> np.random.Generator:
+    """Order-independent random stream of one trial of one cell."""
+    return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, trial)))
-    jitter = rng.uniform(-perturb.gamma_jitter, perturb.gamma_jitter) \
-        if perturb.gamma_jitter > 0 else 0.0
-    gain_factor = 1.0 + (rng.uniform(-perturb.gain_noise, perturb.gain_noise)
-                         if perturb.gain_noise > 0 else 0.0)
-    return jitter, gain_factor
 
 
 def run_sweep(spec: SweepSpec) -> BehaviorDiagram:
     """Run the full grid sweep; deterministic for a given spec and seed.
 
-    Trials start inverted (gamma = pi, plus the seeded jitter). Lumped
-    cells are integrated as one batch of lanes; when the batch raises an
-    integration error, cells are rerun in isolation so failures tag only
-    the cells that caused them.
+    Trials start inverted (gamma = pi, plus the seeded jitter). Cell
+    a_idx * len(xis) + x_idx draws trial t's perturbation from the stream
+    SeedSequence(entropy=seed, spawn_key=(cell, t)). Every trial becomes
+    lanes of one integration: one lane per lumped trial, one per module
+    for a segmented trial. A lane does not depend on its batch mates, so
+    each trial equals simulate_roll for that trial and stream bitwise. A
+    trial that fails to integrate reads NaN, as does its cell's P_sr; its
+    error is listed in errors and logged to the "selfright" logger.
     """
     landscape = energy_landscape(spec.morphology, spec.resolution)
-    if spec.mode == "segmented":
-        return _run_sweep_segmented(spec, landscape)
-
     n_a, n_x, n_t = len(spec.amplitudes), len(spec.xis), spec.trials_per_cell
-    gains = np.empty(n_a * n_x * n_t)
-    gamma0 = np.empty_like(gains)
-    lane = 0
+    gamma0, gains, offsets = [], [], []
     for a_idx, amp in enumerate(spec.amplitudes):
         for x_idx, xi in enumerate(spec.xis):
             cell_idx = a_idx * n_x + x_idx
-            base_gain = drive_gain(spec.gait_for(amp, xi), spec.morphology)
-            for trial in range(n_t):
-                jitter, gain_factor = _trial_draws(spec.seed, cell_idx, trial,
-                                                   spec.perturb)
-                gains[lane] = base_gain * gain_factor
-                gamma0[lane] = math.pi + jitter
-                lane += 1
+            jitter, gain_factor = np.array(
+                [spec.perturb.draw(_trial_rng(spec.seed, cell_idx, trial))
+                 for trial in range(n_t)]).T
+            cell_gamma0, cell_gains, cell_offsets, chain = _trial_lanes(
+                spec.gait_for(amp, xi), spec.morphology, spec.mode,
+                math.pi + jitter, gain_factor)
+            gamma0.append(cell_gamma0)
+            gains.append(cell_gains)
+            offsets.append(cell_offsets)
 
     dt = (TWO_PI / spec.drive_frequency) / spec.steps_per_cycle
     n_intervals = spec.cycles_per_trial * spec.steps_per_cycle
+    marks, _, failures = _integrate(
+        landscape.denergy, np.concatenate(gains), np.concatenate(gamma0),
+        spec.drive_frequency, dt, n_intervals, spec.mu,
+        phase_offsets=np.concatenate(offsets), kappa=spec.kappa, chain=chain,
+        steps_per_cycle=spec.steps_per_cycle, record_full=False)
+    rolls = ((marks[-1] - marks[0]).reshape(-1, chain).mean(axis=1)
+             / (TWO_PI * spec.cycles_per_trial))
+    trial_rolls = rolls.reshape(n_a, n_x, n_t)
+
     errors: list[str] = []
-    try:
-        marks, _ = _integrate(landscape.denergy, gains, gamma0,
-                              spec.drive_frequency, dt, n_intervals, spec.mu,
-                              steps_per_cycle=spec.steps_per_cycle,
-                              record_full=False)
-        rolls = (marks[-1] - marks[0]) / (TWO_PI * spec.cycles_per_trial)
-        trial_rolls = rolls.reshape(n_a, n_x, n_t)
-    except IntegrationError:
-        trial_rolls = np.full((n_a, n_x, n_t), np.nan)
-        for a_idx in range(n_a):
-            for x_idx in range(n_x):
-                cell_idx = a_idx * n_x + x_idx
-                sel = slice(cell_idx * n_t, (cell_idx + 1) * n_t)
-                try:
-                    cell_marks, _ = _integrate(
-                        landscape.denergy, gains[sel], gamma0[sel],
-                        spec.drive_frequency, dt, n_intervals, spec.mu,
-                        steps_per_cycle=spec.steps_per_cycle, record_full=False)
-                    trial_rolls[a_idx, x_idx] = (
-                        (cell_marks[-1] - cell_marks[0])
-                        / (TWO_PI * spec.cycles_per_trial))
-                except IntegrationError as exc:
-                    errors.append(f"cell({a_idx},{x_idx}): {exc}")
-
-    p_sr = np.empty((n_a, n_x))
-    for a_idx in range(n_a):
-        for x_idx in range(n_x):
-            cell = trial_rolls[a_idx, x_idx]
-            p_sr[a_idx, x_idx] = (np.nan if np.isnan(cell).any()
-                                  else estimate_psr(cell))
-    return BehaviorDiagram(amplitudes=np.asarray(spec.amplitudes),
-                           xis=np.asarray(spec.xis),
-                           trial_rolls=trial_rolls, p_sr=p_sr,
-                           errors=tuple(errors), spec=spec)
-
-
-def _run_sweep_segmented(spec: SweepSpec, landscape: EnergyLandscape) -> BehaviorDiagram:
-    n_a, n_x, n_t = len(spec.amplitudes), len(spec.xis), spec.trials_per_cell
-    trial_rolls = np.empty((n_a, n_x, n_t))
-    errors: list[str] = []
-    for a_idx, amp in enumerate(spec.amplitudes):
-        for x_idx, xi in enumerate(spec.xis):
-            cell_idx = a_idx * n_x + x_idx
-            params = spec.gait_for(amp, xi)
-            for trial in range(n_t):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=spec.seed,
-                                           spawn_key=(cell_idx, trial)))
-                try:
-                    traj = simulate_roll(
-                        params, spec.morphology,
-                        cycles=float(spec.cycles_per_trial),
-                        init=RollState(gamma=math.pi), perturb=spec.perturb,
-                        mode="segmented", rng=rng, mu=spec.mu,
-                        kappa=spec.kappa,
-                        steps_per_cycle=spec.steps_per_cycle,
-                        landscape=landscape)
-                    trial_rolls[a_idx, x_idx, trial] = (
-                        traj.delta_gamma_total / (TWO_PI * spec.cycles_per_trial))
-                except IntegrationError as exc:
-                    trial_rolls[a_idx, x_idx, trial] = np.nan
-                    errors.append(f"cell({a_idx},{x_idx}) trial {trial}: {exc}")
-    p_sr = np.empty((n_a, n_x))
-    for a_idx in range(n_a):
-        for x_idx in range(n_x):
-            cell = trial_rolls[a_idx, x_idx]
-            p_sr[a_idx, x_idx] = (np.nan if np.isnan(cell).any()
-                                  else estimate_psr(cell))
+    if failures:
+        import logging  # loaded only here: importing it adds to start-up
+        for trial_idx, reason in sorted(failures.items()):
+            cell_idx, trial = divmod(trial_idx, n_t)
+            a_idx, x_idx = divmod(cell_idx, n_x)
+            errors.append(f"cell({a_idx},{x_idx}) trial {trial}: {reason}")
+            logging.getLogger("selfright").warning("%s", errors[-1])
+    p_sr = np.array([[np.nan if np.isnan(cell).any() else estimate_psr(cell)
+                      for cell in row] for row in trial_rolls])
     return BehaviorDiagram(amplitudes=np.asarray(spec.amplitudes),
                            xis=np.asarray(spec.xis),
                            trial_rolls=trial_rolls, p_sr=p_sr,

@@ -2,15 +2,17 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from selfright import (ConfigError, GaitParams, Morphology, RunConfig,
+from selfright import (ConfigError, GaitParams, Morphology,
+                       PerturbationSpec, RunConfig, SweepSpec,
                        config_from_dict, config_hash, config_json,
                        config_to_dict, lateral_angle, load_config,
                        save_config)
 from selfright.cli import main
+from selfright.config import RollSettings, SweepSettings
 
 
 def custom_config():
@@ -73,6 +75,37 @@ def test_hash_tracks_content():
     assert config_hash(a) != config_hash(b)
     assert len(config_hash(a)) == 64
     assert json.loads(config_json(a))["seed"] == 0
+
+
+def test_sweep_spec_maps_every_field():
+    cfg = RunConfig(
+        morphology=Morphology(num_modules=8, leg_length=0.05),
+        gait=GaitParams(temporal_frequency=2e-3),
+        roll=RollSettings(mu=4.0, kappa=0.1, steps_per_cycle=300,
+                          resolution=512),
+        sweep=SweepSettings(amplitudes=(0.3, 0.6), xis=(0.5,),
+                            trials_per_cell=3, cycles_per_trial=2,
+                            gamma_jitter=0.15, gain_noise=0.05),
+        seed=7, mode="segmented")
+    spec = cfg.sweep_spec()
+    assert spec.amplitudes == (0.3, 0.6)
+    assert spec.xis == (0.5,)
+    assert spec.trials_per_cell == 3
+    assert spec.cycles_per_trial == 2
+    assert spec.seed == 7
+    assert spec.morphology == Morphology(num_modules=8, leg_length=0.05)
+    assert spec.mode == "segmented"
+    assert spec.perturb == PerturbationSpec(gamma_jitter=0.15,
+                                            gain_noise=0.05)
+    assert spec.drive_frequency == 2e-3
+    assert spec.steps_per_cycle == 300
+    assert spec.mu == 4.0
+    assert spec.kappa == 0.1
+    assert spec.resolution == 512
+    # every field was set away from its default, so none can be dropped
+    default = SweepSpec()
+    for f in fields(SweepSpec):
+        assert getattr(spec, f.name) != getattr(default, f.name), f.name
 
 
 def run_cli(args):

@@ -1,14 +1,16 @@
 """Behavior-diagram sweep tests: estimator, grids, determinism, output."""
 
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from selfright import (BehaviorDiagram, ConfigError, Morphology, SweepSpec,
-                       binariness, estimate_psr, run_sweep,
+from selfright import (BehaviorDiagram, ConfigError, Morphology,
+                       PerturbationSpec, RollState, SweepSpec, binariness,
+                       estimate_psr, run_sweep, simulate_roll,
                        write_diagram_csv, write_diagram_json)
 from selfright.sweep import DEFAULT_AMPLITUDES, DEFAULT_XIS
 
@@ -190,3 +192,67 @@ def test_json_null_for_failed_cells(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["p_sr"][0][0] is None
     assert doc["errors"]
+
+
+def test_lumped_lanes_independent_of_batch():
+    # a lane's trajectory must not depend on which lanes share its batch:
+    # the leading rows of a larger grid keep their cell indices and draws
+    sub = small_spec(morphology=LEGGED, amplitudes=DEFAULT_AMPLITUDES[:3],
+                     xis=(0.0, 0.4, 1.1))
+    full = small_spec(morphology=LEGGED, amplitudes=DEFAULT_AMPLITUDES,
+                      xis=(0.0, 0.4, 1.1))
+    small = run_sweep(sub)
+    large = run_sweep(full)
+    assert np.array_equal(small.trial_rolls, large.trial_rolls[:3])
+    assert np.array_equal(small.p_sr, large.p_sr[:3])
+
+
+def test_failed_trial_leaves_batch_mates_untouched():
+    spec = small_spec(morphology=LEGGED, mode="segmented", kappa=0.5,
+                      amplitudes=(math.pi / 4,), xis=(0.0, 0.6),
+                      trials_per_cell=1)
+    batch = run_sweep(spec)
+    solo = run_sweep(small_spec(morphology=LEGGED, mode="segmented",
+                                kappa=0.5, amplitudes=(math.pi / 4,),
+                                xis=(0.0,), trials_per_cell=1))
+    assert np.isnan(batch.trial_rolls[0, 1]).all()
+    assert solo.errors == ()
+    assert np.array_equal(batch.trial_rolls[0, :1], solo.trial_rolls[0])
+    assert batch.p_sr[0, 0] == solo.p_sr[0, 0]
+
+
+def test_failed_trials_logged(caplog):
+    spec = small_spec(morphology=LEGGED, mode="segmented", kappa=0.5,
+                      amplitudes=(math.pi / 4,), xis=(0.6,),
+                      trials_per_cell=1)
+    with caplog.at_level(logging.WARNING, logger="selfright"):
+        diagram = run_sweep(spec)
+    logged = [r for r in caplog.records if r.name == "selfright"]
+    assert [r.getMessage() for r in logged] == list(diagram.errors)
+    assert all(r.levelno == logging.WARNING for r in logged)
+    assert diagram.errors[0].startswith("cell(0,0) trial 0: ")
+
+
+@pytest.mark.parametrize("mode, perturb", [
+    ("segmented", PerturbationSpec()),
+    ("segmented", PerturbationSpec(gamma_jitter=0.0, gain_noise=0.1)),
+    ("lumped", PerturbationSpec(gamma_jitter=0.0, gain_noise=0.1)),
+], ids=["segmented-default", "segmented-no-jitter", "lumped-no-jitter"])
+def test_batched_trial_equals_simulate_roll(mode, perturb):
+    """A sweep trial is simulate_roll on that trial's stream, bitwise."""
+    spec = small_spec(morphology=LEGGED, mode=mode, perturb=perturb,
+                      amplitudes=(math.pi / 8, math.pi / 3),
+                      xis=(0.0, 0.6))
+    diagram = run_sweep(spec)
+    n_x = len(spec.xis)
+    for a_idx, x_idx, trial in ((0, 0, 0), (1, 1, 1)):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=spec.seed, spawn_key=(a_idx * n_x + x_idx, trial)))
+        traj = simulate_roll(
+            spec.gait_for(spec.amplitudes[a_idx], spec.xis[x_idx]),
+            spec.morphology, cycles=float(spec.cycles_per_trial),
+            init=RollState(gamma=math.pi), perturb=perturb, mode=mode,
+            rng=rng, mu=spec.mu, kappa=spec.kappa,
+            steps_per_cycle=spec.steps_per_cycle)
+        rolls = traj.delta_gamma_total / (2 * math.pi * spec.cycles_per_trial)
+        assert diagram.trial_rolls[a_idx, x_idx, trial] == rolls
