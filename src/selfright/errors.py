@@ -14,7 +14,7 @@ class DimensionError(SelfRightError):
 
 
 class IntegrationError(SelfRightError):
-    """Quasi-static integration failed to converge within its substep budget."""
+    """A roll lane turned non-finite or rolled a whole turn in one interval."""
 
 
 class ContactError(SelfRightError):

@@ -143,15 +143,6 @@ def center_of_mass(poses: list[FramePose], morph: Morphology) -> np.ndarray:
     return mids.mean(axis=0)
 
 
-def _leg_directions(morph: Morphology) -> tuple[np.ndarray, np.ndarray]:
-    # In the transverse (y, z) plane of an upright module, legs leave the
-    # body surface on both sides, leg_angle below the horizontal.
-    a = morph.leg_angle
-    right = np.array([math.cos(-a), math.sin(-a)])
-    left = np.array([-math.cos(-a), math.sin(-a)])
-    return right, left
-
-
 def cross_section(morph: Morphology, gamma: float) -> np.ndarray:
     """Transverse silhouette of one module at roll angle gamma.
 

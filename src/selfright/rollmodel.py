@@ -26,8 +26,8 @@ GRAVITY = 9.80665
 MU_DEFAULT = 5.0
 
 # Torsional neighbor coupling for segmented mode, N*m/rad. Stiff enough to
-# keep neighbor phases coherent, soft enough for the per-interval marching
-# to converge; much stiffer couplings make the substep control thrash.
+# keep neighbor phases coherent; much stiffer couplings, held fixed over an
+# output interval, leave staggered lanes no root and roll them a whole turn.
 KAPPA_DEFAULT = 0.05
 
 # Dimensionless calibration of the drive gain, fixed once so that the
@@ -45,16 +45,6 @@ MIN_STEPS_PER_CYCLE = 200
 # Stall rule: commanded roll rate below this for a quarter of a cycle's
 # worth of consecutive output intervals marks the trial stalled.
 STALL_RATE = 1e-4
-
-# Substep marching constants. CAP bounds the roll advance of a single
-# substep; a sign flip of the rate halves the working cap, two calm
-# substeps grow it again. CAP_KICK re-arms parked lanes at interval start
-# without polluting the stall signal. MOVE_FLOOR treats sub-nanoradian
-# substeps as equilibrated so flat landscapes cost one substep.
-CAP = math.pi / 128
-CAP_KICK = CAP / 64
-MOVE_FLOOR = 1e-9
-SUBSTEP_GUARD = 8192
 
 DEFAULT_RESOLUTION = 1024
 
@@ -186,8 +176,7 @@ def energy_landscape(morph: Morphology, resolution: int = DEFAULT_RESOLUTION) ->
 
 def stable_configurations(landscape: EnergyLandscape) -> list[float]:
     """Roll angles of the landscape's strict local minima, sorted ascending."""
-    idx = _find_minima(landscape.energy)
-    return sorted(float(landscape.gamma_samples[i]) for i in idx)
+    return sorted(float(g) for g in landscape.minima)
 
 
 @functools.lru_cache(maxsize=32)
@@ -278,11 +267,6 @@ class RollTrajectory:
     mode: str
 
     @property
-    def states(self) -> list[RollState]:
-        return [RollState(gamma=g if np.ndim(g) else float(g), time=float(t))
-                for t, g in zip(self.times, self.gammas)]
-
-    @property
     def delta_gamma_total(self) -> float:
         start = self.gammas[0]
         end = self.gammas[-1]
@@ -308,65 +292,83 @@ def _slope_at(denergy: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return lo * (1.0 - frac) + hi * frac
 
 
-def _march_interval(gam: np.ndarray, cap_cur: np.ndarray, lanes: np.ndarray,
+def _piece_gaps(denergy: np.ndarray) -> np.ndarray:
+    """Node gaps to the ends of the piece holding the cell above each node.
+
+    Row 0 counts up, row 1 down. Pieces are bounded by breakpoints, the
+    nodes where consecutive denergy differences change.
+    """
+    res = len(denergy)
+    diff = np.roll(denergy, -1) - denergy
+    bends = np.flatnonzero(diff != np.roll(diff, 1))
+    if not bends.size:
+        return np.full((2, res), res)
+    ends = np.concatenate([bends - res, bends, bends + res])
+    nodes = np.arange(res)
+    above = np.searchsorted(ends, nodes, side="right")
+    return np.stack([ends[above] - nodes, nodes - ends[above - 1]])
+
+
+def _march_interval(gam: np.ndarray, node: np.ndarray, lanes: np.ndarray,
                     phi1: np.ndarray, gains: np.ndarray, bias: np.ndarray,
-                    denergy: np.ndarray, mu: float, dt_len: float
-                    ) -> dict[int, str]:
+                    denergy: np.ndarray, gaps: np.ndarray, mu: float,
+                    dt_len: float, span: float) -> dict[int, str]:
     """Advance the lanes listed in `lanes` through one output interval.
 
-    Lanes march independently with adaptive substeps: each substep moves
-    at the current rate, bounded by the working cap and clipped so gamma
-    never advances past the interval-end command phase. An interval ends
-    for a lane when its time is consumed, it rides the command clip, or
-    it has equilibrated; the lane then leaves the working set, so its
-    state and cap stop changing and no lane depends on its batch mates.
-
-    gam, cap_cur, phi1, gains and bias (the coupling torque) hold every
-    lane; gam and cap_cur are updated in place. Returns the lanes that
-    failed (substep guard exhausted, or a non-finite state) with the
-    reason.
+    With phi1 and the coupling torque bias fixed, the rate
+    r = mu*(G*sin(phi1 - g) - U'(g) + bias) moves a lane one way and never
+    across a root. Taken as linear up to the nearest of its piece's end,
+    phi1 and a distance of span (the drive by its chord), r has the exact
+    flow g + r/a*expm1(a*t), walked stretch by stretch until the lane's
+    time runs out, it settles toward a root, or it reaches phi1, which it
+    never passes upward. node[i], the node below the cell whose piece
+    holds lane i, steps on at each piece end, so no piece has zero length.
+    gam and node are updated in place. Returns the failed lanes (a whole
+    turn rolled, or non-finite).
     """
+    res = len(denergy)
+    step = TWO_PI / res
     failures: dict[int, str] = {}
-    g, phi, gain, bias = gam[lanes], phi1[lanes], gains[lanes], bias[lanes]
-    cap = np.clip(cap_cur[lanes], CAP_KICK, CAP)
-    remaining = np.full(len(lanes), dt_len)
-    prev_sign = calm = np.zeros(len(lanes))  # rebound below, not written
-    for _ in range(SUBSTEP_GUARD):
-        if not lanes.size:
-            break
-        rate = mu * (gain * np.sin(phi - g) - _slope_at(denergy, g) + bias)
-        sign = np.sign(rate)
-        flip = (sign * prev_sign) < 0
-        calm = np.where(flip, 0.0, calm + 1)
-        cap = np.where(flip, cap * 0.5,
-                       np.where(calm >= 2, np.minimum(CAP, cap * 1.5), cap))
-        prev_sign = sign
-        # A zero rate takes the whole remaining time and does not move.
-        dt_sub = np.minimum(remaining,
-                            cap / np.maximum(np.abs(rate), 1e-300))
-        proposed = g + rate * dt_sub
-        hi = np.maximum(g, phi)
-        clipped = proposed > hi
-        new = np.where(clipped, hi, proposed)
-        done = clipped | (np.abs(new - g) < MOVE_FLOOR)
-        g = new
-        remaining = np.where(done, 0.0, remaining - dt_sub)
-        finite = np.isfinite(g)
-        going = (remaining > 0) & finite
-        if not going.all():
-            gam[lanes], cap_cur[lanes] = g, cap
-            if not finite.all():
-                failures.update(dict.fromkeys(lanes[~finite].tolist(),
-                                              "non-finite roll state"))
-            if not going.any():
-                break
-            lanes, g, phi, gain, bias, cap, remaining, prev_sign, calm = (
-                a[going] for a in (lanes, g, phi, gain, bias, cap, remaining,
-                                   prev_sign, calm))
-    else:
-        gam[lanes], cap_cur[lanes] = g, cap
-        failures.update(dict.fromkeys(lanes.tolist(),
-                                      "substep budget exceeded"))
+    g, k, phi, gain, bias = (v[lanes] for v in (gam, node, phi1, gains, bias))
+    start, left = g, np.full(len(lanes), dt_len)
+
+    def rate(x):
+        return mu * (gain * np.sin(phi - x) - _slope_at(denergy, x) + bias)
+
+    r0 = rate(g)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while lanes.size:
+            up, moving = r0 > 0, r0 != 0
+            end = np.where(up, k + gaps[0, k % res], k - gaps[1, k % res])
+            x_end = end * step
+            x1 = np.clip(x_end, g - span, g + span)
+            capped = up & (phi < x1)
+            x1 = np.where(capped, np.maximum(g, phi), x1)
+            r1 = rate(x1)
+            dx, dr = x1 - g, r1 - r0
+            lin, a = dr == 0, dr / dx
+            # Time to x1; not finite when the rate turns first.
+            t1 = np.where(lin, dx / r0, np.log1p(dr / r0) / a)
+            reach = (t1 <= left) & moving
+            t = np.where(reach, t1, left)
+            flow = g + r0 * np.where(lin, t, np.expm1(a * t) / a)
+            g = np.where(reach, x1, np.where(moving, flow, g))
+            on = reach & ~capped
+            k = np.where(on & (x1 == x_end), np.where(up, end, end - 1), k)
+            left = left - t
+            bad = ~(np.abs(g - start) <= TWO_PI)
+            going = on & ~bad
+            r0 = r1  # a lane that steps on sits at x1
+            if going.all():
+                continue
+            gam[lanes], node[lanes] = g, k
+            failures.update(
+                (lane, "rolled more than a whole turn" if math.isfinite(x)
+                 else "non-finite roll state")
+                for lane, x in zip(lanes[bad].tolist(), g[bad].tolist()))
+            lanes, g, k, phi, gain, bias, start, left, r0 = (
+                v[going] for v in (lanes, g, k, phi, gain, bias, start, left,
+                                   r0))
     return failures
 
 
@@ -387,9 +389,9 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
     frozen over each interval (operator splitting), which keeps
     identical-state chains exactly equal to the lumped trajectory.
 
-    A lane's result depends on its own chain only. A lane that exhausts
-    the substep guard or turns non-finite fails its whole chain: the
-    chain stops marching and reads NaN from that interval on.
+    A lane's result depends on its own chain only. A lane that rolls more
+    than a whole turn in one interval, or turns non-finite, fails its
+    whole chain: the chain stops marching and reads NaN from then on.
 
     Returns (records, stalled, failures): records holds lane states at
     every interval boundary when record_full, else only at whole-cycle
@@ -398,7 +400,8 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
     """
     lanes = len(gamma0)
     gam = np.asarray(gamma0, dtype=float).copy()
-    cap_cur = np.full(lanes, CAP)
+    node = np.floor(gam / (TWO_PI / len(denergy))).astype(np.int64)
+    gaps = _piece_gaps(denergy)
     quiet = np.zeros(lanes, dtype=int)
     quiet_needed = max(1, steps_per_cycle // 4)
     stalled = np.zeros(lanes, dtype=bool)
@@ -426,8 +429,11 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
             bias = (kappa * chain) * lap.ravel()
 
         before = gam.copy()
-        failed = _march_interval(gam, cap_cur, live, phi1, gains, bias,
-                                 denergy, mu, dt)
+        # A lane that follows its command moves one command step, omega*dt,
+        # per interval: a span of two keeps that one stretch, and the drive's
+        # chord error below G*span**2/8.
+        failed = _march_interval(gam, node, live, phi1, gains, bias,
+                                 denergy, gaps, mu, dt, 2.0 * omega * dt)
         if failed:
             for lane, reason in sorted(failed.items()):
                 failures.setdefault(lane // chain,
