@@ -8,9 +8,10 @@ map with amplitude increasing upward.
 
 import argparse
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from selfright import (Morphology, SweepSpec, binariness, run_sweep,
+from selfright import (Morphology, RunConfig, binariness, run_sweep,
                        write_diagram_csv, write_diagram_json)
 
 
@@ -36,15 +37,16 @@ def main() -> int:
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
+    base = RunConfig(seed=args.seed, mode=args.mode)
+    if args.trials is not None:
+        base = replace(base, sweep=replace(base.sweep,
+                                           trials_per_cell=args.trials))
     bodies = {"limbless": Morphology().limbless(), "legged": Morphology()}
     for name, morph in bodies.items():
-        kwargs = {"morphology": morph, "seed": args.seed, "mode": args.mode}
-        if args.trials is not None:
-            kwargs["trials_per_cell"] = args.trials
-        spec = SweepSpec(**kwargs)
+        cfg = replace(base, morphology=morph)
 
         start = time.perf_counter()
-        diagram = run_sweep(spec)
+        diagram = run_sweep(cfg)
         elapsed = time.perf_counter() - start
 
         meta = {"body": name, "seed": args.seed, "mode": args.mode}

@@ -23,8 +23,8 @@ from .rollmodel import (EnergyLandscape, PerturbationSpec, RollState,
                         simulate_roll, stable_configurations, support_height)
 from .sidewinding import (DisplacementReport, contact_set,
                           displacement_trajectory, lateral_displacement)
-from .sweep import (BehaviorDiagram, SweepSpec, binariness, estimate_psr,
-                    run_sweep, write_diagram_csv, write_diagram_json)
+from .sweep import (BehaviorDiagram, binariness, estimate_psr, run_sweep,
+                    write_diagram_csv, write_diagram_json)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "DisplacementReport", "EnergyLandscape", "FramePose", "GaitParams",
     "GeometryError", "IntegrationError", "JointAngles", "Morphology",
     "PerturbationSpec", "RollState", "RollTrajectory", "RunConfig",
-    "SelfRightError", "SweepSpec", "TrialOutcome", "binariness",
+    "SelfRightError", "TrialOutcome", "binariness",
     "body_wave_height", "center_of_mass", "classify_trial", "coherence",
     "config_from_dict", "config_hash", "config_json", "config_to_dict",
     "contact_set", "cross_section", "displacement_trajectory", "drive_gain",

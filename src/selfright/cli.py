@@ -46,62 +46,60 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _env_int(name: str) -> int | None:
-    raw = _env(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{ENV_PREFIX}{name} must be an integer, got {raw!r}")
+# SRSIM_* fallbacks: variable suffix -> (config path, type, what it must be).
+_ENV_SETTINGS = {
+    "SEED": ("seed", int, "an integer"),
+    "MODE": ("mode", str, "a string"),
+    "LEGS": ("morphology.leg_length", float, "a number"),
+}
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _env_float(name: str) -> float | None:
-    raw = _env(name)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{ENV_PREFIX}{name} must be a number, got {raw!r}")
-
-
-def _pick(flag, env):
-    return flag if flag is not None else env
+def _set(obj, path: str, value):
+    """obj with the field at dotted path set to value."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _set(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
+    """The --config file, then the SRSIM_* fallbacks, then the flags.
+
+    A flag that sets a config field has the field's dotted path as its
+    argparse dest; unset flags are None.
+    """
     cfg = load_config(args.config) if args.config else RunConfig()
-    seed = _pick(args.seed, _env_int("SEED"))
-    mode = _pick(args.mode, _env("MODE"))
-    legs = _pick(args.legs, _env_float("LEGS"))
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if mode is not None:
-        cfg = replace(cfg, mode=mode)
-    if legs is not None:
-        cfg = replace(cfg, morphology=replace(cfg.morphology, leg_length=legs))
+    settings = {}
+    for name, (path, kind, noun) in _ENV_SETTINGS.items():
+        raw = _env(name)
+        if raw is not None:
+            try:
+                settings[path] = kind(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"{ENV_PREFIX}{name} must be {noun}, got {raw!r}")
+    settings.update((path, value) for path, value in vars(args).items()
+                    if value is not None
+                    and path.partition(".")[0] in _CONFIG_FIELDS)
+    for path, value in settings.items():
+        cfg = _set(cfg, path, value)
     return cfg
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(_pick(args.out, _env("OUT")) or ".")
+    out = Path(args.out if args.out is not None else _env("OUT") or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _fold_gait(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Fold gait flags into the config so the output hash reflects them."""
-    updates = {}
-    amp = getattr(args, "amplitude", None)
-    if amp is not None:
-        updates["amplitude_lateral"] = amp
-        updates["amplitude_vertical"] = amp
-    if getattr(args, "xi", None) is not None:
-        updates["spatial_frequency"] = args.xi
-    if not updates:
-        return cfg
-    return replace(cfg, gait=replace(cfg.gait, **updates))
+class _BothAmplitudes(argparse.Action):
+    """--amplitude sets the lateral and the vertical wave amplitude."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, "gait.amplitude_lateral", value)
+        setattr(namespace, "gait.amplitude_vertical", value)
 
 
 def _write_csv(path: Path, cfg: RunConfig, header: tuple[str, ...],
@@ -122,7 +120,6 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
 
 
 def cmd_gait(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    cfg = _fold_gait(cfg, args)
     g = cfg.gait
     n = args.samples
     rows = []
@@ -140,8 +137,6 @@ def cmd_gait(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_energy(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    if args.resolution is not None:
-        cfg = replace(cfg, roll=replace(cfg.roll, resolution=args.resolution))
     land = energy_landscape(cfg.morphology, cfg.roll.resolution)
     csv_path = out / "energy.csv"
     _write_csv(csv_path, cfg, ("gamma_rad", "energy_J", "denergy_J_per_rad"),
@@ -160,7 +155,6 @@ def cmd_energy(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    cfg = _fold_gait(cfg, args)
     cycles = 0.5 if args.half else args.cycles
     perturb = rng = None
     if args.perturb:
@@ -208,13 +202,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    sw = cfg.sweep
-    if args.trials is not None:
-        sw = replace(sw, trials_per_cell=args.trials)
-    if args.cycles is not None:
-        sw = replace(sw, cycles_per_trial=args.cycles)
-    cfg = replace(cfg, sweep=sw)
-    diagram = run_sweep(cfg.sweep_spec())
+    diagram = run_sweep(cfg)
     meta = {"config_sha256": config_hash(cfg), "seed": cfg.seed}
     csv_path = out / "sweep.csv"
     json_path = out / "sweep.json"
@@ -223,21 +211,12 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     print(csv_path)
     print(json_path)
     print(f"binariness={binariness(diagram):.4f} "
-          f"cells={len(sw.amplitudes) * len(sw.xis)} "
-          f"errors={len(diagram.errors)}")
+          f"cells={diagram.p_sr.size} errors={len(diagram.errors)}")
     return 0
 
 
 def cmd_sidewind(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    cfg = _fold_gait(cfg, args)
     sw = cfg.sidewinding
-    if args.cycles is not None:
-        sw = replace(sw, cycles=args.cycles)
-    if args.samples is not None:
-        sw = replace(sw, samples_per_cycle=args.samples)
-    if args.contact_tol is not None:
-        sw = replace(sw, contact_tol=args.contact_tol)
-    cfg = replace(cfg, sidewinding=sw)
     report, path_xy = displacement_trajectory(
         cfg.gait, cfg.morphology, cycles=sw.cycles,
         samples_per_cycle=sw.samples_per_cycle, contact_tol=sw.contact_tol)
@@ -269,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=("lumped", "segmented"),
                         help="roll model variant")
     common.add_argument("--legs", type=float, metavar="METERS",
+                        dest="morphology.leg_length",
                         help="override leg length")
 
     parser = argparse.ArgumentParser(
@@ -281,14 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=64, metavar="N",
                    help="samples per cycle (default 64)")
     p.add_argument("--amplitude", type=float, metavar="RAD",
+                   dest="gait.amplitude_lateral", action=_BothAmplitudes,
                    help="set both wave amplitudes")
     p.add_argument("--xi", type=float, metavar="XI",
+                   dest="gait.spatial_frequency",
                    help="spatial frequency override")
     p.set_defaults(func=cmd_gait)
 
     p = sub.add_parser("energy", parents=[common],
                        help="export the roll-angle potential landscape")
     p.add_argument("--resolution", type=int, metavar="N",
+                   dest="roll.resolution",
                    help="landscape samples over one revolution")
     p.set_defaults(func=cmd_energy)
 
@@ -303,30 +286,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", action="store_true",
                    help="apply seeded initial-angle and gain perturbations")
     p.add_argument("--amplitude", type=float, metavar="RAD",
+                   dest="gait.amplitude_lateral", action=_BothAmplitudes,
                    help="set both wave amplitudes")
     p.add_argument("--xi", type=float, metavar="XI",
+                   dest="gait.spatial_frequency",
                    help="spatial frequency override")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="run the amplitude x spatial-frequency sweep")
     p.add_argument("--trials", type=int, metavar="N",
+                   dest="sweep.trials_per_cell",
                    help="trials per grid cell")
     p.add_argument("--cycles", type=int, metavar="C",
-                   help="cycles per trial")
+                   dest="sweep.cycles_per_trial", help="cycles per trial")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sidewind", parents=[common],
                        help="estimate planar sidewinding displacement")
     p.add_argument("--cycles", type=int, metavar="C",
-                   help="gait cycles to trace")
+                   dest="sidewinding.cycles", help="gait cycles to trace")
     p.add_argument("--samples", type=int, metavar="N",
+                   dest="sidewinding.samples_per_cycle",
                    help="samples per cycle")
     p.add_argument("--contact-tol", type=float, metavar="METERS",
+                   dest="sidewinding.contact_tol",
                    help="ground-contact height tolerance")
     p.add_argument("--amplitude", type=float, metavar="RAD",
+                   dest="gait.amplitude_lateral", action=_BothAmplitudes,
                    help="set both wave amplitudes")
     p.add_argument("--xi", type=float, metavar="XI",
+                   dest="gait.spatial_frequency",
                    help="spatial frequency override")
     p.set_defaults(func=cmd_sidewind)
 

@@ -10,16 +10,20 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .gait import GaitParams
 from .kinematics import Morphology
-from .rollmodel import (DEFAULT_RESOLUTION, KAPPA_DEFAULT, MU_DEFAULT,
-                        QUASI_STATIC_OMEGA, STEPS_PER_CYCLE, PerturbationSpec)
+from .rollmodel import (DEFAULT_RESOLUTION, KAPPA_DEFAULT,
+                        MIN_STEPS_PER_CYCLE, MU_DEFAULT, QUASI_STATIC_OMEGA,
+                        STEPS_PER_CYCLE, PerturbationSpec)
 from .sidewinding import DEFAULT_CONTACT_TOL, DEFAULT_SAMPLES_PER_CYCLE
-from .sweep import DEFAULT_AMPLITUDES, DEFAULT_XIS, SweepSpec
+
+DEFAULT_AMPLITUDES = tuple(k * math.pi / 24 for k in range(1, 12))
+DEFAULT_XIS = tuple(k / 10 for k in range(13))
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,9 @@ class RollSettings:
             raise ConfigError("mu must be positive")
         if self.kappa < 0:
             raise ConfigError("kappa must be >= 0")
+        if self.steps_per_cycle < MIN_STEPS_PER_CYCLE:
+            raise ConfigError(
+                f"steps_per_cycle must be >= {MIN_STEPS_PER_CYCLE}")
 
 
 @dataclass(frozen=True)
@@ -46,12 +53,14 @@ class SweepSettings:
     xis: tuple[float, ...] = DEFAULT_XIS
     trials_per_cell: int = 5
     cycles_per_trial: int = 3
-    gamma_jitter: float = 0.2
-    gain_noise: float = 0.1
+    gamma_jitter: float = PerturbationSpec.gamma_jitter
+    gain_noise: float = PerturbationSpec.gain_noise
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
         object.__setattr__(self, "xis", tuple(self.xis))
+        if not self.amplitudes or not self.xis:
+            raise ConfigError("sweep grids must be nonempty")
         if self.trials_per_cell < 1 or self.cycles_per_trial < 1:
             raise ConfigError("trials and cycles must be >= 1")
 
@@ -95,18 +104,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("lumped", "segmented"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-
-    def sweep_spec(self) -> SweepSpec:
-        """The behavior-diagram sweep this configuration describes."""
-        sw, roll = self.sweep, self.roll
-        return SweepSpec(amplitudes=sw.amplitudes, xis=sw.xis,
-                         trials_per_cell=sw.trials_per_cell,
-                         cycles_per_trial=sw.cycles_per_trial,
-                         seed=self.seed, morphology=self.morphology,
-                         mode=self.mode, perturb=sw.perturbation(),
-                         drive_frequency=self.gait.temporal_frequency,
-                         steps_per_cycle=roll.steps_per_cycle, mu=roll.mu,
-                         kappa=roll.kappa, resolution=roll.resolution)
 
 
 _SECTIONS = {

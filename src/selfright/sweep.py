@@ -9,58 +9,26 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError
 from .gait import TWO_PI, GaitParams
-from .kinematics import Morphology
-from .rollmodel import (DEFAULT_RESOLUTION, KAPPA_DEFAULT, MU_DEFAULT,
-                        QUASI_STATIC_OMEGA, STEPS_PER_CYCLE, PerturbationSpec,
-                        _integrate, _trial_lanes, energy_landscape)
+from .rollmodel import _integrate, _trial_lanes, energy_landscape
 # Kept importable from this module: bench/tracer.py wraps them here.
 from .rollmodel import drive_gain, simulate_roll  # noqa: F401
-
-DEFAULT_AMPLITUDES = tuple(k * math.pi / 24 for k in range(1, 12))
-DEFAULT_XIS = tuple(k / 10 for k in range(13))
 
 # P_sr values this close to an endpoint collapse onto it, so exact-binary
 # claims are testable without float fuzz.
 ENDPOINT_SNAP = 1e-12
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid, trial protocol, and simulation settings of one sweep."""
-
-    amplitudes: tuple[float, ...] = DEFAULT_AMPLITUDES
-    xis: tuple[float, ...] = DEFAULT_XIS
-    trials_per_cell: int = 5
-    cycles_per_trial: int = 3
-    seed: int = 0
-    morphology: Morphology = field(default_factory=Morphology)
-    mode: str = "lumped"
-    perturb: PerturbationSpec = field(default_factory=PerturbationSpec)
-    drive_frequency: float = QUASI_STATIC_OMEGA
-    steps_per_cycle: int = STEPS_PER_CYCLE
-    mu: float = MU_DEFAULT
-    kappa: float = KAPPA_DEFAULT
-    resolution: int = DEFAULT_RESOLUTION
-
-    def __post_init__(self) -> None:
-        if not self.amplitudes or not self.xis:
-            raise ConfigError("sweep grids must be nonempty")
-        if self.trials_per_cell < 1 or self.cycles_per_trial < 1:
-            raise ConfigError("trials and cycles must be >= 1")
-        if self.mode not in ("lumped", "segmented"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-
-    def gait_for(self, amplitude: float, xi: float) -> GaitParams:
-        return GaitParams(amplitude_lateral=amplitude,
-                          amplitude_vertical=amplitude,
-                          temporal_frequency=self.drive_frequency,
-                          spatial_frequency=xi)
+def cell_gait(cfg: RunConfig, amplitude: float, xi: float) -> GaitParams:
+    """cfg's gait with both wave amplitudes and the spatial frequency set."""
+    return replace(cfg.gait, amplitude_lateral=amplitude,
+                   amplitude_vertical=amplitude, spatial_frequency=xi)
 
 
 @dataclass(frozen=True)
@@ -76,7 +44,7 @@ class BehaviorDiagram:
     trial_rolls: np.ndarray
     p_sr: np.ndarray
     errors: tuple[str, ...]
-    spec: SweepSpec
+    config: RunConfig
 
     @property
     def mean_rolls(self) -> np.ndarray:
@@ -109,43 +77,47 @@ def _trial_rng(seed: int, cell_idx: int, trial: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, trial)))
 
 
-def run_sweep(spec: SweepSpec) -> BehaviorDiagram:
-    """Run the full grid sweep; deterministic for a given spec and seed.
+def run_sweep(cfg: RunConfig) -> BehaviorDiagram:
+    """Run cfg's grid sweep; deterministic for a given config and seed.
 
-    Trials start inverted (gamma = pi, plus the seeded jitter). Cell
-    a_idx * len(xis) + x_idx draws trial t's perturbation from the stream
-    SeedSequence(entropy=seed, spawn_key=(cell, t)). Every trial becomes
-    lanes of one integration: one lane per lumped trial, one per module
-    for a segmented trial. A lane does not depend on its batch mates, so
-    each trial equals simulate_roll for that trial and stream bitwise. A
-    trial that fails to integrate reads NaN, as does its cell's P_sr; its
-    error is listed in errors and logged to the "selfright" logger.
+    Each cell's gait is cfg.gait with the cell's amplitude and xi
+    (cell_gait). Trials start inverted (gamma = pi, plus the seeded
+    jitter). Cell a_idx * len(xis) + x_idx draws trial t's perturbation
+    from the stream SeedSequence(entropy=seed, spawn_key=(cell, t)). Every
+    trial becomes lanes of one integration: one lane per lumped trial, one
+    per module for a segmented trial. A lane does not depend on its batch
+    mates, so each trial equals simulate_roll for that trial and stream
+    bitwise. A trial that fails to integrate reads NaN, as does its cell's
+    P_sr; its error is listed in errors and logged to the "selfright"
+    logger.
     """
-    landscape = energy_landscape(spec.morphology, spec.resolution)
-    n_a, n_x, n_t = len(spec.amplitudes), len(spec.xis), spec.trials_per_cell
+    sw, roll, omega = cfg.sweep, cfg.roll, cfg.gait.temporal_frequency
+    landscape = energy_landscape(cfg.morphology, roll.resolution)
+    perturb = sw.perturbation()
+    n_a, n_x, n_t = len(sw.amplitudes), len(sw.xis), sw.trials_per_cell
     gamma0, gains, offsets = [], [], []
-    for a_idx, amp in enumerate(spec.amplitudes):
-        for x_idx, xi in enumerate(spec.xis):
+    for a_idx, amp in enumerate(sw.amplitudes):
+        for x_idx, xi in enumerate(sw.xis):
             cell_idx = a_idx * n_x + x_idx
             jitter, gain_factor = np.array(
-                [spec.perturb.draw(_trial_rng(spec.seed, cell_idx, trial))
+                [perturb.draw(_trial_rng(cfg.seed, cell_idx, trial))
                  for trial in range(n_t)]).T
             cell_gamma0, cell_gains, cell_offsets, chain = _trial_lanes(
-                spec.gait_for(amp, xi), spec.morphology, spec.mode,
+                cell_gait(cfg, amp, xi), cfg.morphology, cfg.mode,
                 math.pi + jitter, gain_factor)
             gamma0.append(cell_gamma0)
             gains.append(cell_gains)
             offsets.append(cell_offsets)
 
-    dt = (TWO_PI / spec.drive_frequency) / spec.steps_per_cycle
-    n_intervals = spec.cycles_per_trial * spec.steps_per_cycle
+    dt = (TWO_PI / omega) / roll.steps_per_cycle
+    n_intervals = sw.cycles_per_trial * roll.steps_per_cycle
     marks, _, failures = _integrate(
         landscape.denergy, np.concatenate(gains), np.concatenate(gamma0),
-        spec.drive_frequency, dt, n_intervals, spec.mu,
-        phase_offsets=np.concatenate(offsets), kappa=spec.kappa, chain=chain,
-        steps_per_cycle=spec.steps_per_cycle, record_full=False)
+        omega, dt, n_intervals, roll.mu,
+        phase_offsets=np.concatenate(offsets), kappa=roll.kappa, chain=chain,
+        steps_per_cycle=roll.steps_per_cycle, record_full=False)
     rolls = ((marks[-1] - marks[0]).reshape(-1, chain).mean(axis=1)
-             / (TWO_PI * spec.cycles_per_trial))
+             / (TWO_PI * sw.cycles_per_trial))
     trial_rolls = rolls.reshape(n_a, n_x, n_t)
 
     errors: list[str] = []
@@ -158,10 +130,10 @@ def run_sweep(spec: SweepSpec) -> BehaviorDiagram:
             logging.getLogger("selfright").warning("%s", errors[-1])
     p_sr = np.array([[np.nan if np.isnan(cell).any() else estimate_psr(cell)
                       for cell in row] for row in trial_rolls])
-    return BehaviorDiagram(amplitudes=np.asarray(spec.amplitudes),
-                           xis=np.asarray(spec.xis),
+    return BehaviorDiagram(amplitudes=np.asarray(sw.amplitudes),
+                           xis=np.asarray(sw.xis),
                            trial_rolls=trial_rolls, p_sr=p_sr,
-                           errors=tuple(errors), spec=spec)
+                           errors=tuple(errors), config=cfg)
 
 
 def _fmt(x: float) -> str:
@@ -190,16 +162,17 @@ def write_diagram_csv(diagram: BehaviorDiagram, path, meta: dict) -> None:
 
 
 def diagram_to_dict(diagram: BehaviorDiagram, meta: dict) -> dict:
-    spec = diagram.spec
+    cfg = diagram.config
+    roll, sw = cfg.roll, cfg.sweep
     return {
         "meta": dict(sorted(meta.items())),
-        "calibration": {"mu": spec.mu, "kappa": spec.kappa,
-                        "drive_frequency": spec.drive_frequency,
-                        "steps_per_cycle": spec.steps_per_cycle,
-                        "resolution": spec.resolution},
-        "protocol": {"trials_per_cell": spec.trials_per_cell,
-                     "cycles_per_trial": spec.cycles_per_trial,
-                     "seed": spec.seed, "mode": spec.mode},
+        "calibration": {"mu": roll.mu, "kappa": roll.kappa,
+                        "drive_frequency": cfg.gait.temporal_frequency,
+                        "steps_per_cycle": roll.steps_per_cycle,
+                        "resolution": roll.resolution},
+        "protocol": {"trials_per_cell": sw.trials_per_cell,
+                     "cycles_per_trial": sw.cycles_per_trial,
+                     "seed": cfg.seed, "mode": cfg.mode},
         "amplitudes": list(diagram.amplitudes),
         "xis": list(diagram.xis),
         "p_sr": [[None if np.isnan(v) else v for v in row]

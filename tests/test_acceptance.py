@@ -14,11 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from selfright import (GaitParams, Morphology, RunConfig, SweepSpec,
-                       binariness, classify_trial, config_to_dict,
-                       energy_landscape, lateral_angle, lateral_displacement,
-                       run_sweep, simulate_roll, stable_configurations,
-                       vertical_angle)
+from selfright import (GaitParams, Morphology, RunConfig, binariness,
+                       classify_trial, config_to_dict, energy_landscape,
+                       lateral_angle, lateral_displacement, run_sweep,
+                       simulate_roll, stable_configurations, vertical_angle)
 from selfright.cli import main as cli_main
 
 from conftest import oracle_barrier
@@ -142,8 +141,8 @@ def test_criterion_5_sequential_propagation(default_landscape):
 def test_criterion_6_behavior_diagram_claims():
     """Qualitative sweep structure, both bodies, inside the time budget."""
     start = time.perf_counter()
-    limbless = run_sweep(SweepSpec(morphology=MORPH.limbless(), seed=0))
-    legged = run_sweep(SweepSpec(morphology=MORPH, seed=0))
+    limbless = run_sweep(RunConfig(morphology=MORPH.limbless(), seed=0))
+    legged = run_sweep(RunConfig(morphology=MORPH, seed=0))
     elapsed = time.perf_counter() - start
 
     amps = np.array(limbless.amplitudes)

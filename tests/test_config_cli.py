@@ -2,14 +2,13 @@
 
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
-from selfright import (ConfigError, GaitParams, Morphology,
-                       PerturbationSpec, RunConfig, SweepSpec,
+from selfright import (ConfigError, GaitParams, Morphology, RunConfig,
                        config_from_dict, config_hash, config_json,
-                       config_to_dict, lateral_angle, load_config,
+                       config_to_dict, lateral_angle, load_config, run_sweep,
                        save_config)
 from selfright.cli import main
 from selfright.config import RollSettings, SweepSettings
@@ -75,37 +74,6 @@ def test_hash_tracks_content():
     assert config_hash(a) != config_hash(b)
     assert len(config_hash(a)) == 64
     assert json.loads(config_json(a))["seed"] == 0
-
-
-def test_sweep_spec_maps_every_field():
-    cfg = RunConfig(
-        morphology=Morphology(num_modules=8, leg_length=0.05),
-        gait=GaitParams(temporal_frequency=2e-3),
-        roll=RollSettings(mu=4.0, kappa=0.1, steps_per_cycle=300,
-                          resolution=512),
-        sweep=SweepSettings(amplitudes=(0.3, 0.6), xis=(0.5,),
-                            trials_per_cell=3, cycles_per_trial=2,
-                            gamma_jitter=0.15, gain_noise=0.05),
-        seed=7, mode="segmented")
-    spec = cfg.sweep_spec()
-    assert spec.amplitudes == (0.3, 0.6)
-    assert spec.xis == (0.5,)
-    assert spec.trials_per_cell == 3
-    assert spec.cycles_per_trial == 2
-    assert spec.seed == 7
-    assert spec.morphology == Morphology(num_modules=8, leg_length=0.05)
-    assert spec.mode == "segmented"
-    assert spec.perturb == PerturbationSpec(gamma_jitter=0.15,
-                                            gain_noise=0.05)
-    assert spec.drive_frequency == 2e-3
-    assert spec.steps_per_cycle == 300
-    assert spec.mu == 4.0
-    assert spec.kappa == 0.1
-    assert spec.resolution == 512
-    # every field was set away from its default, so none can be dropped
-    default = SweepSpec()
-    for f in fields(SweepSpec):
-        assert getattr(spec, f.name) != getattr(default, f.name), f.name
 
 
 def run_cli(args):
@@ -217,6 +185,36 @@ def test_cli_sweep_deterministic_outputs(tmp_path):
     assert run_cli(["sweep", "--config", cfg_path, "--seed", 5,
                     "--out", tmp_path / "c"]) == 0
     assert (tmp_path / "c" / "sweep.csv").read_bytes() != a
+
+
+def test_sweep_follows_config_gait_joint_count(tmp_path):
+    """A sweep reads cfg.gait, so a 3-lateral-joint body sweeps like it
+    simulates, through the library and through the command line."""
+    cfg = RunConfig(morphology=Morphology(num_modules=8),
+                    gait=replace(RunConfig().gait, num_lateral_joints=3),
+                    sweep=SweepSettings(amplitudes=(math.pi / 4,),
+                                        xis=(0.0, 0.3), trials_per_cell=2,
+                                        cycles_per_trial=1))
+    assert all(math.isfinite(p) for p in run_sweep(cfg).p_sr.flat)
+
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    assert run_cli(["sweep", "--config", path, "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "sweep.json").read_text())
+    assert all(p is not None and math.isfinite(p)
+               for row in doc["p_sr"] for p in row)
+
+
+def test_steps_per_cycle_floor_in_every_path(tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        RollSettings(steps_per_cycle=50)
+    doc = config_to_dict(RunConfig())
+    doc["roll"]["steps_per_cycle"] = 50
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(doc))
+    for command in ("simulate", "sweep"):
+        assert run_cli([command, "--config", path, "--out", tmp_path]) == 1
+        assert "steps_per_cycle must be >= 200" in capsys.readouterr().err
 
 
 def test_cli_sidewind_matches_library(tmp_path):

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from selfright import (ConfigError, EnergyLandscape, GaitParams,
                        IntegrationError, Morphology, PerturbationSpec,
-                       RollState, RollTrajectory, SweepSpec, classify_trial,
+                       RollState, RollTrajectory, RunConfig, classify_trial,
                        coherence, drive_gain, energy_landscape, roll_drive,
                        run_sweep, simulate_roll, stable_configurations,
                        support_height)
+from selfright.config import SweepSettings
 
 from conftest import (FROZEN, GRAVITY, oracle_barrier,
                       oracle_support_heights)
@@ -225,10 +226,12 @@ def test_quasi_static_limit_converged():
     on the root its drive and the landscape leave it, so the results
     depend on the gait phase, not on how long each phase step lasts.
     """
-    grid = dict(amplitudes=(math.pi / 8, math.pi / 6, math.pi / 4),
-                xis=(0.0, 0.5))
-    fast = run_sweep(SweepSpec(**grid, drive_frequency=1e-3))
-    slow = run_sweep(SweepSpec(**grid, drive_frequency=1e-4))
+    grid = SweepSettings(amplitudes=(math.pi / 8, math.pi / 6, math.pi / 4),
+                         xis=(0.0, 0.5))
+    fast = run_sweep(RunConfig(sweep=grid,
+                               gait=GaitParams(temporal_frequency=1e-3)))
+    slow = run_sweep(RunConfig(sweep=grid,
+                               gait=GaitParams(temporal_frequency=1e-4)))
     assert np.abs(fast.trial_rolls - slow.trial_rolls).max() <= 1e-9
 
 
@@ -239,7 +242,8 @@ def test_limbless_cancelled_drive_stays_at_rest(limbless_morph):
     started; one that jumped to the drive's root would follow the command
     and read P_sr = 1.
     """
-    diagram = run_sweep(SweepSpec(xis=(1.0,), morphology=limbless_morph))
+    diagram = run_sweep(RunConfig(morphology=limbless_morph,
+                                  sweep=SweepSettings(xis=(1.0,))))
     assert (diagram.trial_rolls == 0.0).all()
     assert (diagram.p_sr == 0.0).all()
 

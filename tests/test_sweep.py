@@ -3,27 +3,32 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from selfright import (BehaviorDiagram, ConfigError, Morphology,
-                       PerturbationSpec, RollState, SweepSpec, binariness,
+from selfright import (BehaviorDiagram, ConfigError, GaitParams, Morphology,
+                       PerturbationSpec, RollState, RunConfig, binariness,
                        estimate_psr, run_sweep, simulate_roll,
                        write_diagram_csv, write_diagram_json)
-from selfright.sweep import DEFAULT_AMPLITUDES, DEFAULT_XIS
+from selfright.config import (DEFAULT_AMPLITUDES, DEFAULT_XIS, RollSettings,
+                              SweepSettings)
+from selfright.sweep import cell_gait
 
 LEGGED = Morphology()
 LIMBLESS = LEGGED.limbless()
 
 
-def small_spec(**overrides):
-    base = dict(amplitudes=(math.pi / 12, math.pi / 4),
-                xis=(0.0, 0.3), trials_per_cell=2, cycles_per_trial=1,
-                morphology=LIMBLESS, seed=0)
-    base.update(overrides)
-    return SweepSpec(**base)
+def small_config(morphology=LIMBLESS, seed=0, mode="lumped",
+                 roll=RollSettings(), **sweep):
+    """A small sweep; keywords beyond the first four set SweepSettings."""
+    grid = dict(amplitudes=(math.pi / 12, math.pi / 4), xis=(0.0, 0.3),
+                trials_per_cell=2, cycles_per_trial=1)
+    grid.update(sweep)
+    return RunConfig(morphology=morphology, roll=roll,
+                     sweep=SweepSettings(**grid), seed=seed, mode=mode)
 
 
 def test_default_grids():
@@ -60,11 +65,11 @@ def test_estimate_psr_range(rolls):
 
 def make_diagram(p_sr):
     p = np.asarray(p_sr, dtype=float)
-    spec = small_spec()
+    cfg = small_config()
     return BehaviorDiagram(amplitudes=tuple(range(p.shape[0])),
                            xis=tuple(range(p.shape[1])),
                            trial_rolls=np.zeros(p.shape + (1,)),
-                           p_sr=p, errors=(), spec=spec)
+                           p_sr=p, errors=(), config=cfg)
 
 
 def test_binariness_extremes():
@@ -74,8 +79,8 @@ def test_binariness_extremes():
 
 
 def test_gait_for_uses_spec_frequency():
-    spec = small_spec(drive_frequency=2e-3)
-    p = spec.gait_for(0.4, 0.7)
+    cfg = replace(small_config(), gait=GaitParams(temporal_frequency=2e-3))
+    p = cell_gait(cfg, 0.4, 0.7)
     assert p.amplitude_lateral == 0.4
     assert p.amplitude_vertical == 0.4
     assert p.temporal_frequency == 2e-3
@@ -84,56 +89,56 @@ def test_gait_for_uses_spec_frequency():
 
 def test_spec_validation():
     with pytest.raises(ConfigError):
-        small_spec(amplitudes=())
+        small_config(amplitudes=())
     with pytest.raises(ConfigError):
-        small_spec(trials_per_cell=0)
+        small_config(trials_per_cell=0)
     with pytest.raises(ConfigError):
-        small_spec(mode="other")
+        small_config(mode="other")
 
 
 def test_sweep_shapes_and_determinism():
-    spec = small_spec()
-    first = run_sweep(spec)
-    second = run_sweep(small_spec())
+    cfg = small_config()
+    first = run_sweep(cfg)
+    second = run_sweep(small_config())
     assert first.trial_rolls.shape == (2, 2, 2)
     assert first.p_sr.shape == (2, 2)
     assert np.array_equal(first.trial_rolls, second.trial_rolls)
     assert np.array_equal(first.p_sr, second.p_sr)
 
-    shifted = run_sweep(small_spec(seed=1))
+    shifted = run_sweep(small_config(seed=1))
     assert not np.array_equal(first.trial_rolls, shifted.trial_rolls)
 
 
 def test_limbless_low_xi_saturates():
-    spec = small_spec(amplitudes=(math.pi / 12, math.pi / 6, math.pi / 4),
-                      xis=(0.0, 0.2, 0.4))
-    diagram = run_sweep(spec)
+    cfg = small_config(amplitudes=(math.pi / 12, math.pi / 6, math.pi / 4),
+                       xis=(0.0, 0.2, 0.4))
+    diagram = run_sweep(cfg)
     assert (diagram.p_sr == 1.0).all()
 
 
 def test_limbless_xi_dominates_amplitude():
-    spec = small_spec(amplitudes=DEFAULT_AMPLITUDES, xis=(0.0, 0.5, 0.9, 1.2),
-                      trials_per_cell=3)
-    diagram = run_sweep(spec)
+    cfg = small_config(amplitudes=DEFAULT_AMPLITUDES, xis=(0.0, 0.5, 0.9, 1.2),
+                       trials_per_cell=3)
+    diagram = run_sweep(cfg)
     variation = diagram.p_sr.max(axis=0) - diagram.p_sr.min(axis=0)
-    assert (variation <= 1.0 / spec.trials_per_cell + 1e-12).all()
+    assert (variation <= 1.0 / cfg.sweep.trials_per_cell + 1e-12).all()
 
 
 def test_legged_amplitude_monotone_per_xi():
-    spec = small_spec(morphology=LEGGED, amplitudes=DEFAULT_AMPLITUDES,
-                      xis=(0.0, 0.4), trials_per_cell=3,
-                      cycles_per_trial=2)
-    diagram = run_sweep(spec)
-    tol = 1.0 / spec.trials_per_cell
+    cfg = small_config(morphology=LEGGED, amplitudes=DEFAULT_AMPLITUDES,
+                       xis=(0.0, 0.4), trials_per_cell=3,
+                       cycles_per_trial=2)
+    diagram = run_sweep(cfg)
+    tol = 1.0 / cfg.sweep.trials_per_cell
     drops = np.diff(diagram.p_sr, axis=0)
     assert (drops >= -tol - 1e-12).all()
 
 
 def test_segmented_mode_runs():
-    spec = small_spec(morphology=LEGGED, mode="segmented",
-                      amplitudes=(math.pi / 4,), xis=(0.0, 0.6),
-                      trials_per_cell=1)
-    diagram = run_sweep(spec)
+    cfg = small_config(morphology=LEGGED, mode="segmented",
+                       amplitudes=(math.pi / 4,), xis=(0.0, 0.6),
+                       trials_per_cell=1)
+    diagram = run_sweep(cfg)
     assert diagram.errors == ()
     assert np.isfinite(diagram.p_sr).all()
 
@@ -141,10 +146,11 @@ def test_segmented_mode_runs():
 def test_error_cells_are_tagged_not_fatal():
     # strong coupling thrashes the staggered segmented roll; those cells
     # must come back as NaN with an error note, the rest untouched
-    spec = small_spec(morphology=LEGGED, mode="segmented", kappa=0.5,
-                      amplitudes=(math.pi / 4,), xis=(0.0, 0.6),
-                      trials_per_cell=1)
-    diagram = run_sweep(spec)
+    cfg = small_config(morphology=LEGGED, mode="segmented",
+                       roll=RollSettings(kappa=0.5),
+                       amplitudes=(math.pi / 4,), xis=(0.0, 0.6),
+                       trials_per_cell=1)
+    diagram = run_sweep(cfg)
     assert np.isfinite(diagram.p_sr[0, 0])
     assert np.isnan(diagram.p_sr[0, 1])
     assert len(diagram.errors) == 1
@@ -152,8 +158,8 @@ def test_error_cells_are_tagged_not_fatal():
 
 
 def test_csv_and_json_outputs(tmp_path):
-    spec = small_spec()
-    diagram = run_sweep(spec)
+    cfg = small_config()
+    diagram = run_sweep(cfg)
     meta = {"config_sha256": "deadbeef", "seed": 0}
 
     csv_path = tmp_path / "sweep.csv"
@@ -163,7 +169,7 @@ def test_csv_and_json_outputs(tmp_path):
     assert "config_sha256=deadbeef" in lines[0]
     assert lines[1] == "A_rad,xi,trial,rolls_per_cycle,p_sr"
     # per cell: one row per trial plus a summary row
-    assert len(lines) == 2 + 4 * (spec.trials_per_cell + 1)
+    assert len(lines) == 2 + 4 * (cfg.sweep.trials_per_cell + 1)
     summaries = [ln for ln in lines if ",summary," in ln]
     assert len(summaries) == 4
     trial_rows = [ln for ln in lines[2:] if ",summary," not in ln]
@@ -175,18 +181,19 @@ def test_csv_and_json_outputs(tmp_path):
     assert doc["meta"]["config_sha256"] == "deadbeef"
     assert doc["protocol"]["seed"] == 0
     assert np.asarray(doc["p_sr"]).shape == (2, 2)
-    assert doc["calibration"]["mu"] == spec.mu
+    assert doc["calibration"]["mu"] == cfg.roll.mu
 
     # identical rerun, identical bytes
-    write_diagram_csv(run_sweep(small_spec()), tmp_path / "again.csv", meta)
+    write_diagram_csv(run_sweep(small_config()), tmp_path / "again.csv", meta)
     assert (tmp_path / "again.csv").read_bytes() == csv_path.read_bytes()
 
 
 def test_json_null_for_failed_cells(tmp_path):
-    spec = small_spec(morphology=LEGGED, mode="segmented", kappa=0.5,
-                      amplitudes=(math.pi / 4,), xis=(0.6,),
-                      trials_per_cell=1)
-    diagram = run_sweep(spec)
+    cfg = small_config(morphology=LEGGED, mode="segmented",
+                       roll=RollSettings(kappa=0.5),
+                       amplitudes=(math.pi / 4,), xis=(0.6,),
+                       trials_per_cell=1)
+    diagram = run_sweep(cfg)
     path = tmp_path / "failed.json"
     write_diagram_json(diagram, path, {"seed": 0})
     doc = json.loads(path.read_text())
@@ -197,10 +204,10 @@ def test_json_null_for_failed_cells(tmp_path):
 def test_lumped_lanes_independent_of_batch():
     # a lane's trajectory must not depend on which lanes share its batch:
     # the leading rows of a larger grid keep their cell indices and draws
-    sub = small_spec(morphology=LEGGED, amplitudes=DEFAULT_AMPLITUDES[:3],
-                     xis=(0.0, 0.4, 1.1))
-    full = small_spec(morphology=LEGGED, amplitudes=DEFAULT_AMPLITUDES,
-                      xis=(0.0, 0.4, 1.1))
+    sub = small_config(morphology=LEGGED, amplitudes=DEFAULT_AMPLITUDES[:3],
+                       xis=(0.0, 0.4, 1.1))
+    full = small_config(morphology=LEGGED, amplitudes=DEFAULT_AMPLITUDES,
+                        xis=(0.0, 0.4, 1.1))
     small = run_sweep(sub)
     large = run_sweep(full)
     assert np.array_equal(small.trial_rolls, large.trial_rolls[:3])
@@ -208,13 +215,15 @@ def test_lumped_lanes_independent_of_batch():
 
 
 def test_failed_trial_leaves_batch_mates_untouched():
-    spec = small_spec(morphology=LEGGED, mode="segmented", kappa=0.5,
-                      amplitudes=(math.pi / 4,), xis=(0.0, 0.6),
-                      trials_per_cell=1)
-    batch = run_sweep(spec)
-    solo = run_sweep(small_spec(morphology=LEGGED, mode="segmented",
-                                kappa=0.5, amplitudes=(math.pi / 4,),
-                                xis=(0.0,), trials_per_cell=1))
+    cfg = small_config(morphology=LEGGED, mode="segmented",
+                       roll=RollSettings(kappa=0.5),
+                       amplitudes=(math.pi / 4,), xis=(0.0, 0.6),
+                       trials_per_cell=1)
+    batch = run_sweep(cfg)
+    solo = run_sweep(small_config(morphology=LEGGED, mode="segmented",
+                                  roll=RollSettings(kappa=0.5),
+                                  amplitudes=(math.pi / 4,), xis=(0.0,),
+                                  trials_per_cell=1))
     assert np.isnan(batch.trial_rolls[0, 1]).all()
     assert solo.errors == ()
     assert np.array_equal(batch.trial_rolls[0, :1], solo.trial_rolls[0])
@@ -222,11 +231,12 @@ def test_failed_trial_leaves_batch_mates_untouched():
 
 
 def test_failed_trials_logged(caplog):
-    spec = small_spec(morphology=LEGGED, mode="segmented", kappa=0.5,
-                      amplitudes=(math.pi / 4,), xis=(0.6,),
-                      trials_per_cell=1)
+    cfg = small_config(morphology=LEGGED, mode="segmented",
+                       roll=RollSettings(kappa=0.5),
+                       amplitudes=(math.pi / 4,), xis=(0.6,),
+                       trials_per_cell=1)
     with caplog.at_level(logging.WARNING, logger="selfright"):
-        diagram = run_sweep(spec)
+        diagram = run_sweep(cfg)
     logged = [r for r in caplog.records if r.name == "selfright"]
     assert [r.getMessage() for r in logged] == list(diagram.errors)
     assert all(r.levelno == logging.WARNING for r in logged)
@@ -240,19 +250,22 @@ def test_failed_trials_logged(caplog):
 ], ids=["segmented-default", "segmented-no-jitter", "lumped-no-jitter"])
 def test_batched_trial_equals_simulate_roll(mode, perturb):
     """A sweep trial is simulate_roll on that trial's stream, bitwise."""
-    spec = small_spec(morphology=LEGGED, mode=mode, perturb=perturb,
-                      amplitudes=(math.pi / 8, math.pi / 3),
-                      xis=(0.0, 0.6))
-    diagram = run_sweep(spec)
-    n_x = len(spec.xis)
+    cfg = small_config(morphology=LEGGED, mode=mode,
+                       gamma_jitter=perturb.gamma_jitter,
+                       gain_noise=perturb.gain_noise,
+                       amplitudes=(math.pi / 8, math.pi / 3),
+                       xis=(0.0, 0.6))
+    diagram = run_sweep(cfg)
+    sw, roll = cfg.sweep, cfg.roll
+    n_x = len(sw.xis)
     for a_idx, x_idx, trial in ((0, 0, 0), (1, 1, 1)):
         rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=spec.seed, spawn_key=(a_idx * n_x + x_idx, trial)))
+            entropy=cfg.seed, spawn_key=(a_idx * n_x + x_idx, trial)))
         traj = simulate_roll(
-            spec.gait_for(spec.amplitudes[a_idx], spec.xis[x_idx]),
-            spec.morphology, cycles=float(spec.cycles_per_trial),
+            cell_gait(cfg, sw.amplitudes[a_idx], sw.xis[x_idx]),
+            cfg.morphology, cycles=float(sw.cycles_per_trial),
             init=RollState(gamma=math.pi), perturb=perturb, mode=mode,
-            rng=rng, mu=spec.mu, kappa=spec.kappa,
-            steps_per_cycle=spec.steps_per_cycle)
-        rolls = traj.delta_gamma_total / (2 * math.pi * spec.cycles_per_trial)
+            rng=rng, mu=roll.mu, kappa=roll.kappa,
+            steps_per_cycle=roll.steps_per_cycle)
+        rolls = traj.delta_gamma_total / (2 * math.pi * sw.cycles_per_trial)
         assert diagram.trial_rolls[a_idx, x_idx, trial] == rolls
