@@ -11,8 +11,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from selfright import (Morphology, RunConfig, binariness, run_sweep,
-                       write_diagram_csv, write_diagram_json)
+from selfright import (Morphology, RunConfig, binariness, config_hash,
+                       run_sweep, write_diagram_csv, write_diagram_json)
+from selfright.sweep import provenance_config
 
 
 def render(diagram) -> str:
@@ -49,7 +50,8 @@ def main() -> int:
         diagram = run_sweep(cfg)
         elapsed = time.perf_counter() - start
 
-        meta = {"body": name, "seed": args.seed, "mode": args.mode}
+        meta = {"body": name, "seed": args.seed, "mode": args.mode,
+                "config_sha256": config_hash(provenance_config(cfg))}
         write_diagram_csv(diagram, args.out / f"behavior_{name}.csv", meta)
         write_diagram_json(diagram, args.out / f"behavior_{name}.json", meta)
 

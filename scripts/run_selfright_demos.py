@@ -40,10 +40,9 @@ def demo_landscape(morph: Morphology) -> None:
 
 def demo_one_shot(morph: Morphology, out: Path | None) -> None:
     print("== one-shot righting, half cycle, inverted start ==")
-    land = energy_landscape(morph)
     for num, den in ((1, 12), (1, 8), (1, 6), (1, 4)):
         amp = math.pi * num / den
-        traj = simulate_roll(gait(amp), morph, cycles=0.5, landscape=land)
+        traj = simulate_roll(gait(amp), morph, cycles=0.5)
         outcome = classify_trial(traj)
         verdict = "RIGHTED" if outcome.self_righted else "stalled"
         print(f"  A=pi/{den:<2d}: delta_gamma={traj.delta_gamma_total:7.4f} "

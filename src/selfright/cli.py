@@ -30,8 +30,8 @@ from .gait import joint_vector
 from .rollmodel import (RollState, classify_trial, energy_landscape,
                         simulate_roll)
 from .sidewinding import displacement_trajectory
-from .sweep import (binariness, run_sweep, write_diagram_csv,
-                    write_diagram_json)
+from .sweep import (binariness, provenance_config, run_sweep,
+                    write_diagram_csv, write_diagram_json)
 
 ENV_PREFIX = "SRSIM_"
 
@@ -164,26 +164,19 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
                          init=RollState(gamma=args.gamma0),
                          perturb=perturb, mode=cfg.mode, rng=rng,
                          mu=cfg.roll.mu, kappa=cfg.roll.kappa,
-                         steps_per_cycle=cfg.roll.steps_per_cycle,
-                         resolution=cfg.roll.resolution)
+                         steps_per_cycle=cfg.roll.steps_per_cycle)
     outcome = classify_trial(traj)
 
+    gammas = traj.gammas.reshape(len(traj.times), -1)
+    start = float(gammas[0].mean())
     omega = cfg.gait.temporal_frequency
-    start = float(np.mean(np.atleast_1d(traj.gammas[0])))
     phi_cmd = start + omega * (traj.times - traj.times[0])
-    if traj.mode == "lumped":
-        header = ("time_s", "phi_cmd_rad", "gamma_rad")
-        rows = zip(traj.times.tolist(), phi_cmd.tolist(),
-                   traj.gammas.tolist())
-    else:
-        m = traj.gammas.shape[1]
-        header = ("time_s", "phi_cmd_rad",
-                  *(f"gamma_{i}_rad" for i in range(m)))
-        rows = ((t, p, *gs) for t, p, gs in
-                zip(traj.times.tolist(), phi_cmd.tolist(),
-                    traj.gammas.tolist()))
+    names = (["gamma_rad"] if traj.mode == "lumped" else
+             [f"gamma_{i}_rad" for i in range(gammas.shape[1])])
+    rows = ((t, p, *gs) for t, p, gs in
+            zip(traj.times.tolist(), phi_cmd.tolist(), gammas.tolist()))
     csv_path = out / "trajectory.csv"
-    _write_csv(csv_path, cfg, header, rows)
+    _write_csv(csv_path, cfg, ("time_s", "phi_cmd_rad", *names), rows)
     json_path = out / "outcome.json"
     _write_json(json_path, cfg, {
         "self_righted": outcome.self_righted,
@@ -192,7 +185,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         "cycles": cycles,
         "mode": traj.mode,
         "gamma_start_rad": start,
-        "gamma_end_rad": float(np.mean(np.atleast_1d(traj.gammas[-1]))),
+        "gamma_end_rad": float(gammas[-1].mean()),
     })
     print(csv_path)
     print(json_path)
@@ -203,7 +196,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     diagram = run_sweep(cfg)
-    meta = {"config_sha256": config_hash(cfg), "seed": cfg.seed}
+    meta = {"config_sha256": config_hash(provenance_config(cfg)),
+            "seed": cfg.seed}
     csv_path = out / "sweep.csv"
     json_path = out / "sweep.json"
     write_diagram_csv(diagram, csv_path, meta)

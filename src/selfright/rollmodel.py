@@ -35,16 +35,16 @@ KAPPA_DEFAULT = 0.05
 DRIVE_CALIBRATION = 0.5
 
 # Drive frequency (rad/s) for simulation contexts. The model is
-# quasi-static, so results depend on gait phase, not on wall-clock rate;
-# keep the frequency well above the stall-rate threshold.
+# quasi-static, so results depend on gait phase, not on wall-clock rate.
 QUASI_STATIC_OMEGA = 1e-3
 
 STEPS_PER_CYCLE = 256
 MIN_STEPS_PER_CYCLE = 200
 
-# Stall rule: commanded roll rate below this for a quarter of a cycle's
-# worth of consecutive output intervals marks the trial stalled.
-STALL_RATE = 1e-4
+# Stall rule: a roll below this fraction of the command step omega*dt in
+# each of a quarter cycle's consecutive output intervals marks the trial
+# stalled.
+STALL_STEP = 0.1
 
 DEFAULT_RESOLUTION = 1024
 
@@ -90,40 +90,19 @@ def _find_minima(energy: np.ndarray) -> list[int]:
     """Indices of strict local minima, plateau-aware and circular.
 
     Equal-valued runs count as one candidate; a run is a minimum when both
-    neighboring runs sit strictly higher. Flat landscapes have no minima.
+    neighboring runs sit strictly higher, and it is reported at its middle
+    sample. Flat landscapes have no minima.
     """
-    res = len(energy)
     span = float(energy.max() - energy.min())
-    if span <= 0.0:
-        return []
     tol = 1e-9 * span
-
-    # Group circularly into runs of (near-)equal value.
-    runs: list[list[int]] = []
-    start = 0
-    # Rotate so index 0 starts a fresh run, keeping the wrap-around plateau whole.
-    while start < res and abs(energy[start - 1] - energy[start]) <= tol:
-        start += 1
-    if start == res:
+    starts = np.flatnonzero(np.abs(energy - np.roll(energy, 1)) > tol)
+    if span <= 0.0 or not starts.size:
         return []
-    order = [(start + k) % res for k in range(res)]
-    current = [order[0]]
-    for idx in order[1:]:
-        if abs(energy[idx] - energy[current[0]]) <= tol:
-            current.append(idx)
-        else:
-            runs.append(current)
-            current = [idx]
-    runs.append(current)
-
-    minima: list[int] = []
-    for k, run in enumerate(runs):
-        prev_val = energy[runs[k - 1][0]]
-        next_val = energy[runs[(k + 1) % len(runs)][0]]
-        val = energy[run[0]]
-        if val < prev_val - tol and val < next_val - tol:
-            minima.append(run[len(run) // 2])
-    return sorted(minima)
+    vals = energy[starts]
+    mids = (starts + np.diff(starts, append=starts[0] + len(energy)) // 2
+            ) % len(energy)
+    low = (vals < np.roll(vals, 1) - tol) & (vals < np.roll(vals, -1) - tol)
+    return sorted(mids[low].tolist())
 
 
 def _path_barrier(energy: np.ndarray) -> float:
@@ -137,26 +116,63 @@ def _path_barrier(energy: np.ndarray) -> float:
     return max(barrier, 0.0)
 
 
+def _support_lines(morph: Morphology) -> np.ndarray:
+    """Support candidates as rows (p, q, h0), each at height
+    p*cos(gamma) + q*sin(gamma) + h0: the disc bottom at r, then the leg
+    tips at -tip*sin(gamma - a) and tip*sin(gamma + a)."""
+    if morph.body_radius <= 0:
+        raise GeometryError("body_radius must be positive")
+    tip, a = morph.body_radius + morph.leg_length, morph.leg_angle
+    return np.array([(0.0, 0.0, morph.body_radius),
+                     (tip * math.sin(a), -tip * math.cos(a), 0.0),
+                     (tip * math.sin(a), tip * math.cos(a), 0.0),
+                     ])[:3 if morph.leg_length > 0 else 1]
+
+
+def _heights(lines: np.ndarray, gamma) -> np.ndarray:
+    return np.array([p * np.cos(gamma) + q * np.sin(gamma) + h0
+                     for p, q, h0 in lines])
+
+
 def support_height(morph: Morphology, gamma: np.ndarray | float) -> np.ndarray | float:
     """Height of the section axis above the floor when resting at roll gamma.
 
     The silhouette rests on whichever point reaches lowest: the disc bottom
     (always r) or a leg tip once it swings below the disc.
     """
-    if morph.body_radius <= 0:
-        raise GeometryError("body_radius must be positive")
-    r = morph.body_radius
-    if morph.leg_length <= 0:
-        if np.isscalar(gamma):
-            return r
-        return np.full_like(np.asarray(gamma, dtype=float), r)
-    tip = r + morph.leg_length
-    a = morph.leg_angle
-    g = np.asarray(gamma, dtype=float)
-    tip1_y = tip * np.sin(g - a)
-    tip2_y = -tip * np.sin(g + a)
-    h = np.maximum(r, np.maximum(-tip1_y, -tip2_y))
+    h = _heights(_support_lines(morph), np.asarray(gamma, dtype=float)).max(0)
     return float(h) if np.isscalar(gamma) else h
+
+
+@functools.lru_cache(maxsize=32)
+def support_pieces(morph: Morphology) -> tuple[np.ndarray, np.ndarray]:
+    """Kinks and slopes of the potential U = M*m*g*support_height.
+
+    On each piece where one support candidate is the max,
+    U' = c*cos(gamma) + s*sin(gamma). Returns (edges, slopes): edges holds
+    the kinks of one turn, sorted in [0, 2*pi), after the last one a turn
+    down (-inf, inf without kinks); slopes[j] is (c, s) between edges[j]
+    and edges[j + 1], repeating every turn.
+    """
+    lines = _support_lines(morph)
+    if len(lines) > 1:
+        # Each tip stands level with the disc at two angles, the two tips
+        # with each other at 0 and pi.
+        r, a = morph.body_radius, morph.leg_angle
+        s = math.asin(r / (r + morph.leg_length))
+        cuts = np.unique(np.mod([a - s, a + math.pi + s, s - a,
+                                 math.pi - s - a, 0.0, math.pi], TWO_PI))
+        top = _heights(lines, (cuts + np.append(cuts[1:], cuts[0] + TWO_PI))
+                       / 2.0).argmax(0)
+        kink = top != np.roll(top, 1)
+        edges = np.append(cuts[kink][-1] - TWO_PI, cuts[kink])
+        lines = lines[np.roll(top[kink], 1)]
+    else:
+        edges = np.array([-np.inf, np.inf])
+    weight = morph.total_mass * GRAVITY
+    slopes = weight * np.column_stack([lines[:, 1], -lines[:, 0]])
+    edges.flags.writeable = slopes.flags.writeable = False  # cached
+    return edges, slopes
 
 
 def energy_landscape(morph: Morphology, resolution: int = DEFAULT_RESOLUTION) -> EnergyLandscape:
@@ -280,99 +296,91 @@ class TrialOutcome:
     stalled: bool
 
 
-def _slope_at(denergy: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Linear interpolation of the landscape slope at unwrapped angles."""
-    res = len(denergy)
-    x = gamma * (res / TWO_PI)
-    floor = np.floor(x)
-    i0 = floor.astype(np.int64)
-    frac = x - floor
-    lo = denergy.take(i0, mode="wrap")
-    hi = denergy.take(i0 + 1, mode="wrap")
-    return lo * (1.0 - frac) + hi * frac
+def _rates(g, phi, gain, bias, slopes):
+    """Specific roll rate r = bias + G*sin(phi - g) - U'(g), and -dr/dg."""
+    c, s = slopes.T
+    sin_g, cos_g, lag = np.sin(g), np.cos(g), phi - g
+    return (bias + gain * np.sin(lag) - c * cos_g - s * sin_g,
+            gain * np.cos(lag) - c * sin_g + s * cos_g)
 
 
-def _piece_gaps(denergy: np.ndarray) -> np.ndarray:
-    """Node gaps to the ends of the piece holding the cell above each node.
-
-    Row 0 counts up, row 1 down. Pieces are bounded by breakpoints, the
-    nodes where consecutive denergy differences change.
-    """
-    res = len(denergy)
-    diff = np.roll(denergy, -1) - denergy
-    bends = np.flatnonzero(diff != np.roll(diff, 1))
-    if not bends.size:
-        return np.full((2, res), res)
-    ends = np.concatenate([bends - res, bends, bends + res])
-    nodes = np.arange(res)
-    above = np.searchsorted(ends, nodes, side="right")
-    return np.stack([ends[above] - nodes, nodes - ends[above - 1]])
-
-
-def _march_interval(gam: np.ndarray, node: np.ndarray, lanes: np.ndarray,
-                    phi1: np.ndarray, gains: np.ndarray, bias: np.ndarray,
-                    denergy: np.ndarray, gaps: np.ndarray, mu: float,
-                    dt_len: float, span: float) -> dict[int, str]:
+def _march_interval(gam: np.ndarray, lanes: np.ndarray, phi1: np.ndarray,
+                    gains: np.ndarray, bias: np.ndarray, pieces, mu: float,
+                    dt_len: float) -> dict[int, str]:
     """Advance the lanes listed in `lanes` through one output interval.
 
-    With phi1 and the coupling torque bias fixed, the rate
-    r = mu*(G*sin(phi1 - g) - U'(g) + bias) moves a lane one way and never
-    across a root. Taken as linear up to the nearest of its piece's end,
-    phi1 and a distance of span (the drive by its chord), r has the exact
-    flow g + r/a*expm1(a*t), walked stretch by stretch until the lane's
-    time runs out, it settles toward a root, or it reaches phi1, which it
-    never passes upward. node[i], the node below the cell whose piece
-    holds lane i, steps on at each piece end, so no piece has zero length.
-    gam and node are updated in place. Returns the failed lanes (a whole
-    turn rolled, or non-finite).
+    With phi1 and the coupling torque b = bias fixed, a lane on one piece
+    obeys Adler's equation dg/dt = mu*r, r = b + G*sin(phi1 - g) - U'(g).
+    With r' = -dr/dg and k**2 = r'**2 + r*(r - 2*b), constant on the
+    piece, it turns in a time 2*tau/mu by 2*atan2(sf*r, cf + sf*r'):
+    (cf, sf) is (1, tanh(k*tau)/k) when locked, (cos(k*tau), sin(k*tau)/k)
+    with k = sqrt(-k**2) when drifting, and (1, tau) at k = 0. A lane stops
+    where this flow passes phi1 (never passed upward) or a kink; U' jumps
+    up across a kink, so the lane goes on along the next piece if its rate
+    keeps its sign there, and rests otherwise. gam is updated in place.
+    Returns the failed lanes (a whole turn rolled, or non-finite).
     """
-    res = len(denergy)
-    step = TWO_PI / res
+    edges, slopes = pieces
+    n = len(slopes)
     failures: dict[int, str] = {}
-    g, k, phi, gain, bias = (v[lanes] for v in (gam, node, phi1, gains, bias))
-    start, left = g, np.full(len(lanes), dt_len)
-
-    def rate(x):
-        return mu * (gain * np.sin(phi - x) - _slope_at(denergy, x) + bias)
-
-    r0 = rate(g)
+    g, phi, gain, b = (v[lanes] for v in (gam, phi1, gains, bias))
+    turn, angle = np.divmod(g, TWO_PI)
+    j = np.searchsorted(edges[1:], angle, side="right")
+    turn, j = turn + j // n, j % n
+    start, tau = g, np.full(len(lanes), 0.5 * mu * dt_len)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while lanes.size:
-            up, moving = r0 > 0, r0 != 0
-            end = np.where(up, k + gaps[0, k % res], k - gaps[1, k % res])
-            x_end = end * step
-            x1 = np.clip(x_end, g - span, g + span)
-            capped = up & (phi < x1)
-            x1 = np.where(capped, np.maximum(g, phi), x1)
-            r1 = rate(x1)
-            dx, dr = x1 - g, r1 - r0
-            lin, a = dr == 0, dr / dx
-            # Time to x1; not finite when the rate turns first.
-            t1 = np.where(lin, dx / r0, np.log1p(dr / r0) / a)
-            reach = (t1 <= left) & moving
-            t = np.where(reach, t1, left)
-            flow = g + r0 * np.where(lin, t, np.expm1(a * t) / a)
-            g = np.where(reach, x1, np.where(moving, flow, g))
-            on = reach & ~capped
-            k = np.where(on & (x1 == x_end), np.where(up, end, end - 1), k)
-            left = left - t
-            bad = ~(np.abs(g - start) <= TWO_PI)
-            going = on & ~bad
-            r0 = r1  # a lane that steps on sits at x1
-            if going.all():
-                continue
-            gam[lanes], node[lanes] = g, k
-            failures.update(
-                (lane, "rolled more than a whole turn" if math.isfinite(x)
-                 else "non-finite roll state")
-                for lane, x in zip(lanes[bad].tolist(), g[bad].tolist()))
-            lanes, g, k, phi, gain, bias, start, left, r0 = (
-                v[going] for v in (lanes, g, k, phi, gain, bias, start, left,
-                                   r0))
+            r, slope = _rates(g, phi, gain, b, slopes[j])
+            up, moving = r > 0, r != 0
+            edge = np.where(up, edges[j + 1], edges[j]) + TWO_PI * turn
+            capped = up & (phi < edge)
+            end = np.where(capped, np.maximum(g, phi), edge)
+            k2 = slope * slope + r * (r - 2.0 * b)
+            drift = k2 < 0
+            k = np.sqrt(np.abs(k2))
+            kt = k * tau
+            sf, cf, whole = np.tanh(kt), 1.0, False
+            if drift.any():
+                sf = np.where(drift, np.sin(kt), sf)
+                cf = np.where(drift, np.cos(kt), 1.0)
+                # A drifting lane with k*tau >= pi has turned a whole turn.
+                whole = drift & (kt >= math.pi)
+            sf = np.where(k2 == 0, tau, sf / k)
+            turned = 2.0 * np.arctan2(sf * r, cf + sf * slope)
+            hit = ((turned - (end - g)) * r > 0) | whole
+            g_end = np.where(hit, end, np.where(moving, g + turned, g))
+            bad = ~(np.abs(g_end - start) <= TWO_PI)
+            gam[lanes] = g_end
+            for lane, x in zip(lanes[bad].tolist(), g_end[bad].tolist()):
+                failures[lane] = ("non-finite roll state" if math.isnan(x)
+                                  else "rolled more than a whole turn")
+            nxt = np.flatnonzero(hit & ~capped & ~bad)
+            if not nxt.size:
+                break
+            j_next = j[nxt] + np.where(up[nxt], 1, -1)
+            r_next, _ = _rates(end[nxt], phi[nxt], gain[nxt], b[nxt],
+                               slopes[j_next % n])
+            keep = r_next * r[nxt] > 0
+            nxt, j_next = nxt[keep], j_next[keep]
+            # Time to the kink: the flow relation solved for tau (none for
+            # a lane that rounding left at or past the kink).
+            dist = end[nxt] - g[nxt]
+            dist = np.where((dist > 0) == up[nxt], dist, 0.0)
+            half, kn = np.sin(dist / 2.0), k[nxt]
+            p = r[nxt] * np.cos(dist / 2.0) - slope[nxt] * half
+            t_hit = np.where(
+                k2[nxt] == 0, half / p,
+                np.where(drift[nxt],
+                         np.mod(np.arctan2(kn * half, p), math.pi),
+                         np.arctanh(kn * half / p)) / kn)
+            tau = tau[nxt] - np.fmax(np.fmin(t_hit, tau[nxt]), 0.0)
+            lanes, g, phi, gain, b, start = (
+                v[nxt] for v in (lanes, g_end, phi, gain, b, start))
+            turn, j = turn[nxt] + j_next // n, j_next % n
     return failures
 
 
-def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
+def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                omega: float, dt: float, n_intervals: int, mu: float,
                phase_offsets: np.ndarray,
                kappa: float = 0.0,
@@ -381,17 +389,20 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
                record_full: bool = True):
     """March all lanes through n_intervals output intervals.
 
-    Lanes come in consecutive chains of `chain` lanes, one chain per
-    trial. Command phase per lane: gamma0 + omega*t - phase_offset,
-    referenced to each lane's initial roll. With chain > 1 and kappa > 0
-    each chain is torsionally coupled: the spring acts per module pair,
-    so its specific effect on a lane is kappa*chain. The coupling bias is
-    frozen over each interval (operator splitting), which keeps
-    identical-state chains exactly equal to the lumped trajectory.
+    pieces is the landscape's piece table (support_pieces). Lanes come in
+    consecutive chains of `chain` lanes, one chain per trial. Command
+    phase per lane: gamma0 + omega*t - phase_offset, referenced to each
+    lane's initial roll. With chain > 1 and kappa > 0 each chain is
+    torsionally coupled: the spring acts per module pair, so its specific
+    effect on a lane is kappa*chain. The coupling bias is frozen over
+    each interval (operator splitting), which keeps identical-state
+    chains exactly equal to the lumped trajectory.
 
     A lane's result depends on its own chain only. A lane that rolls more
     than a whole turn in one interval, or turns non-finite, fails its
-    whole chain: the chain stops marching and reads NaN from then on.
+    whole chain: the chain stops marching and reads NaN from then on. A
+    lane that moves less than a tenth of a command step, omega*dt, in
+    each of a quarter cycle's consecutive intervals is stalled.
 
     Returns (records, stalled, failures): records holds lane states at
     every interval boundary when record_full, else only at whole-cycle
@@ -400,8 +411,6 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
     """
     lanes = len(gamma0)
     gam = np.asarray(gamma0, dtype=float).copy()
-    node = np.floor(gam / (TWO_PI / len(denergy))).astype(np.int64)
-    gaps = _piece_gaps(denergy)
     quiet = np.zeros(lanes, dtype=int)
     quiet_needed = max(1, steps_per_cycle // 4)
     stalled = np.zeros(lanes, dtype=bool)
@@ -409,11 +418,8 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
     dead = np.zeros(lanes // chain, dtype=bool)
     failures: dict[int, str] = {}
 
-    if record_full:
-        records = np.empty((n_intervals + 1, lanes))
-    else:
-        n_marks = n_intervals // steps_per_cycle
-        records = np.empty((n_marks + 1, lanes))
+    stride = 1 if record_full else steps_per_cycle
+    records = np.empty((n_intervals // stride + 1, lanes))
     records[0] = gam
 
     gamma_ref = gam.copy()
@@ -421,19 +427,12 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
     for n in range(n_intervals):
         phi1 = gamma_ref + omega * (n + 1) * dt - phase_offsets
         if kappa > 0.0 and chain > 1:
-            g = gam.reshape(-1, chain)
-            lap = np.empty_like(g)
-            lap[:, 1:-1] = g[:, :-2] - 2.0 * g[:, 1:-1] + g[:, 2:]
-            lap[:, 0] = g[:, 1] - g[:, 0]
-            lap[:, -1] = g[:, -2] - g[:, -1]
+            twist = np.diff(gam.reshape(-1, chain), axis=1)
+            lap = np.diff(np.pad(twist, ((0, 0), (1, 1))), axis=1)
             bias = (kappa * chain) * lap.ravel()
 
         before = gam.copy()
-        # A lane that follows its command moves one command step, omega*dt,
-        # per interval: a span of two keeps that one stretch, and the drive's
-        # chord error below G*span**2/8.
-        failed = _march_interval(gam, node, live, phi1, gains, bias,
-                                 denergy, gaps, mu, dt, 2.0 * omega * dt)
+        failed = _march_interval(gam, live, phi1, gains, bias, pieces, mu, dt)
         if failed:
             for lane, reason in sorted(failed.items()):
                 failures.setdefault(lane // chain,
@@ -442,14 +441,12 @@ def _integrate(denergy: np.ndarray, gains: np.ndarray, gamma0: np.ndarray,
             gam[np.repeat(dead, chain)] = np.nan
             live = np.flatnonzero(~np.repeat(dead, chain))
 
-        interval_rate = np.abs(gam - before) / dt
-        quiet = np.where(interval_rate < STALL_RATE, quiet + 1, 0)
+        quiet = np.where(np.abs(gam - before) < STALL_STEP * omega * dt,
+                         quiet + 1, 0)
         stalled |= quiet >= quiet_needed
 
-        if record_full:
-            records[n + 1] = gam
-        elif (n + 1) % steps_per_cycle == 0:
-            records[(n + 1) // steps_per_cycle] = gam
+        if (n + 1) % stride == 0:
+            records[(n + 1) // stride] = gam
     return records, stalled, failures
 
 
@@ -488,9 +485,7 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
                   *,
                   mu: float = MU_DEFAULT,
                   kappa: float = KAPPA_DEFAULT,
-                  steps_per_cycle: int = STEPS_PER_CYCLE,
-                  resolution: int = DEFAULT_RESOLUTION,
-                  landscape: EnergyLandscape | None = None) -> RollTrajectory:
+                  steps_per_cycle: int = STEPS_PER_CYCLE) -> RollTrajectory:
     """Integrate the quasi-static roll response to the commanded gait.
 
     The commanded roll phase ramps from the trial's initial roll:
@@ -510,8 +505,6 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     if mode not in ("lumped", "segmented"):
         raise ConfigError(f"unknown mode {mode!r}")
 
-    if landscape is None:
-        landscape = energy_landscape(morph, resolution)
     if init is None:
         init = RollState(gamma=0.0, time=0.0)
 
@@ -527,7 +520,7 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     dt = (TWO_PI / params.temporal_frequency) / steps_per_cycle
     n_intervals = max(1, round(cycles * steps_per_cycle))
     records, stalled, failures = _integrate(
-        landscape.denergy, gains, gamma0, params.temporal_frequency, dt,
+        support_pieces(morph), gains, gamma0, params.temporal_frequency, dt,
         n_intervals, mu, phase_offsets=offsets, kappa=kappa, chain=chain,
         steps_per_cycle=steps_per_cycle, record_full=True)
     if failures:

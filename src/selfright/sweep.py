@@ -13,12 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RollSettings, RunConfig
 from .errors import ConfigError
 from .gait import TWO_PI, GaitParams
-from .rollmodel import _integrate, _trial_lanes, energy_landscape
+from .rollmodel import _integrate, _trial_lanes, support_pieces
 # Kept importable from this module: bench/tracer.py wraps them here.
-from .rollmodel import drive_gain, simulate_roll  # noqa: F401
+from .rollmodel import (drive_gain, energy_landscape,  # noqa: F401
+                        simulate_roll)
 
 # P_sr values this close to an endpoint collapse onto it, so exact-binary
 # claims are testable without float fuzz.
@@ -29,6 +30,18 @@ def cell_gait(cfg: RunConfig, amplitude: float, xi: float) -> GaitParams:
     """cfg's gait with both wave amplitudes and the spatial frequency set."""
     return replace(cfg.gait, amplitude_lateral=amplitude,
                    amplitude_vertical=amplitude, spatial_frequency=xi)
+
+
+def provenance_config(cfg: RunConfig) -> RunConfig:
+    """cfg with the settings no sweep reads at their defaults.
+
+    Every cell sets both gait amplitudes and xi, and the roll solver reads
+    no landscape resolution; a sweep's outputs hash this config.
+    """
+    return replace(cfg, gait=cell_gait(cfg, GaitParams().amplitude_lateral,
+                                       GaitParams().spatial_frequency),
+                   roll=replace(cfg.roll,
+                                resolution=RollSettings().resolution))
 
 
 @dataclass(frozen=True)
@@ -92,29 +105,26 @@ def run_sweep(cfg: RunConfig) -> BehaviorDiagram:
     logger.
     """
     sw, roll, omega = cfg.sweep, cfg.roll, cfg.gait.temporal_frequency
-    landscape = energy_landscape(cfg.morphology, roll.resolution)
     perturb = sw.perturbation()
     n_a, n_x, n_t = len(sw.amplitudes), len(sw.xis), sw.trials_per_cell
-    gamma0, gains, offsets = [], [], []
+    cells = []
     for a_idx, amp in enumerate(sw.amplitudes):
         for x_idx, xi in enumerate(sw.xis):
             cell_idx = a_idx * n_x + x_idx
             jitter, gain_factor = np.array(
                 [perturb.draw(_trial_rng(cfg.seed, cell_idx, trial))
                  for trial in range(n_t)]).T
-            cell_gamma0, cell_gains, cell_offsets, chain = _trial_lanes(
+            *lanes, chain = _trial_lanes(
                 cell_gait(cfg, amp, xi), cfg.morphology, cfg.mode,
                 math.pi + jitter, gain_factor)
-            gamma0.append(cell_gamma0)
-            gains.append(cell_gains)
-            offsets.append(cell_offsets)
+            cells.append(lanes)
+    gamma0, gains, offsets = map(np.concatenate, zip(*cells))
 
     dt = (TWO_PI / omega) / roll.steps_per_cycle
-    n_intervals = sw.cycles_per_trial * roll.steps_per_cycle
     marks, _, failures = _integrate(
-        landscape.denergy, np.concatenate(gains), np.concatenate(gamma0),
-        omega, dt, n_intervals, roll.mu,
-        phase_offsets=np.concatenate(offsets), kappa=roll.kappa, chain=chain,
+        support_pieces(cfg.morphology), gains, gamma0, omega, dt,
+        sw.cycles_per_trial * roll.steps_per_cycle, roll.mu,
+        phase_offsets=offsets, kappa=roll.kappa, chain=chain,
         steps_per_cycle=roll.steps_per_cycle, record_full=False)
     rolls = ((marks[-1] - marks[0]).reshape(-1, chain).mean(axis=1)
              / (TWO_PI * sw.cycles_per_trial))
@@ -168,8 +178,7 @@ def diagram_to_dict(diagram: BehaviorDiagram, meta: dict) -> dict:
         "meta": dict(sorted(meta.items())),
         "calibration": {"mu": roll.mu, "kappa": roll.kappa,
                         "drive_frequency": cfg.gait.temporal_frequency,
-                        "steps_per_cycle": roll.steps_per_cycle,
-                        "resolution": roll.resolution},
+                        "steps_per_cycle": roll.steps_per_cycle},
         "protocol": {"trials_per_cell": sw.trials_per_cell,
                      "cycles_per_trial": sw.cycles_per_trial,
                      "seed": cfg.seed, "mode": cfg.mode},

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from selfright import (GaitParams, Morphology, RunConfig, binariness,
-                       classify_trial, config_to_dict, energy_landscape,
+                       classify_trial, config_to_dict, drive_gain,
+                       energy_landscape,
                        lateral_angle, lateral_displacement, run_sweep,
                        simulate_roll, stable_configurations, vertical_angle)
 from selfright.cli import main as cli_main
@@ -75,14 +76,12 @@ def test_criterion_1_gait_identity_suite():
     assert elapsed < 1.0, f"identity suite took {elapsed:.2f}s"
 
 
-def test_criterion_2_ideal_limbless_roll(limbless_morph, limbless_landscape):
+def test_criterion_2_ideal_limbless_roll(limbless_morph):
     """Free rolling tracks the command: half cycle pi, full cycle 2*pi."""
-    half = simulate_roll(quasi_static_gait(), limbless_morph, cycles=0.5,
-                         landscape=limbless_landscape)
+    half = simulate_roll(quasi_static_gait(), limbless_morph, cycles=0.5)
     assert half.delta_gamma_total == pytest.approx(math.pi, abs=1e-3)
 
-    full = simulate_roll(quasi_static_gait(), limbless_morph, cycles=1.0,
-                         landscape=limbless_landscape)
+    full = simulate_roll(quasi_static_gait(), limbless_morph, cycles=1.0)
     assert full.delta_gamma_total == pytest.approx(TWO_PI, abs=1e-3)
 
 
@@ -114,22 +113,20 @@ def test_criterion_3_energy_landscape():
     assert elapsed < 5.0, f"landscape suite took {elapsed:.2f}s"
 
 
-def test_criterion_4_one_shot_roll(default_landscape):
+def test_criterion_4_one_shot_roll():
     """Half-cycle righting succeeds at A=pi/4 and fails at A=pi/12 with
     zero perturbation at the shipped calibration."""
-    strong = simulate_roll(quasi_static_gait(math.pi / 4), MORPH, cycles=0.5,
-                           landscape=default_landscape)
+    strong = simulate_roll(quasi_static_gait(math.pi / 4), MORPH, cycles=0.5)
     assert classify_trial(strong).self_righted
 
-    weak = simulate_roll(quasi_static_gait(math.pi / 12), MORPH, cycles=0.5,
-                         landscape=default_landscape)
+    weak = simulate_roll(quasi_static_gait(math.pi / 12), MORPH, cycles=0.5)
     assert not classify_trial(weak).self_righted
 
 
-def test_criterion_5_sequential_propagation(default_landscape):
+def test_criterion_5_sequential_propagation():
     """Segmented xi=0.6 roll reaches gamma=pi/2 strictly head before tail."""
     traj = simulate_roll(quasi_static_gait(xi=0.6), MORPH, cycles=1.0,
-                         mode="segmented", landscape=default_landscape)
+                         mode="segmented")
     crossings = []
     for m in range(traj.gammas.shape[1]):
         idx = int(np.argmax(traj.gammas[:, m] >= math.pi / 2))
@@ -167,6 +164,39 @@ def test_criterion_6_behavior_diagram_claims():
     assert interior.sum() >= 3
 
     assert elapsed < 60.0, f"default sweeps took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("legs", [True, False])
+def test_lumped_diagram_matches_gain_oracle(legs):
+    """Every lumped trial of the default sweep rights exactly when its
+    drive gain G*C(xi)*f beats the closed-form threshold U*.
+
+    f is the trial's seeded gain draw. A legged body must overcome the
+    steepest slope of the leg arc, W*(r+L)*cos(asin(r/(r+L))); a limbless
+    one must lock onto the command, mu*G*C*f > omega.
+    """
+    morph = MORPH if legs else MORPH.limbless()
+    cfg = RunConfig(morphology=morph, seed=0)
+    diagram = run_sweep(cfg)
+    if legs:
+        tip = morph.body_radius + morph.leg_length
+        weight = morph.total_mass * 9.80665
+        u_star = weight * tip * math.sqrt(1.0 - (morph.body_radius / tip) ** 2)
+    else:
+        u_star = cfg.gait.temporal_frequency / cfg.roll.mu
+    n_x, n_t = len(diagram.xis), diagram.trial_rolls.shape[2]
+    for a_idx, amp in enumerate(diagram.amplitudes):
+        for x_idx, xi in enumerate(diagram.xis):
+            gain = drive_gain(replace(cfg.gait, amplitude_lateral=amp,
+                                      amplitude_vertical=amp,
+                                      spatial_frequency=xi), morph)
+            for trial in range(n_t):
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    entropy=0, spawn_key=(a_idx * n_x + x_idx, trial)))
+                rng.uniform(-0.2, 0.2)  # initial-roll jitter
+                f = 1.0 + rng.uniform(-0.1, 0.1)
+                righted = diagram.trial_rolls[a_idx, x_idx, trial] >= 0.5
+                assert righted == (gain * f > u_star), (amp, xi, trial)
 
 
 def test_criterion_7a_sidewinding_band():

@@ -187,6 +187,36 @@ def test_cli_sweep_deterministic_outputs(tmp_path):
     assert (tmp_path / "c" / "sweep.csv").read_bytes() != a
 
 
+def test_sweep_hash_ignores_unread_settings(tmp_path):
+    """The gait amplitudes and spatial frequency, which every cell sets,
+    and the landscape resolution, which no sweep reads, leave the sweep's
+    outputs byte-identical; the drive frequency changes the hash."""
+    outputs = {}
+    for name, gait, roll in (
+            ("base", {}, {}),
+            ("unread", {"amplitude_lateral": 0.5, "amplitude_vertical": 0.7,
+                        "spatial_frequency": 0.9}, {"resolution": 256}),
+            ("omega", {"temporal_frequency": 2e-3}, {})):
+        cfg = RunConfig(morphology=Morphology(leg_length=0.0),
+                        gait=replace(RunConfig().gait, **gait),
+                        roll=RollSettings(**roll),
+                        sweep=SweepSettings(amplitudes=(math.pi / 4,),
+                                            xis=(0.0, 0.3),
+                                            trials_per_cell=2,
+                                            cycles_per_trial=1))
+        save_config(cfg, tmp_path / f"{name}.json")
+        assert run_cli(["sweep", "--config", tmp_path / f"{name}.json",
+                        "--out", tmp_path / name]) == 0
+        outputs[name] = [(tmp_path / name / f).read_bytes()
+                         for f in ("sweep.json", "sweep.csv")]
+    assert outputs["unread"] == outputs["base"]
+
+    def sha(name):
+        return json.loads(outputs[name][0])["meta"]["config_sha256"]
+
+    assert sha("omega") != sha("base")
+
+
 def test_sweep_follows_config_gait_joint_count(tmp_path):
     """A sweep reads cfg.gait, so a 3-lateral-joint body sweeps like it
     simulates, through the library and through the command line."""

@@ -13,9 +13,10 @@ from selfright import (ConfigError, EnergyLandscape, GaitParams,
                        coherence, drive_gain, energy_landscape, roll_drive,
                        run_sweep, simulate_roll, stable_configurations,
                        support_height)
+from selfright.rollmodel import _find_minima, support_pieces
 from selfright.config import SweepSettings
 
-from conftest import (FROZEN, GRAVITY, oracle_barrier,
+from conftest import (FROZEN, GRAVITY, oracle_barrier, oracle_minima,
                       oracle_support_heights)
 
 MORPH = Morphology()
@@ -56,6 +57,39 @@ def test_support_height_matches_oracle_off_grid(gamma, leg, leg_angle):
 def test_support_height_periodic(gamma):
     assert support_height(MORPH, gamma) == pytest.approx(
         support_height(MORPH, gamma + TWO_PI), abs=1e-12)
+
+
+@pytest.mark.parametrize("morph, n_kinks", [
+    (MORPH, 4), (replace(MORPH, leg_length=0.03), 4),
+    (replace(MORPH, leg_length=0.07), 4),
+    # tips tilted below the disc at gamma = 0: the legs meet there
+    (replace(MORPH, leg_angle=0.3), 3)])
+def test_support_pieces_match_oracle(morph, n_kinks):
+    """The piece table's slopes, integrated piece by piece, give the
+    brute-force support heights, and each kink is a convex corner."""
+    edges, slopes = support_pieces(morph)
+    weight = morph.total_mass * GRAVITY
+    assert len(edges) == len(slopes) + 1 == n_kinks + 1
+    assert edges[0] == edges[-1] - TWO_PI
+    assert np.all(np.diff(edges) > 0)
+    for (lo, hi), (c, s) in zip(zip(edges[:-1], edges[1:]), slopes):
+        gam = np.linspace(lo, hi, 257)
+        rise = (c * (np.sin(gam) - math.sin(lo))
+                - s * (np.cos(gam) - math.cos(lo)))
+        oracle = oracle_support_heights(morph, gam)
+        assert np.abs(rise - weight * (oracle - oracle[0])).max() \
+            <= 2e-8 * weight
+    # U' jumps up across every kink: the max of the candidates is convex.
+    below = np.roll(slopes, 1, axis=0)
+    jump = ((slopes[:, 0] - below[:, 0]) * np.cos(edges[:-1])
+            + (slopes[:, 1] - below[:, 1]) * np.sin(edges[:-1]))
+    assert np.all(jump > 0.1)
+
+
+def test_support_pieces_limbless(limbless_morph):
+    edges, slopes = support_pieces(limbless_morph)
+    assert edges.tolist() == [-math.inf, math.inf]
+    assert slopes.tolist() == [[0.0, 0.0]]
 
 
 def test_limbless_landscape_flat(limbless_landscape):
@@ -111,6 +145,14 @@ def test_landscape_resolution_guard():
         energy_landscape(MORPH, 63)
 
 
+@given(levels=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+       repeat=st.integers(1, 5), shift=st.integers(0, 199))
+def test_find_minima_matches_run_walk(levels, repeat, shift):
+    """Plateaus, wrap-around runs and flat inputs, against the loop."""
+    energy = np.roll(np.repeat(np.array(levels, dtype=float), repeat), shift)
+    assert _find_minima(energy) == oracle_minima(energy)
+
+
 def test_synthetic_double_well_minima():
     n = 1024
     gam = np.arange(n) * (TWO_PI / n)
@@ -152,23 +194,21 @@ def test_roll_drive_bounded_and_aligned():
             assert abs(roll_drive(p, MORPH, t, gamma)) <= gain + 1e-15
 
 
-def test_limbless_tracks_command(limbless_morph, limbless_landscape):
+def test_limbless_tracks_command(limbless_morph):
     """Free-roll law: gamma follows the commanded phase within 0.05 rad."""
     for xi in (0.0, 0.2, 0.4, 0.6, 0.8):
         if coherence(xi) <= 0.05:
             continue
         traj = simulate_roll(quasi_static_gait(xi=xi), limbless_morph,
-                             cycles=1.0, landscape=limbless_landscape)
+                             cycles=1.0)
         lag = np.abs(traj.gammas - OMEGA * traj.times).max()
         assert lag <= 0.05
 
 
-def test_limbless_half_and_full_cycle(limbless_morph, limbless_landscape):
-    half = simulate_roll(quasi_static_gait(), limbless_morph, cycles=0.5,
-                         landscape=limbless_landscape)
+def test_limbless_half_and_full_cycle(limbless_morph):
+    half = simulate_roll(quasi_static_gait(), limbless_morph, cycles=0.5)
     assert half.delta_gamma_total == pytest.approx(math.pi, abs=1e-3)
-    full = simulate_roll(quasi_static_gait(), limbless_morph, cycles=1.0,
-                         landscape=limbless_landscape)
+    full = simulate_roll(quasi_static_gait(), limbless_morph, cycles=1.0)
     assert full.delta_gamma_total == pytest.approx(TWO_PI, abs=1e-3)
     assert not full.stalled
     outcome = classify_trial(full)
@@ -176,18 +216,41 @@ def test_limbless_half_and_full_cycle(limbless_morph, limbless_landscape):
     assert outcome.rolls_per_cycle == pytest.approx(1.0, abs=1e-3)
 
 
-def test_one_shot_success_and_failure(default_landscape):
-    strong = simulate_roll(quasi_static_gait(math.pi / 4), MORPH, cycles=0.5,
-                           landscape=default_landscape)
+def test_one_shot_success_and_failure():
+    strong = simulate_roll(quasi_static_gait(math.pi / 4), MORPH, cycles=0.5)
     assert classify_trial(strong).self_righted
     assert strong.delta_gamma_total == pytest.approx(math.pi, abs=0.05)
 
-    weak = simulate_roll(quasi_static_gait(math.pi / 12), MORPH, cycles=0.5,
-                         landscape=default_landscape)
+    weak = simulate_roll(quasi_static_gait(math.pi / 12), MORPH, cycles=0.5)
     assert weak.delta_gamma_total < math.pi / 4
     outcome = classify_trial(weak)
     assert not outcome.self_righted
     assert outcome.stalled
+
+
+def test_half_cycle_rests_on_kink():
+    """Below the steepest leg slope the A = pi/12 drive pushes the body
+    across the flat disc piece and leaves it on the corner where the leg
+    tip takes over, at asin(r/(r+L))."""
+    traj = simulate_roll(quasi_static_gait(math.pi / 12), MORPH, cycles=0.5)
+    tip = MORPH.body_radius + MORPH.leg_length
+    assert abs(traj.gammas[-1] - math.asin(MORPH.body_radius / tip)) <= 1e-12
+
+
+@pytest.mark.parametrize("omega", [1e-3, 1e-4, 1e-5])
+def test_stall_rule_in_phase_units(limbless_morph, omega):
+    """Stalling is judged against the command step, so it does not depend
+    on the drive frequency of a quasi-static trial."""
+    def gait(amplitude):
+        return GaitParams(amplitude_lateral=amplitude,
+                          amplitude_vertical=amplitude,
+                          temporal_frequency=omega)
+
+    free = simulate_roll(gait(math.pi / 4), limbless_morph, cycles=1.0)
+    assert classify_trial(free).rolls_per_cycle == pytest.approx(1.0,
+                                                                 abs=1e-9)
+    assert not free.stalled
+    assert simulate_roll(gait(math.pi / 12), MORPH, cycles=0.5).stalled
 
 
 def test_stall_dominance(default_landscape):
@@ -196,8 +259,7 @@ def test_stall_dominance(default_landscape):
     for amplitude in (math.pi / 12, math.pi / 8):
         p = quasi_static_gait(amplitude)
         assert drive_gain(p, MORPH) < slope_max
-        traj = simulate_roll(p, MORPH, cycles=1.0,
-                             landscape=default_landscape)
+        traj = simulate_roll(p, MORPH, cycles=1.0)
         assert traj.delta_gamma_per_cycle.max() < math.pi / 2
 
 
@@ -211,10 +273,9 @@ def first_crossing_times(traj, level):
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.05])
-def test_head_to_tail_propagation(default_landscape, kappa):
+def test_head_to_tail_propagation(kappa):
     traj = simulate_roll(quasi_static_gait(xi=0.6), MORPH, cycles=1.0,
-                         mode="segmented", kappa=kappa,
-                         landscape=default_landscape)
+                         mode="segmented", kappa=kappa)
     crossings = first_crossing_times(traj, math.pi / 2)
     assert all(b > a for a, b in zip(crossings, crossings[1:]))
 
@@ -248,8 +309,7 @@ def test_limbless_cancelled_drive_stays_at_rest(limbless_morph):
     assert (diagram.p_sr == 0.0).all()
 
 
-def test_limbless_segmented_roll_shift_invariant(limbless_morph,
-                                                 limbless_landscape):
+def test_limbless_segmented_roll_shift_invariant(limbless_morph):
     """On a flat landscape the roll cannot depend on the starting angle.
 
     Staggered lanes that start above their command phase roll down to
@@ -258,19 +318,16 @@ def test_limbless_segmented_roll_shift_invariant(limbless_morph,
     """
     rolls = [simulate_roll(quasi_static_gait(xi=0.6), limbless_morph,
                            cycles=1.0, init=RollState(gamma=g0),
-                           mode="segmented",
-                           landscape=limbless_landscape).delta_gamma_total
+                           mode="segmented").delta_gamma_total
              for g0 in (-7.3, 0.0, 1.0, math.pi, 12.0)]
     assert np.ptp(rolls) <= 1e-9
 
 
-def test_segmented_matches_lumped_in_phase(default_landscape):
+def test_segmented_matches_lumped_in_phase():
     """xi=0: identical per-module commands must reduce to the lumped roll."""
-    lumped = simulate_roll(quasi_static_gait(), MORPH, cycles=1.0,
-                           landscape=default_landscape)
+    lumped = simulate_roll(quasi_static_gait(), MORPH, cycles=1.0)
     seg = simulate_roll(quasi_static_gait(), MORPH, cycles=1.0,
-                        mode="segmented", kappa=0.5,
-                        landscape=default_landscape)
+                        mode="segmented", kappa=0.5)
     per_module = seg.gammas[-1] - seg.gammas[0]
     lump_total = lumped.delta_gamma_total
     # documented tolerance is 5 percent per cycle
@@ -280,40 +337,36 @@ def test_segmented_matches_lumped_in_phase(default_landscape):
         lumped.gammas[:, None], MORPH.num_modules, axis=1))
 
 
-def test_segmented_large_coupling_out_of_phase_errors(default_landscape):
+def test_segmented_large_coupling_out_of_phase_errors():
     with pytest.raises(IntegrationError):
         simulate_roll(quasi_static_gait(xi=0.6), MORPH, cycles=1.0,
-                      mode="segmented", kappa=0.5,
-                      landscape=default_landscape)
+                      mode="segmented", kappa=0.5)
 
 
-def test_perturbed_runs_deterministic(default_landscape):
+def test_perturbed_runs_deterministic():
     spec = PerturbationSpec()
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(123)
         runs.append(simulate_roll(quasi_static_gait(), MORPH, cycles=1.0,
-                                  perturb=spec, rng=rng,
-                                  landscape=default_landscape))
+                                  perturb=spec, rng=rng))
     assert np.array_equal(runs[0].gammas, runs[1].gammas)
 
     other = simulate_roll(quasi_static_gait(), MORPH, cycles=1.0,
-                          perturb=spec, rng=np.random.default_rng(124),
-                          landscape=default_landscape)
+                          perturb=spec, rng=np.random.default_rng(124))
     assert not np.array_equal(runs[0].gammas, other.gammas)
 
 
-def test_perturbation_requires_rng(default_landscape):
+def test_perturbation_requires_rng():
     with pytest.raises(ConfigError):
         simulate_roll(quasi_static_gait(), MORPH, cycles=1.0,
-                      perturb=PerturbationSpec(), landscape=default_landscape)
+                      perturb=PerturbationSpec())
     # an all-zero perturbation needs no randomness
     simulate_roll(quasi_static_gait(), MORPH, cycles=1.0,
-                  perturb=PerturbationSpec.none(),
-                  landscape=default_landscape)
+                  perturb=PerturbationSpec.none())
 
 
-def test_simulate_validation(default_landscape):
+def test_simulate_validation():
     with pytest.raises(ConfigError):
         simulate_roll(quasi_static_gait(), MORPH, cycles=0.0)
     with pytest.raises(ConfigError):
@@ -322,20 +375,18 @@ def test_simulate_validation(default_landscape):
         simulate_roll(quasi_static_gait(), MORPH, mode="hybrid")
 
 
-def test_trajectory_time_axis(limbless_morph, limbless_landscape):
+def test_trajectory_time_axis(limbless_morph):
     cycles = 2.0
-    traj = simulate_roll(quasi_static_gait(), limbless_morph, cycles=cycles,
-                         landscape=limbless_landscape)
+    traj = simulate_roll(quasi_static_gait(), limbless_morph, cycles=cycles)
     assert traj.times[0] == 0.0
     assert np.all(np.diff(traj.times) > 0)
     assert traj.times[-1] == pytest.approx(cycles * TWO_PI / OMEGA, rel=1e-12)
     assert len(traj.delta_gamma_per_cycle) == 2
 
 
-def test_trajectory_initial_state(default_landscape):
+def test_trajectory_initial_state():
     start = RollState(gamma=1.25)
-    traj = simulate_roll(quasi_static_gait(), MORPH, cycles=1.0, init=start,
-                         landscape=default_landscape)
+    traj = simulate_roll(quasi_static_gait(), MORPH, cycles=1.0, init=start)
     assert traj.gammas[0] == 1.25
 
 

@@ -1,5 +1,6 @@
 """Smoke tests of the runnable scripts."""
 
+import json
 import os
 import subprocess
 import sys
@@ -18,3 +19,7 @@ def test_behavior_diagrams_script(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "behavior_legged.csv", "behavior_legged.json",
         "behavior_limbless.csv", "behavior_limbless.json"]
+    for body in ("legged", "limbless"):
+        meta = json.loads((tmp_path / f"behavior_{body}.json").read_text())[
+            "meta"]
+        assert len(meta["config_sha256"]) == 64
