@@ -16,7 +16,7 @@ from .gait import (GaitParams, JointAngles, coherence, joint_vector,
                    lateral_angle, phase_lag, vertical_angle)
 from .kinematics import (FramePose, Morphology, body_wave_height,
                          center_of_mass, cross_section, forward_kinematics,
-                         polygon_area, wave_height_slope)
+                         wave_height_slope)
 from .rollmodel import (EnergyLandscape, PerturbationSpec, RollState,
                         RollTrajectory, TrialOutcome, classify_trial,
                         drive_gain, energy_landscape, roll_drive,
@@ -39,7 +39,7 @@ __all__ = [
     "contact_set", "cross_section", "displacement_trajectory", "drive_gain",
     "energy_landscape", "estimate_psr", "forward_kinematics",
     "joint_vector", "lateral_angle", "lateral_displacement", "load_config",
-    "phase_lag", "polygon_area", "roll_drive", "run_sweep", "save_config",
+    "phase_lag", "roll_drive", "run_sweep", "save_config",
     "simulate_roll", "stable_configurations", "support_height",
     "vertical_angle", "wave_height_slope", "write_diagram_csv",
     "write_diagram_json",

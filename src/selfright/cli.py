@@ -121,15 +121,15 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
 
 def cmd_gait(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     g = cfg.gait
-    n = args.samples
+    if args.samples < 1:
+        raise ConfigError("--samples must be >= 1")
+    times = g.period * np.arange(args.samples + 1) / args.samples
+    angles = joint_vector(g, times)
     rows = []
-    for k in range(n + 1):
-        t = g.period * k / n
-        angles = joint_vector(g, t)
-        for i, a in enumerate(angles.lateral):
-            rows.append((t, i, "lateral", float(a)))
-        for i, a in enumerate(angles.vertical):
-            rows.append((t, i, "vertical", float(a)))
+    for t, lat, vert in zip(times.tolist(), angles.lateral.tolist(),
+                            angles.vertical.tolist()):
+        rows.extend((t, i, "lateral", a) for i, a in enumerate(lat))
+        rows.extend((t, i, "vertical", a) for i, a in enumerate(vert))
     path = out / "gait.csv"
     _write_csv(path, cfg, ("time_s", "joint", "axis", "angle_rad"), rows)
     print(path)

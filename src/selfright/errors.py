@@ -6,7 +6,7 @@ class SelfRightError(Exception):
 
 
 class GeometryError(SelfRightError):
-    """Degenerate or impossible geometry (non-positive radius, bad polygon)."""
+    """Degenerate or impossible geometry (non-positive body radius)."""
 
 
 class DimensionError(SelfRightError):

@@ -67,18 +67,22 @@ class GaitParams:
 
 @dataclass(frozen=True)
 class JointAngles:
-    """Joint angles of both waves at one instant."""
+    """Joint angles of both waves at one instant or at a batch of instants.
+
+    lateral and vertical have the joints on their last axis; any leading
+    axes index the samples, and time holds their times.
+    """
 
     lateral: np.ndarray
     vertical: np.ndarray
-    time: float = 0.0
+    time: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lateral", np.asarray(self.lateral, dtype=float))
         object.__setattr__(self, "vertical", np.asarray(self.vertical, dtype=float))
 
 
-def _wave_phase(params: GaitParams, t: float, i: int) -> float:
+def _wave_phase(params: GaitParams, t, i):
     # Both waves share the 2*pi*xi*i/N spatial lag with N = lateral count.
     return (params.temporal_frequency * t
             + TWO_PI * params.spatial_frequency * i / params.num_lateral_joints)
@@ -99,16 +103,21 @@ def vertical_angle(params: GaitParams, t: float, i: int) -> float:
     return params.amplitude_vertical * math.cos(_wave_phase(params, t, i))
 
 
-def joint_vector(params: GaitParams, t: float) -> JointAngles:
-    """All joint angles at time t.
+def joint_vector(params: GaitParams, t: float | np.ndarray) -> JointAngles:
+    """All joint angles at time t, a scalar or an array of sample times.
 
-    Built from the scalar evaluators so batch and scalar paths agree bitwise.
+    The angle arrays have t's shape plus a trailing joint axis. They follow
+    lateral_angle and vertical_angle operation by operation, so batch and
+    scalar evaluations agree bitwise.
     """
-    lat = np.array([lateral_angle(params, t, i)
-                    for i in range(1, params.num_lateral_joints + 1)])
-    vert = np.array([vertical_angle(params, t, i)
-                     for i in range(1, params.num_vertical_joints + 1)])
-    return JointAngles(lateral=lat, vertical=vert, time=t)
+    t = np.asarray(t, dtype=float)
+    phase = _wave_phase(params, t[..., None],
+                        np.arange(1, params.num_vertical_joints + 1))
+    lat = params.amplitude_lateral * np.sin(
+        phase[..., :params.num_lateral_joints] + params.lateral_phase)
+    vert = params.amplitude_vertical * np.cos(phase)
+    return JointAngles(lateral=lat, vertical=vert,
+                       time=float(t) if t.ndim == 0 else t)
 
 
 def phase_lag(params: GaitParams) -> float:

@@ -17,13 +17,6 @@ import numpy as np
 from .errors import DimensionError, GeometryError
 from .gait import GaitParams, JointAngles, joint_vector
 
-# Number of disc vertices in the cross-section polygon. Chord error at
-# r = 3 cm is below 0.1 mm, well under the contact tolerances in use.
-DISC_VERTICES = 64
-
-# Half-width (m) of the thin triangles standing in for the leg plates.
-LEG_HALF_WIDTH = 0.001
-
 
 @dataclass(frozen=True)
 class Morphology:
@@ -71,7 +64,11 @@ class Morphology:
 
 @dataclass(frozen=True)
 class FramePose:
-    """Position and orientation of one module frame."""
+    """Positions and orientations of one frame or of a stack of frames.
+
+    position has shape (..., 3) and orientation (..., 3, 3) over the same
+    leading axes.
+    """
 
     position: np.ndarray
     orientation: np.ndarray
@@ -79,129 +76,107 @@ class FramePose:
     def __post_init__(self) -> None:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         object.__setattr__(self, "orientation", np.asarray(self.orientation, dtype=float))
-        if self.position.shape != (3,) or self.orientation.shape != (3, 3):
-            raise DimensionError("FramePose needs a 3-vector and a 3x3 matrix")
+        if (self.position.shape[-1:] != (3,)
+                or self.orientation.shape != self.position.shape + (3,)):
+            raise DimensionError(
+                "FramePose needs (..., 3) positions and (..., 3, 3) orientations")
 
     @staticmethod
     def identity() -> "FramePose":
         return FramePose(position=np.zeros(3), orientation=np.eye(3))
 
     def is_orthonormal(self, tol: float = 1e-9) -> bool:
+        """Whether every orientation in the stack is a proper rotation."""
         r = self.orientation
-        return (np.abs(r @ r.T - np.eye(3)).max() <= tol
-                and abs(np.linalg.det(r) - 1.0) <= tol)
+        return bool(np.abs(r @ np.swapaxes(r, -1, -2) - np.eye(3)).max() <= tol
+                    and np.abs(np.linalg.det(r) - 1.0).max() <= tol)
 
 
-def _rot_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _rotation(angle: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rotations by angle (any shape) that turn axis a toward axis b."""
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.broadcast_to(np.eye(3), c.shape + (3, 3)).copy()
+    rot[..., a, a] = c
+    rot[..., a, b] = -s
+    rot[..., b, a] = s
+    rot[..., b, b] = c
+    return rot
 
 
 def forward_kinematics(morph: Morphology, angles: JointAngles,
-                       base: FramePose | None = None) -> list[FramePose]:
+                       base: FramePose | None = None) -> FramePose:
     """Module frames of the chain under the given joint angles.
 
     Module k+1 sits one link_length along module k's local x axis; the
     joint between them rotates about module k's local y (vertical joint,
-    positive pitches the head down) or z (lateral joint) axis.
+    positive pitches the head down) or z (lateral joint) axis. Leading
+    axes of the angle arrays are samples: the result stacks the module
+    frames on the axis after them, (..., M, 3) positions and
+    (..., M, 3, 3) orientations. Every sample starts from the one base
+    frame.
     """
     if base is None:
         base = FramePose.identity()
     n_vert = morph.num_vertical_joints
     n_lat = morph.num_lateral_joints
-    if len(angles.vertical) != n_vert or len(angles.lateral) != n_lat:
+    if (angles.vertical.shape[-1:] != (n_vert,)
+            or angles.lateral.shape[-1:] != (n_lat,)):
         raise DimensionError(
             f"need {n_vert} vertical / {n_lat} lateral angles, "
-            f"got {len(angles.vertical)} / {len(angles.lateral)}")
+            f"got {angles.vertical.shape[-1:]} / {angles.lateral.shape[-1:]}")
 
+    batch = angles.vertical.shape[:-1]
     step = np.array([morph.link_length, 0.0, 0.0])
-    pos = base.position.copy()
-    ori = base.orientation.copy()
-    poses = [FramePose(position=pos, orientation=ori)]
+    pos = np.broadcast_to(base.position, batch + (3,))
+    ori = np.broadcast_to(base.orientation, batch + (3, 3))
+    positions, orientations = [pos], [ori]
     for j in range(1, morph.num_joints + 1):
         if j % 2 == 1:
-            rot = _rot_y(angles.vertical[(j - 1) // 2])
+            rot = _rotation(angles.vertical[..., (j - 1) // 2], 2, 0)
         else:
-            rot = _rot_z(angles.lateral[j // 2 - 1])
+            rot = _rotation(angles.lateral[..., j // 2 - 1], 0, 1)
         pos = pos + ori @ step
         ori = ori @ rot
-        poses.append(FramePose(position=pos, orientation=ori))
-    return poses
+        positions.append(pos)
+        orientations.append(ori)
+    return FramePose(position=np.stack(positions, axis=-2),
+                     orientation=np.stack(orientations, axis=-3))
 
 
-def center_of_mass(poses: list[FramePose], morph: Morphology) -> np.ndarray:
-    """Mass-weighted mean of module midpoints (uniform masses: plain mean)."""
-    if not poses:
-        raise DimensionError("center_of_mass needs at least one pose")
+def center_of_mass(frames: FramePose, morph: Morphology) -> np.ndarray:
+    """Mass-weighted mean of module midpoints (uniform masses: plain mean).
+
+    frames stacks the module frames on its last leading axis, as
+    forward_kinematics returns them; the result keeps any axes before it.
+    """
+    if frames.position.ndim < 2 or not frames.position.shape[-2]:
+        raise DimensionError("center_of_mass needs at least one module frame")
     half_step = np.array([morph.link_length / 2.0, 0.0, 0.0])
-    mids = np.array([p.position + p.orientation @ half_step for p in poses])
-    return mids.mean(axis=0)
+    mids = frames.position + frames.orientation @ half_step
+    return mids.mean(axis=-2)
 
 
-def cross_section(morph: Morphology, gamma: float) -> np.ndarray:
-    """Transverse silhouette of one module at roll angle gamma.
+def cross_section(morph: Morphology) -> tuple[float, np.ndarray]:
+    """Transverse silhouette of one module in its local (y, z) plane.
 
-    Returns an (n, 2) vertex array of a simple polygon: the body disc as a
-    regular polygon with two thin leg triangles spliced into its boundary,
-    everything rotated rigidly by gamma.
+    The outline is the body disc of radius r around the axis plus, on a
+    legged body, two leg tips at r + L from it: one at heading -a, the
+    other its mirror image under y -> -y. Returns (r, tips) with one (y, z)
+    row per tip; a limbless body has none.
     """
     r = morph.body_radius
     if r <= 0:
-        raise GeometryError("body_radius must be positive for a cross-section")
-
-    disc_angles = np.arange(DISC_VERTICES) * (2.0 * math.pi / DISC_VERTICES)
+        raise GeometryError("body_radius must be positive")
     if morph.leg_length <= 0:
-        verts = np.column_stack([r * np.cos(disc_angles), r * np.sin(disc_angles)])
-    else:
-        tip = r + morph.leg_length
-        # Angular half-span of the leg base on the disc boundary.
-        half = math.atan2(LEG_HALF_WIDTH, r)
-        leg_headings = [-morph.leg_angle, math.pi + morph.leg_angle]
-        # The silhouette is star-shaped around the axis, so sorting samples
-        # by polar angle yields a simple polygon: disc vertices outside the
-        # leg spans plus a (base, tip, base) wedge per leg.
-        samples: list[tuple[float, float]] = []
-        for th in disc_angles:
-            if not any(_ang_dist(th, h) <= half for h in leg_headings):
-                samples.append((th, r))
-        for h in leg_headings:
-            samples.append((h - half, r))
-            samples.append((h, tip))
-            samples.append((h + half, r))
-        samples.sort(key=lambda ar: math.fmod(ar[0] + 2.0 * math.pi, 2.0 * math.pi))
-        verts = np.array([(rad * math.cos(th), rad * math.sin(th))
-                          for th, rad in samples])
-
-    c, s = math.cos(gamma), math.sin(gamma)
-    rot = np.array([[c, -s], [s, c]])
-    return verts @ rot.T
-
-
-def _ang_dist(a: float, b: float) -> float:
-    d = math.fmod(a - b, 2.0 * math.pi)
-    if d < -math.pi:
-        d += 2.0 * math.pi
-    elif d > math.pi:
-        d -= 2.0 * math.pi
-    return abs(d)
-
-
-def polygon_area(verts: np.ndarray) -> float:
-    """Shoelace area of a simple polygon."""
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        return r, np.empty((0, 2))
+    tip, a = r + morph.leg_length, morph.leg_angle
+    y, z = tip * math.cos(a), -tip * math.sin(a)
+    return r, np.array([(y, z), (-y, z)])
 
 
 def body_wave_height(morph: Morphology, params: GaitParams, t: float) -> float:
     """Height span (max minus min) of module origins at time t, base flat."""
-    angles = joint_vector(params, t)
-    poses = forward_kinematics(morph, angles)
-    z = np.array([p.position[2] for p in poses])
+    z = forward_kinematics(morph, joint_vector(params, t)).position[:, 2]
     return float(z.max() - z.min())
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, IntegrationError
+from .errors import ConfigError, IntegrationError
 from .gait import TWO_PI, GaitParams, coherence
-from .kinematics import Morphology, wave_height_slope
+from .kinematics import Morphology, cross_section, wave_height_slope
 
 GRAVITY = 9.80665
 
@@ -71,7 +71,10 @@ class EnergyLandscape:
 
     @staticmethod
     def from_energy(gamma_samples: np.ndarray, energy: np.ndarray) -> "EnergyLandscape":
-        """Build a landscape from raw samples (synthetic landscapes, tests)."""
+        """Build a landscape from raw samples (synthetic landscapes, tests).
+
+        denergy is the central difference of the samples.
+        """
         gamma_samples = np.asarray(gamma_samples, dtype=float)
         energy = np.asarray(energy, dtype=float)
         if gamma_samples.shape != energy.shape or gamma_samples.ndim != 1:
@@ -118,15 +121,12 @@ def _path_barrier(energy: np.ndarray) -> float:
 
 def _support_lines(morph: Morphology) -> np.ndarray:
     """Support candidates as rows (p, q, h0), each at height
-    p*cos(gamma) + q*sin(gamma) + h0: the disc bottom at r, then the leg
-    tips at -tip*sin(gamma - a) and tip*sin(gamma + a)."""
-    if morph.body_radius <= 0:
-        raise GeometryError("body_radius must be positive")
-    tip, a = morph.body_radius + morph.leg_length, morph.leg_angle
-    return np.array([(0.0, 0.0, morph.body_radius),
-                     (tip * math.sin(a), -tip * math.cos(a), 0.0),
-                     (tip * math.sin(a), tip * math.cos(a), 0.0),
-                     ])[:3 if morph.leg_length > 0 else 1]
+    p*cos(gamma) + q*sin(gamma) + h0: the disc bottom at r, then one row
+    per leg tip (y, z) of the cross-section. Rolled by gamma, a tip sits
+    y*sin(gamma) + z*cos(gamma) above the axis, so resting on it puts the
+    axis at minus that."""
+    r, tips = cross_section(morph)
+    return np.array([(0.0, 0.0, r)] + [(-z, -y, 0.0) for y, z in tips])
 
 
 def _heights(lines: np.ndarray, gamma) -> np.ndarray:
@@ -157,11 +157,13 @@ def support_pieces(morph: Morphology) -> tuple[np.ndarray, np.ndarray]:
     lines = _support_lines(morph)
     if len(lines) > 1:
         # Each tip stands level with the disc at two angles, the two tips
-        # with each other at 0 and pi.
+        # with each other at 0 and pi. (sorted(set()), not np.unique, whose
+        # first call imports numpy.ma: 15-30 ms of start-up.)
         r, a = morph.body_radius, morph.leg_angle
         s = math.asin(r / (r + morph.leg_length))
-        cuts = np.unique(np.mod([a - s, a + math.pi + s, s - a,
-                                 math.pi - s - a, 0.0, math.pi], TWO_PI))
+        cuts = np.array(sorted(set(np.mod([a - s, a + math.pi + s, s - a,
+                                           math.pi - s - a, 0.0, math.pi],
+                                          TWO_PI).tolist())))
         top = _heights(lines, (cuts + np.append(cuts[1:], cuts[0] + TWO_PI))
                        / 2.0).argmax(0)
         kink = top != np.roll(top, 1)
@@ -181,13 +183,20 @@ def energy_landscape(morph: Morphology, resolution: int = DEFAULT_RESOLUTION) ->
     U(gamma) = M*m*g*h(gamma) with h the axis height of the resting
     silhouette; module mass is lumped on the axis (the thin legs carry no
     modeled mass), so the axis height is the center-of-mass height.
+    denergy is U' of the support piece each sample lies on (at a kink, of
+    the piece that starts there).
     """
     if resolution < 64:
         raise ConfigError("landscape resolution must be >= 64")
     gamma = np.arange(resolution) * (TWO_PI / resolution)
     height = support_height(morph, gamma)
     energy = morph.total_mass * GRAVITY * np.asarray(height, dtype=float)
-    return EnergyLandscape.from_energy(gamma, energy)
+    edges, slopes = support_pieces(morph)
+    c, s = slopes[np.searchsorted(edges[1:], gamma, side="right")
+                  % len(slopes)].T
+    # + 0.0 reports a flat piece's -0.0 products as 0.0.
+    return replace(EnergyLandscape.from_energy(gamma, energy),
+                   denergy=c * np.cos(gamma) + s * np.sin(gamma) + 0.0)
 
 
 def stable_configurations(landscape: EnergyLandscape) -> list[float]:

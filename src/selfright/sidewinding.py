@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, ContactError
 from .gait import TWO_PI, GaitParams, joint_vector
-from .kinematics import Morphology, FramePose, center_of_mass, cross_section, forward_kinematics
+from .kinematics import (FramePose, Morphology, center_of_mass, cross_section,
+                         forward_kinematics)
 
 # Modules whose lowest silhouette point is within this height (m) of the
 # lowest point of the whole body count as grounded. Acts as the effective
@@ -40,33 +41,39 @@ class DisplacementReport:
     samples_per_cycle: int
 
 
-def contact_set(poses: list[FramePose], morph: Morphology,
-                tol: float = DEFAULT_CONTACT_TOL) -> set[int]:
-    """Modules whose lowest cross-section point reaches within tol of the floor.
+def contact_set(frames: FramePose, morph: Morphology,
+                tol: float = DEFAULT_CONTACT_TOL) -> np.ndarray:
+    """Mask of the modules whose lowest silhouette point reaches within tol
+    of the floor.
 
-    The floor height is the minimum over all modules; the set is never
-    empty for tol >= 0 since the lowest module is in contact by definition.
+    frames stacks module frames as forward_kinematics returns them; the
+    mask has one entry per frame. The floor height is the minimum over the
+    modules of each sample, so for tol >= 0 the lowest module of every
+    sample is in contact by definition.
     """
     if tol < 0:
         raise ContactError("contact tolerance must be >= 0")
-    lows = _module_low_points(poses, morph)
-    floor = lows.min()
-    contacts = {k for k, low in enumerate(lows) if low - floor <= tol}
-    if not contacts:
+    lows = _module_low_points(frames, morph)
+    contacts = lows - lows.min(axis=-1, keepdims=True) <= tol
+    if not contacts.any(axis=-1).all():
         raise ContactError("empty contact set")
     return contacts
 
 
-def _module_low_points(poses: list[FramePose], morph: Morphology) -> np.ndarray:
-    """World height of each module silhouette's lowest point."""
-    # Local silhouette vertices live in the module's transverse (y, z) plane.
-    verts = cross_section(morph, 0.0)
-    lows = np.empty(len(poses))
-    for k, pose in enumerate(poses):
-        rot = pose.orientation
-        # World z of local (0, vy, vz) offsets.
-        dz = rot[2, 1] * verts[:, 0] + rot[2, 2] * verts[:, 1]
-        lows[k] = pose.position[2] + dz.min()
+def _module_low_points(frames: FramePose, morph: Morphology) -> np.ndarray:
+    """World height of each module silhouette's lowest point.
+
+    A local transverse offset (y, z) sits R21*y + R22*z above the module
+    origin, so the disc of radius r reaches r*hypot(R21, R22) below it and
+    each leg tip of the cross-section sits where its offset puts it.
+    """
+    r, tips = cross_section(morph)
+    r21 = frames.orientation[..., 2, 1]
+    r22 = frames.orientation[..., 2, 2]
+    z = frames.position[..., 2]
+    lows = z - r * np.hypot(r21, r22)
+    for y, z_tip in tips:
+        lows = np.minimum(lows, z + (r21 * y + r22 * z_tip))
     return lows
 
 
@@ -102,16 +109,16 @@ def _trace(params: GaitParams, morph: Morphology, cycles: int,
 
     n_samples = cycles * samples_per_cycle
     period = TWO_PI / params.temporal_frequency
-
-    origins: list[np.ndarray] = []
-    coms: list[np.ndarray] = []
-    contacts: list[set[int]] = []
-    for k in range(n_samples + 1):
-        t = period * k / samples_per_cycle
-        poses = forward_kinematics(morph, joint_vector(params, t))
-        origins.append(np.array([p.position[:2] for p in poses]))
-        coms.append(center_of_mass(poses, morph)[:2])
-        contacts.append(contact_set(poses, morph, contact_tol))
+    times = period * np.arange(n_samples + 1) / samples_per_cycle
+    frames = forward_kinematics(morph, joint_vector(params, times))
+    origins = frames.position[..., :2]
+    coms = center_of_mass(frames, morph)[:, :2]
+    contacts = contact_set(frames, morph, contact_tol)
+    # Disjoint sets fall back to their union, so the step n -> n+1 and its
+    # reverse use the same anchors and their fits are inverses.
+    shared = contacts[:-1] & contacts[1:]
+    anchors = np.where(shared.any(axis=1, keepdims=True), shared,
+                       contacts[:-1] | contacts[1:])
 
     # Accumulated planar pose of the body frame: world = rot @ body + trans.
     rot = np.eye(2)
@@ -122,12 +129,8 @@ def _trace(params: GaitParams, morph: Morphology, cycles: int,
     ax0 = origins[0][-1] - origins[0][0]
     axes.append(ax0 / np.linalg.norm(ax0))
     for n in range(n_samples):
-        # Disjoint sets fall back to their union, so the step n -> n+1 and
-        # its reverse use the same anchors and their fits are inverses.
-        anchors = sorted(contacts[n] & contacts[n + 1]
-                         or contacts[n] | contacts[n + 1])
-        step_rot, step_trans = _fit_planar(origins[n + 1][anchors],
-                                           origins[n][anchors])
+        step_rot, step_trans = _fit_planar(origins[n + 1][anchors[n]],
+                                           origins[n][anchors[n]])
         trans = rot @ step_trans + trans
         rot = rot @ step_rot
         com_world.append(rot @ coms[n + 1] + trans)
@@ -144,7 +147,7 @@ def _trace(params: GaitParams, morph: Morphology, cycles: int,
     signed = float(mean_axis[0] * net[1] - mean_axis[1] * net[0])
 
     scale = morph.body_length * cycles
-    frac = float(np.mean([len(c) for c in contacts])) / morph.num_modules
+    frac = float(np.mean(contacts.sum(axis=1))) / morph.num_modules
     report = DisplacementReport(
         lateral_displacement=float(np.linalg.norm(perp_vec)) / scale,
         contact_fraction=frac,

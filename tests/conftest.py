@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the package's own geometry and
 series code: closed-form trigonometry for the wave equations, a
 Dirichlet-kernel form for phase coherence, a brute-force polygon-vertex
-sampler for support heights, and a 2D polyline walk for the planar
-chain. Frozen constants were produced by these oracles and pinned so
-regressions surface as value changes, not just property violations.
+sampler for support heights, a 2D polyline walk for the planar chain,
+and a per-pose loop for the module frames. Frozen constants were
+produced by these oracles and pinned so regressions surface as value
+changes, not just property violations.
 """
 
 import math
@@ -143,6 +144,29 @@ def oracle_planar_chain(num_modules, link_length, theta):
             heading += theta
         pos.append((x, y))
     return np.array(pos)
+
+
+def oracle_chain_frames(morph, vertical, lateral):
+    """Module frames of one posture, one joint and one 3x3 matrix at a time.
+
+    The reference for the batched forward kinematics: the same products
+    in the same order, so results agree bitwise.
+    """
+    step = np.array([morph.link_length, 0.0, 0.0])
+    pos, ori = np.zeros(3), np.eye(3)
+    positions, orientations = [pos], [ori]
+    for j in range(1, morph.num_modules):
+        angle = vertical[(j - 1) // 2] if j % 2 == 1 else lateral[j // 2 - 1]
+        c, s = math.cos(angle), math.sin(angle)
+        if j % 2 == 1:
+            rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+        else:
+            rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        pos = pos + ori @ step
+        ori = ori @ rot
+        positions.append(pos)
+        orientations.append(ori)
+    return np.array(positions), np.array(orientations)
 
 
 @pytest.fixture(scope="session")

@@ -116,6 +116,12 @@ def test_cli_gait_spot_value(tmp_path):
     assert float(row[3]) == lateral_angle(params, t2, 2)
 
 
+def test_cli_gait_rejects_empty_cycle(tmp_path, capsys):
+    assert run_cli(["gait", "--out", tmp_path, "--samples", 0]) == 1
+    assert "--samples must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "gait.csv").exists()
+
+
 def test_cli_energy_limbless_vs_legged(tmp_path):
     assert run_cli(["energy", "--out", tmp_path / "flat", "--legs", 0,
                     "--resolution", 256]) == 0

@@ -119,6 +119,28 @@ def test_joint_vector_matches_scalars():
         assert angles.vertical[i - 1] == vertical_angle(p, 2.5, i)
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.6, 1.2])
+@pytest.mark.parametrize("lateral_phase", [0.0, math.pi / 2])
+def test_joint_vector_batch_matches_scalars(xi, lateral_phase):
+    """A batch of sample times gives bitwise the single-time vectors and
+    the scalar evaluators' angles."""
+    p = GaitParams(amplitude_lateral=math.pi / 3,
+                   amplitude_vertical=math.pi / 9, temporal_frequency=1e-3,
+                   spatial_frequency=xi, lateral_phase=lateral_phase)
+    samples = p.period * np.arange(4 * 128 + 1) / 128
+    batch = joint_vector(p, samples)
+    assert batch.lateral.shape == (len(samples), 4)
+    assert batch.vertical.shape == (len(samples), 5)
+    for k, t in enumerate(samples.tolist()):
+        one = joint_vector(p, t)
+        assert one.lateral.tobytes() == batch.lateral[k].tobytes()
+        assert one.vertical.tobytes() == batch.vertical[k].tobytes()
+        assert batch.lateral[k].tolist() == [lateral_angle(p, t, i)
+                                             for i in range(1, 5)]
+        assert batch.vertical[k].tolist() == [vertical_angle(p, t, i)
+                                              for i in range(1, 6)]
+
+
 def test_in_phase_vector_has_identical_entries():
     p = make_params(math.pi / 4, 1.0, 0.0, 4)
     angles = joint_vector(p, 1.7)

@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 from selfright import (DimensionError, FramePose, GaitParams, GeometryError,
                        JointAngles, Morphology, body_wave_height,
                        center_of_mass, cross_section, forward_kinematics,
-                       polygon_area, wave_height_slope)
+                       joint_vector, wave_height_slope)
 
-from conftest import FROZEN, oracle_planar_chain
+from conftest import FROZEN, oracle_chain_frames, oracle_planar_chain
 
 MORPH = Morphology()
 
@@ -29,10 +29,9 @@ def make_angles(values):
 
 def test_zero_angles_colinear():
     poses = forward_kinematics(MORPH, make_angles([0.0] * 9))
-    for k, p in enumerate(poses):
-        assert np.allclose(p.position,
-                           [k * MORPH.link_length, 0.0, 0.0], atol=1e-15)
-        assert np.allclose(p.orientation, np.eye(3), atol=1e-15)
+    for k, (pos, ori) in enumerate(zip(poses.position, poses.orientation)):
+        assert np.allclose(pos, [k * MORPH.link_length, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(ori, np.eye(3), atol=1e-15)
 
 
 @pytest.mark.parametrize("theta", [0.2, -0.35, 1.1])
@@ -41,12 +40,12 @@ def test_planar_chain_matches_closed_form(theta):
     angles = JointAngles(lateral=np.full(4, theta), vertical=np.zeros(5))
     poses = forward_kinematics(MORPH, angles)
     expected = oracle_planar_chain(MORPH.num_modules, MORPH.link_length, theta)
-    xy = np.array([p.position[:2] for p in poses])
-    z = np.array([p.position[2] for p in poses])
+    xy = poses.position[:, :2]
+    z = poses.position[:, 2]
     assert np.allclose(xy, expected, atol=1e-12)
     assert np.allclose(z, 0.0, atol=1e-15)
     # total heading change: one theta per lateral joint
-    head = poses[-1].orientation @ np.array([1.0, 0.0, 0.0])
+    head = poses.orientation[-1] @ np.array([1.0, 0.0, 0.0])
     total = math.atan2(head[1], head[0])
     wrapped = (4 * theta + math.pi) % (2 * math.pi) - math.pi
     assert total == pytest.approx(wrapped, abs=1e-12)
@@ -55,7 +54,7 @@ def test_planar_chain_matches_closed_form(theta):
 @given(values=angle_arrays)
 def test_chain_length_conserved(values):
     poses = forward_kinematics(MORPH, make_angles(values))
-    pts = np.array([p.position for p in poses])
+    pts = poses.position
     steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert np.allclose(steps, MORPH.link_length, atol=1e-12)
     total = steps.sum()
@@ -66,7 +65,7 @@ def test_chain_length_conserved(values):
 @given(values=angle_arrays)
 def test_orientations_orthonormal(values):
     poses = forward_kinematics(MORPH, make_angles(values))
-    assert all(p.is_orthonormal(1e-9) for p in poses)
+    assert poses.is_orthonormal(1e-9)
 
 
 def test_orthonormality_bulk():
@@ -75,7 +74,7 @@ def test_orthonormality_bulk():
     for _ in range(10_000 // MORPH.num_modules):
         values = rng.uniform(-math.pi / 2, math.pi / 2, 9)
         poses = forward_kinematics(MORPH, make_angles(values))
-        assert all(p.is_orthonormal(1e-9) for p in poses)
+        assert poses.is_orthonormal(1e-9)
 
 
 def test_base_rotation_equivariance():
@@ -87,16 +86,16 @@ def test_base_rotation_equivariance():
     base = FramePose(position=shift, orientation=base_rot)
     plain = forward_kinematics(MORPH, angles)
     moved = forward_kinematics(MORPH, angles, base)
-    for p, q in zip(plain, moved):
-        assert np.allclose(q.position, base_rot @ p.position + shift,
-                           atol=1e-12)
-        assert np.allclose(q.orientation, base_rot @ p.orientation,
-                           atol=1e-12)
+    for p_pos, p_ori, q_pos, q_ori in zip(plain.position, plain.orientation,
+                                          moved.position, moved.orientation):
+        assert np.allclose(q_pos, base_rot @ p_pos + shift, atol=1e-12)
+        assert np.allclose(q_ori, base_rot @ p_ori, atol=1e-12)
 
 
 def test_com_single_module():
     morph = Morphology(num_modules=2, link_length=1.0)
-    com = center_of_mass([FramePose.identity()], morph)
+    com = center_of_mass(FramePose(position=np.zeros((1, 3)),
+                                   orientation=np.eye(3)[None]), morph)
     assert np.allclose(com, [0.5, 0.0, 0.0], atol=1e-15)
 
 
@@ -118,13 +117,38 @@ def test_com_right_angle_pair():
 
 def test_com_empty_raises():
     with pytest.raises(DimensionError):
-        center_of_mass([], MORPH)
+        center_of_mass(FramePose(position=np.zeros((0, 3)),
+                                 orientation=np.zeros((0, 3, 3))), MORPH)
 
 
 def test_fk_size_mismatch():
     with pytest.raises(DimensionError):
         forward_kinematics(MORPH, JointAngles(lateral=np.zeros(3),
                                               vertical=np.zeros(5)))
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.6, 1.2])
+@pytest.mark.parametrize("lateral_phase", [0.0, math.pi / 2])
+def test_fk_batch_matches_single_samples(xi, lateral_phase):
+    """Frames and centre of mass of a sampled gait cycle, computed as one
+    batch, equal the single-sample evaluations and the per-pose loop
+    bitwise."""
+    gait = GaitParams(amplitude_lateral=math.pi / 3,
+                      amplitude_vertical=math.pi / 9, temporal_frequency=1e-3,
+                      spatial_frequency=xi, lateral_phase=lateral_phase)
+    times = gait.period * np.arange(4 * 128 + 1) / 128
+    batch = forward_kinematics(MORPH, joint_vector(gait, times))
+    coms = center_of_mass(batch, MORPH)
+    assert batch.position.shape == (len(times), MORPH.num_modules, 3)
+    for k, t in enumerate(times.tolist()):
+        angles = joint_vector(gait, t)
+        one = forward_kinematics(MORPH, angles)
+        assert one.position.tobytes() == batch.position[k].tobytes()
+        assert one.orientation.tobytes() == batch.orientation[k].tobytes()
+        assert center_of_mass(one, MORPH).tobytes() == coms[k].tobytes()
+        pos, ori = oracle_chain_frames(MORPH, angles.vertical, angles.lateral)
+        assert pos.tobytes() == batch.position[k].tobytes()
+        assert ori.tobytes() == batch.orientation[k].tobytes()
 
 
 def test_morphology_validation():
@@ -137,35 +161,39 @@ def test_morphology_validation():
 
 
 def test_limbless_cross_section_is_circle():
-    verts = cross_section(MORPH.limbless(), 1.234)
-    radii = np.linalg.norm(verts, axis=1)
-    assert len(verts) == 64
-    assert np.allclose(radii, MORPH.body_radius, atol=1e-15)
+    r, tips = cross_section(MORPH.limbless())
+    assert r == MORPH.body_radius
+    assert tips.shape == (0, 2)
 
 
 def test_cross_section_extent():
-    verts = cross_section(MORPH, 0.0)
-    extent = verts[:, 0].max() - verts[:, 0].min()
-    assert extent == pytest.approx(
-        2 * (MORPH.body_radius + MORPH.leg_length), abs=1e-12)
+    r, tips = cross_section(MORPH)
+    tip = MORPH.body_radius + MORPH.leg_length
+    assert np.hypot(tips[:, 0], tips[:, 1]) == pytest.approx([tip, tip],
+                                                             abs=1e-15)
+    extent = max(r, tips[:, 0].max()) - min(-r, tips[:, 0].min())
+    assert extent == pytest.approx(2 * tip, abs=1e-12)
 
 
 @pytest.mark.parametrize("leg_angle", [0.0, 0.3])
 def test_cross_section_half_turn_mirrors(leg_angle):
-    """gamma=0 vs gamma=pi: same silhouette flipped across the floor."""
+    """The tips mirror under y -> -y, so a half turn (y, z) -> (-y, -z)
+    flips the outline across the floor (z -> -z)."""
     morph = replace(MORPH, leg_angle=leg_angle)
-    up = cross_section(morph, 0.0)
-    down = cross_section(morph, math.pi)
-    mirrored = {(round(x, 9), round(-y, 9)) for x, y in up}
-    actual = {(round(x, 9), round(y, 9)) for x, y in down}
-    assert mirrored == actual
+    _, tips = cross_section(morph)
+    assert tips[1].tolist() == [-tips[0, 0], tips[0, 1]]
+    assert tips[0].tolist() == pytest.approx(
+        [(morph.body_radius + morph.leg_length) * math.cos(-leg_angle),
+         (morph.body_radius + morph.leg_length) * math.sin(-leg_angle)],
+        abs=1e-15)
+    half_turn = sorted(map(tuple, (-tips).tolist()))
+    flipped = sorted(map(tuple, (tips * [1.0, -1.0]).tolist()))
+    assert half_turn == flipped
 
 
-@given(gamma=st.floats(min_value=0.0, max_value=2 * math.pi))
-def test_polygon_area_roll_invariant(gamma):
-    base = polygon_area(cross_section(MORPH, 0.0))
-    rolled = polygon_area(cross_section(MORPH, gamma))
-    assert abs(rolled - base) <= 1e-12 * base
+def test_cross_section_needs_radius():
+    with pytest.raises(GeometryError):
+        cross_section(replace(MORPH, body_radius=0.0))
 
 
 def test_wave_height_zero_without_vertical_wave():

@@ -92,11 +92,28 @@ def test_support_pieces_limbless(limbless_morph):
     assert slopes.tolist() == [[0.0, 0.0]]
 
 
+def test_landscape_slope_is_exact(default_landscape):
+    """denergy is U' of the support pieces, not a difference of samples:
+    away from the kinks it matches a fine central difference of the
+    support height."""
+    edges, _ = support_pieces(MORPH)
+    gam = default_landscape.gamma_samples
+    h = 1e-7
+    fine = (MORPH.total_mass * GRAVITY / (2.0 * h)
+            * (support_height(MORPH, gam + h) - support_height(MORPH, gam - h)))
+    kinks = np.concatenate([edges, edges + TWO_PI])
+    far = np.abs(gam[:, None] - kinks).min(axis=1) > 1e-5
+    assert far.sum() >= 1000
+    assert np.abs(default_landscape.denergy - fine)[far].max() <= 1e-6
+
+
 def test_limbless_landscape_flat(limbless_landscape):
     span = limbless_landscape.energy.max() - limbless_landscape.energy.min()
     assert span <= 1e-6 * limbless_landscape.energy.mean()
     assert limbless_landscape.barrier <= 1e-6
     assert stable_configurations(limbless_landscape) == []
+    # a flat slope is reported as 0, never -0
+    assert not np.signbit(limbless_landscape.denergy).any()
 
 
 def test_legged_landscape_bistable(default_landscape):
@@ -253,9 +270,15 @@ def test_stall_rule_in_phase_units(limbless_morph, omega):
     assert simulate_roll(gait(math.pi / 12), MORPH, cycles=0.5).stalled
 
 
-def test_stall_dominance(default_landscape):
+def test_stall_dominance():
     """Drive below the steepest landscape slope cannot complete a roll."""
-    slope_max = np.abs(default_landscape.denergy).max()
+    # U' is one sinusoid per piece; on this body each piece is steepest at
+    # an end, and the steepest of all is where a leg tip takes the weight.
+    edges, slopes = support_pieces(MORPH)
+    ends = np.stack([edges[:-1], edges[1:]])
+    slope_max = np.abs(slopes[:, 0] * np.cos(ends)
+                       + slopes[:, 1] * np.sin(ends)).max()
+    assert slope_max == pytest.approx(1.34104, abs=1e-5)
     for amplitude in (math.pi / 12, math.pi / 8):
         p = quasi_static_gait(amplitude)
         assert drive_gain(p, MORPH) < slope_max

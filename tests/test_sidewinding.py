@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from selfright import (ConfigError, ContactError, GaitParams, Morphology,
-                       contact_set, displacement_trajectory,
-                       forward_kinematics, joint_vector,
-                       lateral_displacement)
+from selfright import (ConfigError, ContactError, FramePose, GaitParams,
+                       Morphology, contact_set,
+                       displacement_trajectory, forward_kinematics,
+                       joint_vector, lateral_displacement)
+from selfright.sidewinding import _module_low_points
 
-from conftest import FROZEN
+from conftest import FROZEN, oracle_support_heights
 
 MORPH = Morphology()
 OMEGA = 1e-3
@@ -32,15 +33,20 @@ def flat_poses():
     return forward_kinematics(MORPH, angles)
 
 
+def contacts_of(poses, tol):
+    """The modules in contact, from contact_set's mask of one posture."""
+    return set(np.flatnonzero(contact_set(poses, MORPH, tol)).tolist())
+
+
 def test_contact_straight_posture_touches_everywhere():
-    contacts = contact_set(flat_poses(), MORPH, 0.002)
+    contacts = contacts_of(flat_poses(), 0.002)
     assert contacts == set(range(MORPH.num_modules))
 
 
 def test_contact_lifted_posture_is_proper_subset():
     angles = joint_vector(sidewinding_gait(), 0.0)
     poses = forward_kinematics(MORPH, angles)
-    contacts = contact_set(poses, MORPH, 0.002)
+    contacts = contacts_of(poses, 0.002)
     assert contacts
     assert len(contacts) < MORPH.num_modules
 
@@ -48,12 +54,41 @@ def test_contact_lifted_posture_is_proper_subset():
 def test_contact_infinite_tolerance_takes_all():
     angles = joint_vector(sidewinding_gait(), 0.0)
     poses = forward_kinematics(MORPH, angles)
-    assert contact_set(poses, MORPH, math.inf) == set(range(MORPH.num_modules))
+    assert contacts_of(poses, math.inf) == set(range(MORPH.num_modules))
 
 
 def test_contact_rejects_negative_tolerance():
     with pytest.raises(ContactError):
         contact_set(flat_poses(), MORPH, -0.001)
+
+
+@pytest.mark.parametrize("morph", [MORPH, MORPH.limbless(),
+                                   replace(MORPH, leg_angle=0.3)])
+def test_low_points_match_oracle(morph):
+    """Closed-form module low points against the brute-force outline.
+
+    A frame with rotation R puts the local transverse offset (y, z) at
+    R21*y + R22*z = rho*(y*sin(g) + z*cos(g)) above its origin, with
+    rho = hypot(R21, R22) and g = atan2(R21, R22): rho times the oracle's
+    support height at roll g. The oracle's disc is a 4096-gon inscribed in
+    the circle, so it can only come short, by at most
+    r*(1 - cos(pi/4096)) = 8.8e-9 m at r = 3 cm; 1e-12 m covers rounding.
+    """
+    rng = np.random.default_rng(3)
+    q, upper = np.linalg.qr(rng.normal(size=(500, 3, 3)))
+    q *= np.sign(np.diagonal(upper, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    z = rng.uniform(-0.2, 0.2, 500)
+    frames = FramePose(position=np.column_stack([np.zeros((500, 2)), z]),
+                       orientation=q)
+    depth = z - _module_low_points(frames, morph)
+    rho = np.hypot(q[:, 2, 1], q[:, 2, 2])
+    oracle = rho * oracle_support_heights(
+        morph, np.arctan2(q[:, 2, 1], q[:, 2, 2]), n_disc=4096)
+    gap = depth - oracle
+    chord = morph.body_radius * (1.0 - math.cos(math.pi / 4096))
+    assert gap.min() >= -1e-12
+    assert gap.max() <= chord + 1e-12
 
 
 def test_displacement_in_reported_band():
