@@ -19,8 +19,8 @@ from .kinematics import (FramePose, Morphology, body_wave_height,
                          wave_height_slope)
 from .rollmodel import (EnergyLandscape, PerturbationSpec, RollState,
                         RollTrajectory, TrialOutcome, classify_trial,
-                        drive_gain, energy_landscape, roll_drive,
-                        simulate_roll, stable_configurations, support_height)
+                        drive_gain, energy_landscape, simulate_roll,
+                        stable_configurations, support_height)
 from .sidewinding import (DisplacementReport, contact_set,
                           displacement_trajectory, lateral_displacement)
 from .sweep import (BehaviorDiagram, binariness, estimate_psr, run_sweep,
@@ -39,7 +39,7 @@ __all__ = [
     "contact_set", "cross_section", "displacement_trajectory", "drive_gain",
     "energy_landscape", "estimate_psr", "forward_kinematics",
     "joint_vector", "lateral_angle", "lateral_displacement", "load_config",
-    "phase_lag", "roll_drive", "run_sweep", "save_config",
+    "phase_lag", "run_sweep", "save_config",
     "simulate_roll", "stable_configurations", "support_height",
     "vertical_angle", "wave_height_slope", "write_diagram_csv",
     "write_diagram_json",

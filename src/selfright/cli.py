@@ -89,9 +89,9 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out if args.out is not None else _env("OUT") or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; the writers create it, so a command that
+    rejects its inputs leaves none behind."""
+    return Path(args.out if args.out is not None else _env("OUT") or ".")
 
 
 class _BothAmplitudes(argparse.Action):
@@ -104,6 +104,7 @@ class _BothAmplitudes(argparse.Action):
 
 def _write_csv(path: Path, cfg: RunConfig, header: tuple[str, ...],
                rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# config_sha256={config_hash(cfg)} seed={cfg.seed}",
              ",".join(header)]
     for row in rows:
@@ -112,6 +113,7 @@ def _write_csv(path: Path, cfg: RunConfig, header: tuple[str, ...],
 
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"config_sha256": config_hash(cfg), "seed": cfg.seed}
     doc.update(payload)
     with open(path, "w") as fh:
@@ -198,6 +200,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     diagram = run_sweep(cfg)
     meta = {"config_sha256": config_hash(provenance_config(cfg)),
             "seed": cfg.seed}
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "sweep.csv"
     json_path = out / "sweep.json"
     write_diagram_csv(diagram, csv_path, meta)

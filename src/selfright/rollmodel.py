@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +51,13 @@ DEFAULT_RESOLUTION = 1024
 
 @dataclass(frozen=True)
 class EnergyLandscape:
-    """Sampled potential energy over one roll revolution.
+    """Potential energy over one roll revolution.
 
     energy and denergy are sampled on gamma_samples, a uniform grid on
-    [0, 2*pi). minima holds the roll angles of the stable configurations;
-    barrier is the highest rise of U along the easier rolling path from
-    gamma = pi back to gamma = 0.
+    [0, 2*pi). minima (sorted, in [0, 2*pi)) holds the roll angles of the
+    stable configurations and barrier the highest rise of U along the
+    easier rolling path from gamma = pi back to gamma = 0; both are read
+    off the piece table, so they do not depend on the sampling.
     """
 
     gamma_samples: np.ndarray
@@ -68,55 +69,6 @@ class EnergyLandscape:
     @property
     def resolution(self) -> int:
         return len(self.gamma_samples)
-
-    @staticmethod
-    def from_energy(gamma_samples: np.ndarray, energy: np.ndarray) -> "EnergyLandscape":
-        """Build a landscape from raw samples (synthetic landscapes, tests).
-
-        denergy is the central difference of the samples.
-        """
-        gamma_samples = np.asarray(gamma_samples, dtype=float)
-        energy = np.asarray(energy, dtype=float)
-        if gamma_samples.shape != energy.shape or gamma_samples.ndim != 1:
-            raise ConfigError("gamma_samples and energy must be equal-length vectors")
-        res = len(gamma_samples)
-        denergy = (np.roll(energy, -1) - np.roll(energy, 1)) * (res / (2.0 * TWO_PI))
-        minima = _find_minima(energy)
-        barrier = _path_barrier(energy)
-        return EnergyLandscape(gamma_samples=gamma_samples, energy=energy,
-                               denergy=denergy,
-                               minima=tuple(gamma_samples[i] for i in minima),
-                               barrier=barrier)
-
-
-def _find_minima(energy: np.ndarray) -> list[int]:
-    """Indices of strict local minima, plateau-aware and circular.
-
-    Equal-valued runs count as one candidate; a run is a minimum when both
-    neighboring runs sit strictly higher, and it is reported at its middle
-    sample. Flat landscapes have no minima.
-    """
-    span = float(energy.max() - energy.min())
-    tol = 1e-9 * span
-    starts = np.flatnonzero(np.abs(energy - np.roll(energy, 1)) > tol)
-    if span <= 0.0 or not starts.size:
-        return []
-    vals = energy[starts]
-    mids = (starts + np.diff(starts, append=starts[0] + len(energy)) // 2
-            ) % len(energy)
-    low = (vals < np.roll(vals, 1) - tol) & (vals < np.roll(vals, -1) - tol)
-    return sorted(mids[low].tolist())
-
-
-def _path_barrier(energy: np.ndarray) -> float:
-    """Highest rise of U - U(pi) along the easier path from pi to 0."""
-    res = len(energy)
-    mid = res // 2
-    u_pi = energy[mid]
-    down_path = energy[:mid + 1]          # gamma decreasing pi -> 0
-    up_path = energy[mid:]                # gamma increasing pi -> 2*pi (= 0)
-    barrier = min(float(down_path.max()), float(up_path.max())) - float(u_pi)
-    return max(barrier, 0.0)
 
 
 def _support_lines(morph: Morphology) -> np.ndarray:
@@ -177,14 +129,55 @@ def support_pieces(morph: Morphology) -> tuple[np.ndarray, np.ndarray]:
     return edges, slopes
 
 
+def _wells(morph: Morphology) -> tuple[tuple[float, ...], float]:
+    """Minima and barrier of U, read off the piece table.
+
+    U is a max of sinusoids, so every kink is convex: a minimum is the
+    middle of a flat piece, a piece's interior root of U' with U'' > 0, or
+    a kink where U' turns from negative to positive. On each path from pi
+    to 0, U peaks at a kink, at a piece's interior maximum or at an end.
+    """
+    edges, slopes = support_pieces(morph)
+    if np.isinf(edges[0]):
+        return (), 0.0  # a limbless body: one flat piece
+    lo, hi = edges[:-1], edges[1:]
+    c, s = slopes.T
+    flat = (c == 0.0) & (s == 0.0)
+    # U' = c*cos(g) + s*sin(g) has its U'' > 0 root at atan2(s, c) - pi/2
+    # and its U'' < 0 root half a turn on; keep the first one above lo
+    # when it lies inside the piece.
+    bottom, top = (lo + np.mod(np.arctan2(s, c) + d - lo, TWO_PI)
+                   for d in (-math.pi / 2.0, math.pi / 2.0))
+    # U' just below and just above each kink lo.
+    left = np.roll(c * np.cos(hi) + s * np.sin(hi), 1)
+    right = c * np.cos(lo) + s * np.sin(lo)
+
+    def turn(g):
+        # Kinks are reduced mod 2*pi, so a flat piece straddling 0 can put
+        # its middle a rounding below 0. Adding a turn first folds that
+        # onto 0 (np.mod of a tiny negative would give 2*pi itself).
+        return np.mod(g + TWO_PI, TWO_PI)
+
+    minima = np.sort(turn(np.concatenate([
+        (lo + hi)[flat] / 2.0, bottom[~flat & (bottom < hi)],
+        lo[(left < 0.0) & (right > 0.0)]])))
+    peaks = np.append(turn(np.append(lo, top[~flat & (top < hi)])),
+                      [0.0, math.pi])
+    u = morph.total_mass * GRAVITY * support_height(morph, peaks)
+    down = u[peaks <= math.pi].max()
+    up = u[(peaks >= math.pi) | (peaks == 0.0)].max()
+    return tuple(minima.tolist()), float(min(down, up) - u[-1])
+
+
 def energy_landscape(morph: Morphology, resolution: int = DEFAULT_RESOLUTION) -> EnergyLandscape:
     """Potential energy of the whole body over one roll revolution.
 
     U(gamma) = M*m*g*h(gamma) with h the axis height of the resting
     silhouette; module mass is lumped on the axis (the thin legs carry no
     modeled mass), so the axis height is the center-of-mass height.
-    denergy is U' of the support piece each sample lies on (at a kink, of
-    the piece that starts there).
+    resolution only sets the samples: energy, and denergy as U' of the
+    support piece each sample lies on (at a kink, of the piece that
+    starts there). Minima and barrier come from the piece table.
     """
     if resolution < 64:
         raise ConfigError("landscape resolution must be >= 64")
@@ -194,14 +187,17 @@ def energy_landscape(morph: Morphology, resolution: int = DEFAULT_RESOLUTION) ->
     edges, slopes = support_pieces(morph)
     c, s = slopes[np.searchsorted(edges[1:], gamma, side="right")
                   % len(slopes)].T
+    minima, barrier = _wells(morph)
     # + 0.0 reports a flat piece's -0.0 products as 0.0.
-    return replace(EnergyLandscape.from_energy(gamma, energy),
-                   denergy=c * np.cos(gamma) + s * np.sin(gamma) + 0.0)
+    return EnergyLandscape(gamma_samples=gamma, energy=energy,
+                           denergy=c * np.cos(gamma) + s * np.sin(gamma) + 0.0,
+                           minima=minima, barrier=barrier)
 
 
 def stable_configurations(landscape: EnergyLandscape) -> list[float]:
-    """Roll angles of the landscape's strict local minima, sorted ascending."""
-    return sorted(float(g) for g in landscape.minima)
+    """Roll angles of the landscape's minima, sorted ascending in [0, 2*pi):
+    the middles of flat pieces, interior minima and convex valley kinks."""
+    return list(landscape.minima)
 
 
 @functools.lru_cache(maxsize=32)
@@ -231,12 +227,6 @@ def drive_gain(params: GaitParams, morph: Morphology) -> float:
     """
     return (_drive_gain_base(params, morph)
             * coherence(params.spatial_frequency, params.num_lateral_joints))
-
-
-def roll_drive(params: GaitParams, morph: Morphology, t: float, gamma: float) -> float:
-    """Drive torque at time t and roll gamma: G*sin(phi_cmd(t) - gamma)."""
-    g = drive_gain(params, morph)
-    return g * math.sin(params.temporal_frequency * t - gamma)
 
 
 @dataclass(frozen=True)

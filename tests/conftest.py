@@ -103,31 +103,6 @@ def oracle_barrier(morph, n_gamma=4096, n_disc=4096):
     return min(down, up) - energy[mid]
 
 
-def oracle_minima(energy):
-    """Strict local minima of circular samples, by a walk over runs.
-
-    A run gathers consecutive samples within 1e-9 of the span of its first
-    one; a run lower than both neighbouring runs is a minimum, reported
-    at its middle sample.
-    """
-    res, span = len(energy), float(np.ptp(energy))
-    tol = 1e-9 * span
-    start = next((i for i in range(res)
-                  if abs(energy[i - 1] - energy[i]) > tol), None)
-    if span <= 0.0 or start is None:
-        return []
-    runs = [[start]]
-    for idx in ((start + k) % res for k in range(1, res)):
-        if abs(energy[idx] - energy[runs[-1][0]]) <= tol:
-            runs[-1].append(idx)
-        else:
-            runs.append([idx])
-    vals = [energy[run[0]] for run in runs]
-    return sorted(run[len(run) // 2] for k, run in enumerate(runs)
-                  if vals[k] < vals[k - 1] - tol
-                  and vals[k] < vals[(k + 1) % len(runs)] - tol)
-
-
 def oracle_planar_chain(num_modules, link_length, theta):
     """Module origins when every lateral joint bends by theta.
 

@@ -49,3 +49,21 @@ def test_traced_run_reports_every_declared_metric(checkout, workload):
                         parse_constant=_reject_constant)
     assert result["correct"] is True, run.stdout
     assert set(result["metrics"]) == PER_LAYER
+
+
+def test_setup_path_skips_slow_imports():
+    """The bench's set-up path, timed as setup_s, loads neither numpy.ma
+    (which np.unique pulls in) nor logging: each adds to start-up."""
+    code = ("import sys\n"
+            "import selfright.cli\n"
+            "from selfright.config import RunConfig\n"
+            "from selfright.rollmodel import drive_gain, energy_landscape\n"
+            "cfg = RunConfig()\n"
+            "energy_landscape(cfg.morphology, 1024)\n"
+            "drive_gain(cfg.gait, cfg.morphology)\n"
+            "print(sorted({'numpy.ma', 'logging'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -13,6 +13,8 @@ from selfright import (ConfigError, GaitParams, Morphology, RunConfig,
 from selfright.cli import main
 from selfright.config import RollSettings, SweepSettings
 
+from conftest import GRAVITY
+
 
 def custom_config():
     return RunConfig(
@@ -120,6 +122,9 @@ def test_cli_gait_rejects_empty_cycle(tmp_path, capsys):
     assert run_cli(["gait", "--out", tmp_path, "--samples", 0]) == 1
     assert "--samples must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "gait.csv").exists()
+    # a rejected command creates no output directory
+    assert run_cli(["gait", "--out", tmp_path / "fresh", "--samples", 0]) == 1
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_cli_energy_limbless_vs_legged(tmp_path):
@@ -134,6 +139,24 @@ def test_cli_energy_limbless_vs_legged(tmp_path):
     legged = json.loads((tmp_path / "legged" / "energy.json").read_text())
     assert legged["minima_rad"] == pytest.approx([0.0, math.pi], abs=1e-9)
     assert legged["barrier_J"] > flat["barrier_J"]
+
+
+@pytest.mark.parametrize("leg_angle", [0.0, 0.3, 0.5])
+def test_cli_energy_wells_independent_of_resolution(tmp_path, leg_angle):
+    cfg = replace(RunConfig(), morphology=Morphology(leg_angle=leg_angle))
+    save_config(cfg, tmp_path / "run.json")
+    wells = set()
+    for res in (64, 256, 1024):
+        out = tmp_path / str(res)
+        assert run_cli(["energy", "--config", tmp_path / "run.json",
+                        "--out", out, "--resolution", res]) == 0
+        doc = json.loads((out / "energy.json").read_text())
+        assert doc["resolution"] == res
+        wells.add(json.dumps([doc["minima_rad"], doc["barrier_J"]]))
+    assert len(wells) == 1
+    morph = cfg.morphology
+    assert doc["barrier_J"] == pytest.approx(
+        morph.total_mass * GRAVITY * morph.leg_length, rel=1e-12)
 
 
 def test_cli_simulate_one_shot(tmp_path):

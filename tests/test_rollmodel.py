@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfright import (ConfigError, EnergyLandscape, GaitParams,
-                       IntegrationError, Morphology, PerturbationSpec,
-                       RollState, RollTrajectory, RunConfig, classify_trial,
-                       coherence, drive_gain, energy_landscape, roll_drive,
-                       run_sweep, simulate_roll, stable_configurations,
-                       support_height)
-from selfright.rollmodel import _find_minima, support_pieces
+from selfright import (ConfigError, GaitParams, IntegrationError,
+                       Morphology, PerturbationSpec, RollState,
+                       RollTrajectory, RunConfig, classify_trial, coherence,
+                       drive_gain, energy_landscape, run_sweep, simulate_roll,
+                       stable_configurations, support_height)
+from selfright.rollmodel import support_pieces
 from selfright.config import SweepSettings
 
-from conftest import (FROZEN, GRAVITY, oracle_barrier, oracle_minima,
+from conftest import (FROZEN, GRAVITY, oracle_barrier,
                       oracle_support_heights)
 
 MORPH = Morphology()
@@ -117,11 +116,11 @@ def test_limbless_landscape_flat(limbless_landscape):
 
 
 def test_legged_landscape_bistable(default_landscape):
-    step = TWO_PI / default_landscape.resolution
+    """The minima are the middles of the flat disc pieces, the one that
+    straddles 0 folded onto 0, not onto 2*pi."""
     minima = stable_configurations(default_landscape)
-    assert len(minima) == 2
-    assert abs(minima[0] - 0.0) <= step
-    assert abs(minima[1] - math.pi) <= step
+    assert minima == pytest.approx([0.0, math.pi], abs=1e-12)
+    assert all(0.0 <= g < TWO_PI for g in minima)
 
 
 def test_barrier_frozen_value(default_landscape):
@@ -162,23 +161,32 @@ def test_landscape_resolution_guard():
         energy_landscape(MORPH, 63)
 
 
-@given(levels=st.lists(st.integers(0, 4), min_size=1, max_size=40),
-       repeat=st.integers(1, 5), shift=st.integers(0, 199))
-def test_find_minima_matches_run_walk(levels, repeat, shift):
-    """Plateaus, wrap-around runs and flat inputs, against the loop."""
-    energy = np.roll(np.repeat(np.array(levels, dtype=float), repeat), shift)
-    assert _find_minima(energy) == oracle_minima(energy)
-
-
-def test_synthetic_double_well_minima():
-    n = 1024
-    gam = np.arange(n) * (TWO_PI / n)
-    land = EnergyLandscape.from_energy(gam, np.cos(2.0 * gam))
-    minima = stable_configurations(land)
+@pytest.mark.parametrize("leg_angle", [0.3, 0.5])
+@pytest.mark.parametrize("leg", [0.01, 0.05, 0.11, 0.3])
+def test_angled_wells_match_dense_samples(leg_angle, leg):
+    """Minima and barrier from the piece table against support_height at
+    2**20 angles. The wells lie between the two path maxima; each well's
+    minimum is the middle of its lowest samples, so a plateau reads its
+    middle and a kink its corner."""
+    morph = replace(MORPH, leg_angle=leg_angle, leg_length=leg)
+    n = 2 ** 20
     step = TWO_PI / n
+    u = morph.total_mass * GRAVITY * support_height(morph, np.arange(n) * step)
+    half = n // 2
+    down, up = np.argmax(u[:half + 1]), half + np.argmax(u[half:])
+    land = energy_landscape(morph, 64)
+    assert land.barrier == pytest.approx(min(u[down], u[up]) - u[half],
+                                         abs=1e-9)
+    wells = []
+    for span in (np.arange(up, n + down + 1), np.arange(down, up + 1)):
+        vals = u[span % n]
+        lowest = span[vals == vals.min()]
+        wells.append((lowest[0] + lowest[-1]) / 2.0 * step)
+    minima = stable_configurations(land)
     assert len(minima) == 2
-    assert abs(minima[0] - math.pi / 2) <= step
-    assert abs(minima[1] - 3 * math.pi / 2) <= step
+    for found, oracle in zip(minima, wells):
+        gap = math.remainder(found - oracle, TWO_PI)
+        assert abs(gap) <= 1e-5
 
 
 def test_drive_gain_zero_without_lift():
@@ -200,15 +208,6 @@ def test_drive_gain_coherence_factor():
     assert staggered == pytest.approx(full * coherence(0.6), rel=1e-12)
     cancelled = drive_gain(quasi_static_gait(xi=1.0), MORPH)
     assert cancelled <= 1e-12 * full
-
-
-def test_roll_drive_bounded_and_aligned():
-    p = quasi_static_gait()
-    gain = drive_gain(p, MORPH)
-    for t in np.linspace(0.0, p.period, 17):
-        assert roll_drive(p, MORPH, t, OMEGA * t) == 0.0
-        for gamma in np.linspace(0.0, TWO_PI, 9):
-            assert abs(roll_drive(p, MORPH, t, gamma)) <= gain + 1e-15
 
 
 def test_limbless_tracks_command(limbless_morph):
