@@ -5,12 +5,12 @@ part of the body while the lateral wave reshapes it, and the grounded
 segments act as anchors. This module samples the gait, treats the contact
 set as anchored between consecutive samples (no slip), fits the planar
 rigid motion that keeps the anchors still, and accumulates the body's net
-lateral displacement per cycle.
+lateral displacement per cycle. All steps are fitted in one batch and
+composed by cumulative sums of their angles and rotated translations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +30,15 @@ DEFAULT_SAMPLES_PER_CYCLE = 128
 
 @dataclass(frozen=True)
 class DisplacementReport:
-    """Net displacement of one sidewinding run, in body lengths per cycle."""
+    """Net displacement of one sidewinding run, in body lengths per cycle,
+    and the body's heading change per cycle in radians."""
 
     lateral_displacement: float
     contact_fraction: float
     signed_lateral: float
     axial_drift: float
     net_xy: tuple[float, float]
+    heading_per_cycle_rad: float
     cycles: int
     samples_per_cycle: int
 
@@ -77,26 +79,32 @@ def _module_low_points(frames: FramePose, morph: Morphology) -> np.ndarray:
     return lows
 
 
-def _fit_planar(moved: np.ndarray, still: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fit_planar(moved: np.ndarray, still: np.ndarray,
+                anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares planar rotation+translation mapping moved onto still.
 
-    One anchor cannot determine a rotation, so a single point fits as a
-    pure translation.
+    Fits every step of the (steps, modules, 2) stacks at once, on the
+    points its row of the (steps, modules) anchor mask selects, and returns
+    each step's theta and t with still = R(theta) @ moved + t. One anchor
+    cannot determine a rotation, so a single anchor fits with theta = 0.
     """
-    mb = moved.mean(axis=0)
-    sb = still.mean(axis=0)
-    if len(moved) == 1:
-        theta = 0.0
-    else:
-        mc = moved - mb
-        sc = still - sb
-        sxx = float((mc[:, 0] * sc[:, 0] + mc[:, 1] * sc[:, 1]).sum())
-        sxy = float((mc[:, 0] * sc[:, 1] - mc[:, 1] * sc[:, 0]).sum())
-        theta = math.atan2(sxy, sxx)
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    trans = sb - rot @ mb
-    return rot, trans
+    w = anchors.astype(float)
+    count = w.sum(axis=1)
+    mb = np.einsum("sm,smk->sk", w, moved) / count[:, None]
+    sb = np.einsum("sm,smk->sk", w, still) / count[:, None]
+    mc = moved - mb[:, None]
+    sc = still - sb[:, None]
+    sxx = (w * (mc[..., 0] * sc[..., 0] + mc[..., 1] * sc[..., 1])).sum(axis=1)
+    sxy = (w * (mc[..., 0] * sc[..., 1] - mc[..., 1] * sc[..., 0])).sum(axis=1)
+    theta = np.where(count > 1, np.arctan2(sxy, sxx), 0.0)
+    return theta, sb - _rotate(theta, mb)
+
+
+def _rotate(theta: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Rotate each row of xy (..., 2) by the matching angle of theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    x, y = xy[..., 0], xy[..., 1]
+    return np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
 
 def _trace(params: GaitParams, morph: Morphology, cycles: int,
@@ -120,23 +128,16 @@ def _trace(params: GaitParams, morph: Morphology, cycles: int,
     anchors = np.where(shared.any(axis=1, keepdims=True), shared,
                        contacts[:-1] | contacts[1:])
 
-    # Accumulated planar pose of the body frame: world = rot @ body + trans.
-    rot = np.eye(2)
-    trans = np.zeros(2)
-    com_world = [coms[0].copy()]
-    base_world = [origins[0][0].copy()]
-    axes = []
-    ax0 = origins[0][-1] - origins[0][0]
-    axes.append(ax0 / np.linalg.norm(ax0))
-    for n in range(n_samples):
-        step_rot, step_trans = _fit_planar(origins[n + 1][anchors[n]],
-                                           origins[n][anchors[n]])
-        trans = rot @ step_trans + trans
-        rot = rot @ step_rot
-        com_world.append(rot @ coms[n + 1] + trans)
-        base_world.append(rot @ origins[n + 1][0] + trans)
-        ax = origins[n + 1][-1] - origins[n + 1][0]
-        axes.append(rot @ (ax / np.linalg.norm(ax)))
+    # Step n maps sample n+1's body frame onto sample n's, so the body's
+    # world pose at sample n composes steps 0..n-1.
+    theta, step_trans = _fit_planar(origins[1:], origins[:-1], anchors)
+    heading = np.cumsum(np.concatenate([[0.0], theta]))
+    trans = np.cumsum(
+        np.vstack([np.zeros(2), _rotate(heading[:-1], step_trans)]), axis=0)
+    com_world = _rotate(heading, coms) + trans
+    base_world = _rotate(heading, origins[:, 0]) + trans
+    ax = origins[:, -1] - origins[:, 0]
+    axes = _rotate(heading, ax / np.linalg.norm(ax, axis=1, keepdims=True))
 
     mean_axis = np.mean(axes, axis=0)
     mean_axis = mean_axis / np.linalg.norm(mean_axis)
@@ -154,9 +155,10 @@ def _trace(params: GaitParams, morph: Morphology, cycles: int,
         signed_lateral=signed / scale,
         axial_drift=axial / scale,
         net_xy=(float(net[0]), float(net[1])),
+        heading_per_cycle_rad=float(heading[-1]) / cycles,
         cycles=cycles,
         samples_per_cycle=samples_per_cycle)
-    return report, np.array(base_world)
+    return report, base_world
 
 
 def lateral_displacement(params: GaitParams, morph: Morphology,

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's own geometry and
 series code: closed-form trigonometry for the wave equations, a
 Dirichlet-kernel form for phase coherence, a brute-force polygon-vertex
 sampler for support heights, a 2D polyline walk for the planar chain,
-and a per-pose loop for the module frames. Frozen constants were
+a per-pose loop for the module frames, and a per-step loop for the
+sidewinding trace. Frozen constants were
 produced by these oracles and pinned so regressions surface as value
 changes, not just property violations.
 """
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from selfright import Morphology, energy_landscape
+from selfright import (Morphology, center_of_mass, contact_set,
+                       energy_landscape, forward_kinematics, joint_vector)
 
 GRAVITY = 9.80665
 
@@ -142,6 +144,65 @@ def oracle_chain_frames(morph, vertical, lateral):
         positions.append(pos)
         orientations.append(ori)
     return np.array(positions), np.array(orientations)
+
+
+def oracle_trace(params, morph, cycles, samples_per_cycle, contact_tol):
+    """The sidewinding trace, one step fit and one 2x2 pose product at a time.
+
+    The reference for the batched trace: it shares the package's frames
+    and contact masks, fits each step's anchors on their own and chains
+    the rotation matrices. Returns the report's fields as a dict and the
+    world path of the body-frame origin.
+    """
+    n_samples = cycles * samples_per_cycle
+    times = (2.0 * math.pi / params.temporal_frequency
+             * np.arange(n_samples + 1) / samples_per_cycle)
+    frames = forward_kinematics(morph, joint_vector(params, times))
+    origins = frames.position[..., :2]
+    coms = center_of_mass(frames, morph)[:, :2]
+    contacts = contact_set(frames, morph, contact_tol)
+    rot, trans, heading = np.eye(2), np.zeros(2), 0.0
+    com_world, base_world, axes = [coms[0]], [origins[0][0]], []
+    ax0 = origins[0][-1] - origins[0][0]
+    axes.append(ax0 / np.linalg.norm(ax0))
+    for n in range(n_samples):
+        anchors = contacts[n] & contacts[n + 1]
+        if not anchors.any():
+            anchors = contacts[n] | contacts[n + 1]
+        moved, still = origins[n + 1][anchors], origins[n][anchors]
+        mb, sb = moved.mean(axis=0), still.mean(axis=0)
+        theta = 0.0
+        if len(moved) > 1:
+            mc, sc = moved - mb, still - sb
+            theta = math.atan2(
+                float((mc[:, 0] * sc[:, 1] - mc[:, 1] * sc[:, 0]).sum()),
+                float((mc[:, 0] * sc[:, 0] + mc[:, 1] * sc[:, 1]).sum()))
+        c, s = math.cos(theta), math.sin(theta)
+        step_rot = np.array([[c, -s], [s, c]])
+        trans = rot @ (sb - step_rot @ mb) + trans
+        rot = rot @ step_rot
+        heading += theta
+        com_world.append(rot @ coms[n + 1] + trans)
+        base_world.append(rot @ origins[n + 1][0] + trans)
+        ax = origins[n + 1][-1] - origins[n + 1][0]
+        axes.append(rot @ (ax / np.linalg.norm(ax)))
+    mean_axis = np.mean(axes, axis=0)
+    mean_axis = mean_axis / np.linalg.norm(mean_axis)
+    net = com_world[-1] - com_world[0]
+    axial = float(net @ mean_axis)
+    scale = morph.body_length * cycles
+    fields = {
+        "lateral_displacement":
+            float(np.linalg.norm(net - axial * mean_axis)) / scale,
+        "contact_fraction":
+            float(np.mean(contacts.sum(axis=1))) / morph.num_modules,
+        "signed_lateral":
+            float(mean_axis[0] * net[1] - mean_axis[1] * net[0]) / scale,
+        "axial_drift": axial / scale,
+        "net_xy": (float(net[0]), float(net[1])),
+        "heading_per_cycle_rad": heading / cycles,
+    }
+    return fields, np.array(base_world)
 
 
 @pytest.fixture(scope="session")

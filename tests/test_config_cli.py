@@ -284,6 +284,7 @@ def test_cli_sidewind_matches_library(tmp_path):
         GaitParams(temporal_frequency=1e-3, spatial_frequency=0.6),
         Morphology())
     assert doc["lateral_displacement"] == expect.lateral_displacement
+    assert doc["heading_per_cycle_rad"] == expect.heading_per_cycle_rad
     assert (tmp_path / "sidewind.csv").exists()
 
 

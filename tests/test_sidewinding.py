@@ -10,9 +10,10 @@ from selfright import (ConfigError, ContactError, FramePose, GaitParams,
                        Morphology, contact_set,
                        displacement_trajectory, forward_kinematics,
                        joint_vector, lateral_displacement)
+from selfright import sidewinding
 from selfright.sidewinding import _module_low_points
 
-from conftest import FROZEN, oracle_support_heights
+from conftest import FROZEN, oracle_support_heights, oracle_trace
 
 MORPH = Morphology()
 OMEGA = 1e-3
@@ -171,3 +172,82 @@ def test_cycles_repeat_the_same_hop():
     marks = path[::128]
     hops = np.linalg.norm(np.diff(marks, axis=0), axis=1)
     assert hops.max() - hops.min() <= 1e-9 * hops.mean()
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.6, 1.2])
+@pytest.mark.parametrize("morph", [MORPH, MORPH.limbless(),
+                                   replace(MORPH, leg_angle=0.3)])
+def test_batched_trace_matches_oracle(morph, xi):
+    """The batched fit and cumulative-sum composition against the per-step
+    loop. Sums run in another order, so the bounds are absolute: the
+    reciprocal wave's report fields are near 0, where a relative bound
+    means nothing."""
+    for phase in (0.0, math.pi / 2):
+        for tol in (0.01, 0.0, 0.002, 0.03):
+            gait = sidewinding_gait(xi=xi, lateral_phase=phase)
+            report, path = displacement_trajectory(
+                gait, morph, cycles=4, samples_per_cycle=128, contact_tol=tol)
+            fields, oracle_path = oracle_trace(gait, morph, 4, 128, tol)
+            case = f"lateral_phase={phase} contact_tol={tol}"
+            assert np.abs(path - oracle_path).max() <= 1e-12, case
+            for name, want in fields.items():
+                got = getattr(report, name)
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12), (
+                    f"{case} {name}: {got} vs {want}")
+
+
+def test_fit_planar_recovers_rigid_motion():
+    """Points moved by a known rotation and translation fit back to it; a
+    step with one anchor fits as a pure translation with theta exactly 0."""
+    rng = np.random.default_rng(7)
+    steps, modules = 200, 9
+    moved = rng.normal(size=(steps, modules, 2))
+    theta = rng.uniform(-3.0, 3.0, steps)
+    trans = rng.normal(size=(steps, 2))
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    still = np.stack([c * moved[..., 0] - s * moved[..., 1],
+                      s * moved[..., 0] + c * moved[..., 1]], axis=-1)
+    still += trans[:, None]
+    anchors = rng.random((steps, modules)) < 0.5
+    anchors[:, :2] = True
+    fit_theta, fit_trans = sidewinding._fit_planar(moved, still, anchors)
+    assert np.abs(fit_theta - theta).max() <= 1e-12
+    assert np.abs(fit_trans - trans).max() <= 1e-12
+
+    single = np.zeros((steps, modules), dtype=bool)
+    single[np.arange(steps), rng.integers(0, modules, steps)] = True
+    fit_theta, fit_trans = sidewinding._fit_planar(moved, still, single)
+    assert np.all(fit_theta == 0.0)
+    expect = (still - moved)[single]
+    assert np.abs(fit_trans - expect).max() <= 1e-12
+
+
+def test_trace_fits_every_step_in_one_call(monkeypatch):
+    """One trace makes one _fit_planar call, so a timer wrapped around that
+    module attribute times the whole fit."""
+    calls = []
+    fit = sidewinding._fit_planar
+
+    def counting(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(sidewinding, "_fit_planar", counting)
+    _, path = displacement_trajectory(sidewinding_gait(), MORPH, cycles=2,
+                                      samples_per_cycle=64)
+    assert len(calls) == 1
+    assert calls[0][2].shape == (len(path) - 1, MORPH.num_modules)
+
+
+@pytest.mark.parametrize("xi, degrees", [(0.0, -116.05), (0.6, -118.78),
+                                         (1.2, -39.69)])
+def test_heading_per_cycle_independent_of_cycles(xi, degrees):
+    """Every cycle repeats the same shapes, so it turns the body by the same
+    angle. The value still changes with samples_per_cycle (the per-cycle
+    heading does not converge in samples under the thresholded contacts)."""
+    one = lateral_displacement(sidewinding_gait(xi=xi), MORPH, cycles=1)
+    four = lateral_displacement(sidewinding_gait(xi=xi), MORPH, cycles=4)
+    assert four.heading_per_cycle_rad == pytest.approx(
+        one.heading_per_cycle_rad, abs=1e-9)
+    assert math.degrees(one.heading_per_cycle_rad) == pytest.approx(
+        degrees, abs=0.005)
