@@ -295,18 +295,19 @@ class TrialOutcome:
     stalled: bool
 
 
-def _rates(g, phi, gain, bias, slopes):
-    """Specific roll rate r = bias + G*sin(phi - g) - U'(g), and -dr/dg."""
-    c, s = slopes.T
+def _rates(g, phi, gain, bias, c, s):
+    """Specific roll rate r = bias + G*sin(phi - g) - U'(g), and -dr/dg,
+    with U'(g) = c*cos(g) + s*sin(g) on each lane's piece."""
     sin_g, cos_g, lag = np.sin(g), np.cos(g), phi - g
     return (bias + gain * np.sin(lag) - c * cos_g - s * sin_g,
             gain * np.cos(lag) - c * sin_g + s * cos_g)
 
 
-def _march_interval(gam: np.ndarray, lanes: np.ndarray, phi1: np.ndarray,
-                    gains: np.ndarray, bias: np.ndarray, pieces, mu: float,
-                    dt_len: float) -> dict[int, str]:
-    """Advance the lanes listed in `lanes` through one output interval.
+def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
+                    phi1: np.ndarray, gains: np.ndarray, bias: np.ndarray,
+                    tables, mu: float, dt_len: float
+                    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Advance every lane through one output interval.
 
     With phi1 and the coupling torque b = bias fixed, a lane on one piece
     obeys Adler's equation dg/dt = mu*r, r = b + G*sin(phi1 - g) - U'(g).
@@ -316,67 +317,82 @@ def _march_interval(gam: np.ndarray, lanes: np.ndarray, phi1: np.ndarray,
     with k = sqrt(-k**2) when drifting, and (1, tau) at k = 0. A lane stops
     where this flow passes phi1 (never passed upward) or a kink; U' jumps
     up across a kink, so the lane goes on along the next piece if its rate
-    keeps its sign there, and rests otherwise. gam is updated in place.
-    Returns the failed lanes (a whole turn rolled, or non-finite).
+    keeps its sign there, and rests otherwise.
+
+    tables is (edges, c, s) of the piece table. piece and turn hold each
+    lane's piece index and whole turns; they are updated in place for the
+    lanes that go on to another piece; gam itself is left unchanged. A
+    lane that starts NaN (a failed chain) marches as NaN. Returns the lane
+    states at the interval's end and the indices of the lanes that failed
+    in it (a whole turn rolled, or turned non-finite from a finite start).
     """
-    edges, slopes = pieces
-    n = len(slopes)
-    failures: dict[int, str] = {}
-    g, phi, gain, b = (v[lanes] for v in (gam, phi1, gains, bias))
-    turn, angle = np.divmod(g, TWO_PI)
-    j = np.searchsorted(edges[1:], angle, side="right")
-    turn, j = turn + j // n, j % n
-    start, tau = g, np.full(len(lanes), 0.5 * mu * dt_len)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while lanes.size:
-            r, slope = _rates(g, phi, gain, b, slopes[j])
-            up, moving = r > 0, r != 0
-            edge = np.where(up, edges[j + 1], edges[j]) + TWO_PI * turn
-            capped = up & (phi < edge)
-            end = np.where(capped, np.maximum(g, phi), edge)
-            k2 = slope * slope + r * (r - 2.0 * b)
-            drift = k2 < 0
-            k = np.sqrt(np.abs(k2))
-            kt = k * tau
-            sf, cf, whole = np.tanh(kt), 1.0, False
-            if drift.any():
-                sf = np.where(drift, np.sin(kt), sf)
-                cf = np.where(drift, np.cos(kt), 1.0)
-                # A drifting lane with k*tau >= pi has turned a whole turn.
-                whole = drift & (kt >= math.pi)
-            sf = np.where(k2 == 0, tau, sf / k)
-            turned = 2.0 * np.arctan2(sf * r, cf + sf * slope)
-            hit = ((turned - (end - g)) * r > 0) | whole
-            g_end = np.where(hit, end, np.where(moving, g + turned, g))
-            bad = ~(np.abs(g_end - start) <= TWO_PI)
-            gam[lanes] = g_end
-            for lane, x in zip(lanes[bad].tolist(), g_end[bad].tolist()):
-                failures[lane] = ("non-finite roll state" if math.isnan(x)
-                                  else "rolled more than a whole turn")
-            nxt = np.flatnonzero(hit & ~capped & ~bad)
-            if not nxt.size:
-                break
-            j_next = j[nxt] + np.where(up[nxt], 1, -1)
-            r_next, _ = _rates(end[nxt], phi[nxt], gain[nxt], b[nxt],
-                               slopes[j_next % n])
-            keep = r_next * r[nxt] > 0
-            nxt, j_next = nxt[keep], j_next[keep]
-            # Time to the kink: the flow relation solved for tau (none for
-            # a lane that rounding left at or past the kink).
-            dist = end[nxt] - g[nxt]
-            dist = np.where((dist > 0) == up[nxt], dist, 0.0)
-            half, kn = np.sin(dist / 2.0), k[nxt]
-            p = r[nxt] * np.cos(dist / 2.0) - slope[nxt] * half
-            t_hit = np.where(
-                k2[nxt] == 0, half / p,
-                np.where(drift[nxt],
-                         np.mod(np.arctan2(kn * half, p), math.pi),
-                         np.arctanh(kn * half / p)) / kn)
-            tau = tau[nxt] - np.fmax(np.fmin(t_hit, tau[nxt]), 0.0)
-            lanes, g, phi, gain, b, start = (
-                v[nxt] for v in (lanes, g_end, phi, gain, b, start))
-            turn, j = turn[nxt] + j_next // n, j_next % n
-    return failures
+    edges, cs, ss = tables
+    n = len(cs)
+    g = start = gam
+    phi, gain, b, j, t = phi1, gains, bias, piece, turn
+    tau = np.full(len(gam), 0.5 * mu * dt_len)
+    r, slope = _rates(g, phi, gain, b, cs[j], ss[j])
+    lanes, failed = None, []
+    while True:
+        up = r > 0
+        edge = edges[j + up] + TWO_PI * t
+        capped = up & (phi < edge)
+        end = np.where(capped, np.maximum(g, phi), edge)
+        k2 = slope * slope + r * (r - 2.0 * b)
+        drift = k2 < 0
+        k = np.sqrt(np.abs(k2))
+        kt = k * tau
+        sf, cf, whole = np.tanh(kt), 1.0, False
+        if drift.any():
+            sf = np.where(drift, np.sin(kt), sf)
+            cf = np.where(drift, np.cos(kt), 1.0)
+            # A drifting lane with k*tau >= pi has turned a whole turn.
+            whole = drift & (kt >= math.pi)
+        sf = np.where(k2 == 0, tau, sf / k)
+        turned = 2.0 * np.arctan2(sf * r, cf + sf * slope)
+        hit = ((turned - (end - g)) * r > 0) | whole
+        g_end = np.where(hit, end, np.where(r != 0, g + turned, g))
+        if lanes is None:
+            out = g_end
+        else:
+            out[lanes] = g_end
+        bad = ~(np.abs(g_end - start) <= TWO_PI)
+        if bad.any():
+            bad &= ~np.isnan(start)
+            if bad.any():
+                failed.append(np.flatnonzero(bad) if lanes is None
+                              else lanes[bad])
+        go = np.flatnonzero(hit & ~capped & ~bad)
+        if not go.size:
+            return out, failed
+        j_next = j[go] + np.where(up[go], 1, -1)
+        on = j_next % n
+        r_next, slope_next = _rates(end[go], phi[go], gain[go], b[go],
+                                    cs[on], ss[on])
+        keep = r_next * r[go] > 0
+        if not keep.all():
+            go, j_next, on, r_next, slope_next = (
+                v[keep] for v in (go, j_next, on, r_next, slope_next))
+            if not go.size:
+                return out, failed
+        # Time to the kink: the flow relation solved for tau (none for
+        # a lane that rounding left at or past the kink).
+        dist = end[go] - g[go]
+        dist = np.where((dist > 0) == up[go], dist, 0.0)
+        half, kn = np.sin(dist / 2.0), k[go]
+        p = r[go] * np.cos(dist / 2.0) - slope[go] * half
+        t_hit = np.where(
+            k2[go] == 0, half / p,
+            np.where(drift[go],
+                     np.mod(np.arctan2(kn * half, p), math.pi),
+                     np.arctanh(kn * half / p)) / kn)
+        tau = tau[go] - np.fmax(np.fmin(t_hit, tau[go]), 0.0)
+        lanes = go if lanes is None else lanes[go]
+        g, phi, gain, b, start = (
+            v[go] for v in (end, phi, gain, b, start))
+        r, slope = r_next, slope_next
+        j, t = on, t[go] + j_next // n
+        piece[lanes], turn[lanes] = j, t
 
 
 def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
@@ -397,55 +413,71 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     each interval (operator splitting), which keeps identical-state
     chains exactly equal to the lumped trajectory.
 
-    A lane's result depends on its own chain only. A lane that rolls more
-    than a whole turn in one interval, or turns non-finite, fails its
-    whole chain: the chain stops marching and reads NaN from then on. A
-    lane that moves less than a tenth of a command step, omega*dt, in
-    each of a quarter cycle's consecutive intervals is stalled.
+    Each lane's piece and whole turns are located once, from gamma0, and
+    then carried from interval to interval. A lane's result depends on
+    its own chain only. A lane that rolls more than a whole turn in one
+    interval, or turns non-finite, fails its whole chain: the chain reads
+    NaN from then on and marches as NaN. A lane that moves less than a
+    tenth of a command step, omega*dt, in each of a quarter cycle's
+    consecutive intervals is stalled.
 
     Returns (records, stalled, failures): records holds lane states at
     every interval boundary when record_full, else only at whole-cycle
     boundaries; failures maps each failed chain's index to the error of
     its first failed lane.
     """
+    edges, slopes = pieces
+    tables = (edges, *np.ascontiguousarray(slopes.T))
     lanes = len(gamma0)
     gam = np.asarray(gamma0, dtype=float).copy()
     quiet = np.zeros(lanes, dtype=int)
     quiet_needed = max(1, steps_per_cycle // 4)
     stalled = np.zeros(lanes, dtype=bool)
-    live = np.arange(lanes)
-    dead = np.zeros(lanes // chain, dtype=bool)
-    failures: dict[int, str] = {}
 
     stride = 1 if record_full else steps_per_cycle
     records = np.empty((n_intervals // stride + 1, lanes))
     records[0] = gam
 
+    turn, angle = np.divmod(gam, TWO_PI)
+    piece = np.searchsorted(edges[1:], angle, side="right")
+    turn, piece = turn + piece // len(slopes), piece % len(slopes)
+    # A chain that starts NaN fails before it marches.
+    failures = {lane // chain: "non-finite roll state in output interval 0"
+                for lane in np.flatnonzero(np.isnan(gam)).tolist()}
+    gam.reshape(-1, chain)[list(failures)] = np.nan
+
     gamma_ref = gam.copy()
     bias = np.zeros(lanes)
-    for n in range(n_intervals):
-        phi1 = gamma_ref + omega * (n + 1) * dt - phase_offsets
-        if kappa > 0.0 and chain > 1:
-            twist = np.diff(gam.reshape(-1, chain), axis=1)
-            lap = np.diff(np.pad(twist, ((0, 0), (1, 1))), axis=1)
-            bias = (kappa * chain) * lap.ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for n in range(n_intervals):
+            phi1 = gamma_ref + omega * (n + 1) * dt - phase_offsets
+            if kappa > 0.0 and chain > 1:
+                by_chain = gam.reshape(-1, chain)
+                twist = by_chain[:, 1:] - by_chain[:, :-1]
+                lap = np.empty_like(by_chain)
+                lap[:, 0] = twist[:, 0]
+                lap[:, 1:-1] = twist[:, 1:] - twist[:, :-1]
+                lap[:, -1] = 0.0 - twist[:, -1]
+                bias = (kappa * chain) * lap.ravel()
 
-        before = gam.copy()
-        failed = _march_interval(gam, live, phi1, gains, bias, pieces, mu, dt)
-        if failed:
-            for lane, reason in sorted(failed.items()):
-                failures.setdefault(lane // chain,
-                                    f"{reason} in output interval {n}")
-            dead[list(failures)] = True
-            gam[np.repeat(dead, chain)] = np.nan
-            live = np.flatnonzero(~np.repeat(dead, chain))
+            before = gam
+            gam, failed = _march_interval(gam, piece, turn, phi1, gains, bias,
+                                          tables, mu, dt)
+            if failed:
+                for lane in sorted(np.concatenate(failed).tolist()):
+                    failures.setdefault(
+                        lane // chain,
+                        ("non-finite roll state" if math.isnan(gam[lane])
+                         else "rolled more than a whole turn")
+                        + f" in output interval {n}")
+                gam.reshape(-1, chain)[list(failures)] = np.nan
 
-        quiet = np.where(np.abs(gam - before) < STALL_STEP * omega * dt,
-                         quiet + 1, 0)
-        stalled |= quiet >= quiet_needed
+            quiet = np.where(np.abs(gam - before) < STALL_STEP * omega * dt,
+                             quiet + 1, 0)
+            stalled |= quiet >= quiet_needed
 
-        if (n + 1) % stride == 0:
-            records[(n + 1) // stride] = gam
+            if (n + 1) % stride == 0:
+                records[(n + 1) // stride] = gam
     return records, stalled, failures
 
 

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the package's own geometry and
 series code: closed-form trigonometry for the wave equations, a
 Dirichlet-kernel form for phase coherence, a brute-force polygon-vertex
 sampler for support heights, a 2D polyline walk for the planar chain,
-a per-pose loop for the module frames, and a per-step loop for the
-sidewinding trace. Frozen constants were
+a per-pose loop for the module frames, a per-step loop for the
+sidewinding trace, and a roll marcher that relocates every lane's piece
+in each output interval and compacts its working set. Frozen constants were
 produced by these oracles and pinned so regressions surface as value
 changes, not just property violations.
 """
@@ -18,6 +19,8 @@ from hypothesis import HealthCheck, settings
 
 from selfright import (Morphology, center_of_mass, contact_set,
                        energy_landscape, forward_kinematics, joint_vector)
+from selfright.gait import TWO_PI
+from selfright.rollmodel import STALL_STEP, STEPS_PER_CYCLE
 
 GRAVITY = 9.80665
 
@@ -203,6 +206,163 @@ def oracle_trace(params, morph, cycles, samples_per_cycle, contact_tol):
         "heading_per_cycle_rad": heading / cycles,
     }
     return fields, np.array(base_world)
+
+
+def oracle_rates(g, phi, gain, bias, slopes):
+    """Specific roll rate r = bias + G*sin(phi - g) - U'(g), and -dr/dg."""
+    c, s = slopes.T
+    sin_g, cos_g, lag = np.sin(g), np.cos(g), phi - g
+    return (bias + gain * np.sin(lag) - c * cos_g - s * sin_g,
+            gain * np.cos(lag) - c * sin_g + s * cos_g)
+
+
+def oracle_march(gam: np.ndarray, lanes: np.ndarray, phi1: np.ndarray,
+                 gains: np.ndarray, bias: np.ndarray, pieces, mu: float,
+                 dt_len: float) -> dict[int, str]:
+    """Advance the lanes listed in `lanes` through one output interval,
+    locating each lane's piece afresh and compacting the working set to
+    the lanes still moving after every kink.
+
+    With phi1 and the coupling torque b = bias fixed, a lane on one piece
+    obeys Adler's equation dg/dt = mu*r, r = b + G*sin(phi1 - g) - U'(g).
+    With r' = -dr/dg and k**2 = r'**2 + r*(r - 2*b), constant on the
+    piece, it turns in a time 2*tau/mu by 2*atan2(sf*r, cf + sf*r'):
+    (cf, sf) is (1, tanh(k*tau)/k) when locked, (cos(k*tau), sin(k*tau)/k)
+    with k = sqrt(-k**2) when drifting, and (1, tau) at k = 0. A lane stops
+    where this flow passes phi1 (never passed upward) or a kink; U' jumps
+    up across a kink, so the lane goes on along the next piece if its rate
+    keeps its sign there, and rests otherwise. gam is updated in place.
+    Returns the failed lanes (a whole turn rolled, or non-finite).
+    """
+    edges, slopes = pieces
+    n = len(slopes)
+    failures: dict[int, str] = {}
+    g, phi, gain, b = (v[lanes] for v in (gam, phi1, gains, bias))
+    turn, angle = np.divmod(g, TWO_PI)
+    j = np.searchsorted(edges[1:], angle, side="right")
+    turn, j = turn + j // n, j % n
+    start, tau = g, np.full(len(lanes), 0.5 * mu * dt_len)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while lanes.size:
+            r, slope = oracle_rates(g, phi, gain, b, slopes[j])
+            up, moving = r > 0, r != 0
+            edge = np.where(up, edges[j + 1], edges[j]) + TWO_PI * turn
+            capped = up & (phi < edge)
+            end = np.where(capped, np.maximum(g, phi), edge)
+            k2 = slope * slope + r * (r - 2.0 * b)
+            drift = k2 < 0
+            k = np.sqrt(np.abs(k2))
+            kt = k * tau
+            sf, cf, whole = np.tanh(kt), 1.0, False
+            if drift.any():
+                sf = np.where(drift, np.sin(kt), sf)
+                cf = np.where(drift, np.cos(kt), 1.0)
+                # A drifting lane with k*tau >= pi has turned a whole turn.
+                whole = drift & (kt >= math.pi)
+            sf = np.where(k2 == 0, tau, sf / k)
+            turned = 2.0 * np.arctan2(sf * r, cf + sf * slope)
+            hit = ((turned - (end - g)) * r > 0) | whole
+            g_end = np.where(hit, end, np.where(moving, g + turned, g))
+            bad = ~(np.abs(g_end - start) <= TWO_PI)
+            gam[lanes] = g_end
+            for lane, x in zip(lanes[bad].tolist(), g_end[bad].tolist()):
+                failures[lane] = ("non-finite roll state" if math.isnan(x)
+                                  else "rolled more than a whole turn")
+            nxt = np.flatnonzero(hit & ~capped & ~bad)
+            if not nxt.size:
+                break
+            j_next = j[nxt] + np.where(up[nxt], 1, -1)
+            r_next, _ = oracle_rates(end[nxt], phi[nxt], gain[nxt], b[nxt],
+                               slopes[j_next % n])
+            keep = r_next * r[nxt] > 0
+            nxt, j_next = nxt[keep], j_next[keep]
+            # Time to the kink: the flow relation solved for tau (none for
+            # a lane that rounding left at or past the kink).
+            dist = end[nxt] - g[nxt]
+            dist = np.where((dist > 0) == up[nxt], dist, 0.0)
+            half, kn = np.sin(dist / 2.0), k[nxt]
+            p = r[nxt] * np.cos(dist / 2.0) - slope[nxt] * half
+            t_hit = np.where(
+                k2[nxt] == 0, half / p,
+                np.where(drift[nxt],
+                         np.mod(np.arctan2(kn * half, p), math.pi),
+                         np.arctanh(kn * half / p)) / kn)
+            tau = tau[nxt] - np.fmax(np.fmin(t_hit, tau[nxt]), 0.0)
+            lanes, g, phi, gain, b, start = (
+                v[nxt] for v in (lanes, g_end, phi, gain, b, start))
+            turn, j = turn[nxt] + j_next // n, j_next % n
+    return failures
+
+
+def oracle_integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
+                     omega: float, dt: float, n_intervals: int, mu: float,
+                     phase_offsets: np.ndarray,
+                     kappa: float = 0.0,
+                     chain: int = 1,
+                     steps_per_cycle: int = STEPS_PER_CYCLE,
+                     record_full: bool = True):
+    """March all lanes through n_intervals output intervals, one
+    oracle_march per interval over the lanes of chains still live.
+
+    pieces is the landscape's piece table (support_pieces). Lanes come in
+    consecutive chains of `chain` lanes, one chain per trial. Command
+    phase per lane: gamma0 + omega*t - phase_offset, referenced to each
+    lane's initial roll. With chain > 1 and kappa > 0 each chain is
+    torsionally coupled: the spring acts per module pair, so its specific
+    effect on a lane is kappa*chain. The coupling bias is frozen over
+    each interval (operator splitting), which keeps identical-state
+    chains exactly equal to the lumped trajectory.
+
+    A lane's result depends on its own chain only. A lane that rolls more
+    than a whole turn in one interval, or turns non-finite, fails its
+    whole chain: the chain stops marching and reads NaN from then on. A
+    lane that moves less than a tenth of a command step, omega*dt, in
+    each of a quarter cycle's consecutive intervals is stalled.
+
+    Returns (records, stalled, failures): records holds lane states at
+    every interval boundary when record_full, else only at whole-cycle
+    boundaries; failures maps each failed chain's index to the error of
+    its first failed lane.
+    """
+    lanes = len(gamma0)
+    gam = np.asarray(gamma0, dtype=float).copy()
+    quiet = np.zeros(lanes, dtype=int)
+    quiet_needed = max(1, steps_per_cycle // 4)
+    stalled = np.zeros(lanes, dtype=bool)
+    live = np.arange(lanes)
+    dead = np.zeros(lanes // chain, dtype=bool)
+    failures: dict[int, str] = {}
+
+    stride = 1 if record_full else steps_per_cycle
+    records = np.empty((n_intervals // stride + 1, lanes))
+    records[0] = gam
+
+    gamma_ref = gam.copy()
+    bias = np.zeros(lanes)
+    for n in range(n_intervals):
+        phi1 = gamma_ref + omega * (n + 1) * dt - phase_offsets
+        if kappa > 0.0 and chain > 1:
+            twist = np.diff(gam.reshape(-1, chain), axis=1)
+            lap = np.diff(np.pad(twist, ((0, 0), (1, 1))), axis=1)
+            bias = (kappa * chain) * lap.ravel()
+
+        before = gam.copy()
+        failed = oracle_march(gam, live, phi1, gains, bias, pieces, mu, dt)
+        if failed:
+            for lane, reason in sorted(failed.items()):
+                failures.setdefault(lane // chain,
+                                    f"{reason} in output interval {n}")
+            dead[list(failures)] = True
+            gam[np.repeat(dead, chain)] = np.nan
+            live = np.flatnonzero(~np.repeat(dead, chain))
+
+        quiet = np.where(np.abs(gam - before) < STALL_STEP * omega * dt,
+                         quiet + 1, 0)
+        stalled |= quiet >= quiet_needed
+
+        if (n + 1) % stride == 0:
+            records[(n + 1) // stride] = gam
+    return records, stalled, failures
 
 
 @pytest.fixture(scope="session")

@@ -12,10 +12,12 @@ from selfright import (ConfigError, GaitParams, IntegrationError,
                        RollTrajectory, RunConfig, classify_trial, coherence,
                        drive_gain, energy_landscape, run_sweep, simulate_roll,
                        stable_configurations, support_height)
-from selfright.rollmodel import support_pieces
+from selfright import rollmodel
+from selfright.rollmodel import (KAPPA_DEFAULT, _integrate, _trial_lanes,
+                                 support_pieces)
 from selfright.config import SweepSettings
 
-from conftest import (FROZEN, GRAVITY, oracle_barrier,
+from conftest import (FROZEN, GRAVITY, oracle_barrier, oracle_integrate,
                       oracle_support_heights)
 
 MORPH = Morphology()
@@ -410,6 +412,97 @@ def test_trajectory_initial_state():
     start = RollState(gamma=1.25)
     traj = simulate_roll(quasi_static_gait(), MORPH, cycles=1.0, init=start)
     assert traj.gammas[0] == 1.25
+
+
+def lane_batch(morph, mode, grid, seed=0):
+    """Lanes of two jittered, gain-perturbed trials per (amplitude, xi)."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for amplitude, xi in grid:
+        *lanes, chain = _trial_lanes(
+            quasi_static_gait(amplitude, xi), morph, mode,
+            math.pi + rng.uniform(-0.2, 0.2, 2),
+            1.0 + rng.uniform(-0.1, 0.1, 2))
+        cells.append(lanes)
+    gamma0, gains, offsets = map(np.concatenate, zip(*cells))
+    return gamma0, gains, offsets, chain
+
+
+ORACLE_GRID = [(amplitude, xi)
+               for amplitude in (math.pi / 8, math.pi / 6, math.pi / 4,
+                                 math.pi / 3)
+               for xi in (0.0, 0.6)]
+
+
+def integrate_against_oracle(morph, mode, grid, mu, kappa, nan_lane=None):
+    """Run _integrate and the relocating oracle on one lane batch over two
+    cycles; require bitwise-equal records, stalled flags and failures."""
+    gamma0, gains, offsets, chain = lane_batch(morph, mode, grid)
+    if nan_lane is not None:
+        gamma0[nan_lane] = np.nan
+    args = (support_pieces(morph), gains, gamma0, OMEGA, TWO_PI / OMEGA / 256,
+            512, mu)
+    kw = dict(phase_offsets=offsets, kappa=kappa, chain=chain,
+              steps_per_cycle=256)
+    records, stalled, failures = _integrate(*args, **kw)
+    want_records, want_stalled, want_failures = oracle_integrate(*args, **kw)
+    assert np.array_equal(records, want_records, equal_nan=True)
+    assert np.array_equal(stalled, want_stalled)
+    assert failures == want_failures
+    return records, failures, chain
+
+
+@pytest.mark.parametrize("mu", [5.0, 0.05])
+@pytest.mark.parametrize("mode", ["lumped", "segmented"])
+@pytest.mark.parametrize("morph", [MORPH, MORPH.limbless()],
+                         ids=["legged", "limbless"])
+def test_integrate_matches_relocating_oracle(morph, mode, mu):
+    """Carried pieces give the relocating marcher's results bitwise.
+
+    At mu = 0.05 lanes spend only part of an interval reaching a kink, so
+    the time left after it (tau) must come from the lane's state before
+    the interval; at mu = 5 tanh(k*tau) rounds to 1 and would hide it.
+    """
+    integrate_against_oracle(morph, mode, ORACLE_GRID, mu, KAPPA_DEFAULT)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.0])
+def test_failing_chains_match_relocating_oracle(kappa):
+    """A chain that starts NaN fails in the first interval, and at
+    kappa = 0.5 a staggered chain fails mid-run; both then read NaN while
+    their batch mates march on exactly as in the relocating marcher."""
+    records, failures, chain = integrate_against_oracle(
+        MORPH, "segmented", [(math.pi / 4, 0.0), (math.pi / 4, 0.6)], 5.0,
+        kappa, nan_lane=-3)
+    assert failures[3] == "non-finite roll state in output interval 0"
+    assert np.isnan(records[1:, -chain:]).all()
+    assert np.isfinite(records[:, :chain]).all()
+    if kappa:
+        assert "whole turn" in failures[2]
+        assert "interval 0" not in failures[2]
+
+
+def test_rates_evaluated_once_per_interval_on_one_piece(monkeypatch,
+                                                         limbless_morph):
+    """A flat body's lanes never reach a kink, so each output interval
+    evaluates the rate once; on a legged sweep no evaluation is empty."""
+    sizes = []
+    rates = rollmodel._rates
+
+    def counting(g, *args):
+        sizes.append(len(g))
+        return rates(g, *args)
+
+    monkeypatch.setattr(rollmodel, "_rates", counting)
+    simulate_roll(quasi_static_gait(xi=0.6), limbless_morph, cycles=1.5)
+    assert len(sizes) == 384
+    sizes.clear()
+    for mode in ("lumped", "segmented"):
+        run_sweep(RunConfig(morphology=MORPH, mode=mode, sweep=SweepSettings(
+            amplitudes=(math.pi / 8, math.pi / 4), xis=(0.0, 0.6),
+            trials_per_cell=2, cycles_per_trial=1)))
+    assert len(sizes) > 2 * 256
+    assert min(sizes) >= 1
 
 
 def make_trajectory(per_cycle):
