@@ -248,21 +248,24 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="morphology.leg_length",
                         help="override leg length")
 
+    gait_flags = argparse.ArgumentParser(add_help=False)
+    gait_flags.add_argument("--amplitude", type=float, metavar="RAD",
+                            dest="gait.amplitude_lateral",
+                            action=_BothAmplitudes,
+                            help="set both wave amplitudes")
+    gait_flags.add_argument("--xi", type=float, metavar="XI",
+                            dest="gait.spatial_frequency",
+                            help="spatial frequency override")
+
     parser = argparse.ArgumentParser(
         prog="selfright",
         description="Gait-driven self-righting simulator and sweep harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gait", parents=[common],
+    p = sub.add_parser("gait", parents=[common, gait_flags],
                        help="export one cycle of commanded joint angles")
     p.add_argument("--samples", type=int, default=64, metavar="N",
                    help="samples per cycle (default 64)")
-    p.add_argument("--amplitude", type=float, metavar="RAD",
-                   dest="gait.amplitude_lateral", action=_BothAmplitudes,
-                   help="set both wave amplitudes")
-    p.add_argument("--xi", type=float, metavar="XI",
-                   dest="gait.spatial_frequency",
-                   help="spatial frequency override")
     p.set_defaults(func=cmd_gait)
 
     p = sub.add_parser("energy", parents=[common],
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="landscape samples over one revolution")
     p.set_defaults(func=cmd_energy)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, gait_flags],
                        help="run one quasi-static roll trial")
     p.add_argument("--cycles", type=float, default=1.0, metavar="C",
                    help="gait cycles to integrate (default 1)")
@@ -282,12 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial roll angle (default 0)")
     p.add_argument("--perturb", action="store_true",
                    help="apply seeded initial-angle and gain perturbations")
-    p.add_argument("--amplitude", type=float, metavar="RAD",
-                   dest="gait.amplitude_lateral", action=_BothAmplitudes,
-                   help="set both wave amplitudes")
-    p.add_argument("--xi", type=float, metavar="XI",
-                   dest="gait.spatial_frequency",
-                   help="spatial frequency override")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common],
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="sweep.cycles_per_trial", help="cycles per trial")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("sidewind", parents=[common],
+    p = sub.add_parser("sidewind", parents=[common, gait_flags],
                        help="estimate planar sidewinding displacement")
     p.add_argument("--cycles", type=int, metavar="C",
                    dest="sidewinding.cycles", help="gait cycles to trace")
@@ -309,12 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contact-tol", type=float, metavar="METERS",
                    dest="sidewinding.contact_tol",
                    help="ground-contact height tolerance")
-    p.add_argument("--amplitude", type=float, metavar="RAD",
-                   dest="gait.amplitude_lateral", action=_BothAmplitudes,
-                   help="set both wave amplitudes")
-    p.add_argument("--xi", type=float, metavar="XI",
-                   dest="gait.spatial_frequency",
-                   help="spatial frequency override")
     p.set_defaults(func=cmd_sidewind)
 
     return parser

@@ -1,8 +1,8 @@
 """Run configuration: dataclass tree, JSON round-trip, and hashing.
 
 One RunConfig drives every CLI subcommand. Parsing is strict: unknown keys
-are rejected so a typo in a sweep config fails loudly instead of silently
-running defaults.
+and values of the wrong type are rejected, so a typo in a sweep config
+fails loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ class RollSettings:
     resolution: int = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ConfigError("mu must be positive")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ConfigError("kappa must be >= 0")
         if self.steps_per_cycle < MIN_STEPS_PER_CYCLE:
             raise ConfigError(
@@ -63,6 +63,8 @@ class SweepSettings:
             raise ConfigError("sweep grids must be nonempty")
         if self.trials_per_cell < 1 or self.cycles_per_trial < 1:
             raise ConfigError("trials and cycles must be >= 1")
+        if not (self.gamma_jitter >= 0 and self.gain_noise >= 0):
+            raise ConfigError("gamma_jitter and gain_noise must be >= 0")
 
     def perturbation(self) -> PerturbationSpec:
         return PerturbationSpec(gamma_jitter=self.gamma_jitter,
@@ -78,7 +80,7 @@ class SidewindSettings:
     cycles: int = 1
 
     def __post_init__(self) -> None:
-        if self.contact_tol < 0:
+        if not self.contact_tol >= 0:
             raise ConfigError("contact_tol must be >= 0")
         if self.cycles < 1:
             raise ConfigError("cycles must be >= 1")
@@ -106,48 +108,44 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
 
 
-_SECTIONS = {
-    "morphology": Morphology,
-    "gait": GaitParams,
-    "roll": RollSettings,
-    "sweep": SweepSettings,
-    "sidewinding": SidewindSettings,
-}
+def _build(cls, data, path: str):
+    """Strict build of the dataclass cls from data, sections included.
 
-
-def _build(cls, data: dict, path: str):
+    Every key must name a field, and every value must have its field's
+    default type: an int field takes no float and no bool, a float field
+    also takes an int (kept as given). A list becomes a tuple; nothing is
+    coerced.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
+    defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                else f.default_factory() for f in fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return cls(**{name: _typed(value, defaults[name], f"{path}.{name}")
+                  for name, value in data.items()})
+
+
+def _typed(value, default, path: str):
+    if dataclasses.is_dataclass(default):
+        return _build(type(default), value, path)
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list")
+        return tuple(_typed(v, default[0], path) for v in value)
+    kinds = (int, float) if isinstance(default, float) else type(default)
+    if (isinstance(value, bool) != isinstance(default, bool)
+            or not isinstance(value, kinds)):
+        raise ConfigError(f"{path}: expected {type(default).__name__}, "
+                          f"got {value!r}")
+    return value
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Strict parse of a config dictionary; unknown keys are errors."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    top_known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - top_known
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        if name in _SECTIONS:
-            kwargs[name] = _build(_SECTIONS[name], value, name)
-        else:
-            kwargs[name] = value
-    return RunConfig(**kwargs)
+    """Strict parse of a config dictionary; unknown keys and values of the
+    wrong type are errors."""
+    return _build(RunConfig, data, "config")
 
 
 def config_to_dict(config: RunConfig) -> dict:

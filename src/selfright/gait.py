@@ -51,7 +51,7 @@ class GaitParams:
                 f"amplitude_vertical {self.amplitude_vertical} outside [0, pi/2]")
         if not self.temporal_frequency > 0.0:
             raise ConfigError("temporal_frequency must be positive")
-        if self.spatial_frequency < 0.0:
+        if not self.spatial_frequency >= 0.0:
             raise ConfigError("spatial_frequency must be >= 0")
         if self.num_lateral_joints < 1:
             raise ConfigError("num_lateral_joints must be >= 1")

@@ -400,8 +400,7 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                phase_offsets: np.ndarray,
                kappa: float = 0.0,
                chain: int = 1,
-               steps_per_cycle: int = STEPS_PER_CYCLE,
-               record_full: bool = True):
+               stride: int = 1):
     """March all lanes through n_intervals output intervals.
 
     pieces is the landscape's piece table (support_pieces). Lanes come in
@@ -417,25 +416,16 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     then carried from interval to interval. A lane's result depends on
     its own chain only. A lane that rolls more than a whole turn in one
     interval, or turns non-finite, fails its whole chain: the chain reads
-    NaN from then on and marches as NaN. A lane that moves less than a
-    tenth of a command step, omega*dt, in each of a quarter cycle's
-    consecutive intervals is stalled.
+    NaN from then on and marches as NaN.
 
-    Returns (records, stalled, failures): records holds lane states at
-    every interval boundary when record_full, else only at whole-cycle
-    boundaries; failures maps each failed chain's index to the error of
-    its first failed lane.
+    Returns (records, failures): records holds the lane states at every
+    stride-th interval boundary, starting with gamma0; failures maps each
+    failed chain's index to the error of its first failed lane.
     """
     edges, slopes = pieces
     tables = (edges, *np.ascontiguousarray(slopes.T))
-    lanes = len(gamma0)
     gam = np.asarray(gamma0, dtype=float).copy()
-    quiet = np.zeros(lanes, dtype=int)
-    quiet_needed = max(1, steps_per_cycle // 4)
-    stalled = np.zeros(lanes, dtype=bool)
-
-    stride = 1 if record_full else steps_per_cycle
-    records = np.empty((n_intervals // stride + 1, lanes))
+    records = np.empty((n_intervals // stride + 1, len(gam)))
     records[0] = gam
 
     turn, angle = np.divmod(gam, TWO_PI)
@@ -447,7 +437,7 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     gam.reshape(-1, chain)[list(failures)] = np.nan
 
     gamma_ref = gam.copy()
-    bias = np.zeros(lanes)
+    bias = np.zeros(len(gam))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in range(n_intervals):
             phi1 = gamma_ref + omega * (n + 1) * dt - phase_offsets
@@ -460,7 +450,6 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                 lap[:, -1] = 0.0 - twist[:, -1]
                 bias = (kappa * chain) * lap.ravel()
 
-            before = gam
             gam, failed = _march_interval(gam, piece, turn, phi1, gains, bias,
                                           tables, mu, dt)
             if failed:
@@ -472,13 +461,9 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                         + f" in output interval {n}")
                 gam.reshape(-1, chain)[list(failures)] = np.nan
 
-            quiet = np.where(np.abs(gam - before) < STALL_STEP * omega * dt,
-                             quiet + 1, 0)
-            stalled |= quiet >= quiet_needed
-
             if (n + 1) % stride == 0:
                 records[(n + 1) // stride] = gam
-    return records, stalled, failures
+    return records, failures
 
 
 def _trial_lanes(params: GaitParams, morph: Morphology, mode: str,
@@ -508,6 +493,14 @@ def _trial_lanes(params: GaitParams, morph: Morphology, mode: str,
             np.tile(offsets, len(gamma_starts)), m)
 
 
+def _stalled(records: np.ndarray, step: float, run: int) -> np.ndarray:
+    """Per-lane stall flag: the lane moved less than step between each of
+    run consecutive pairs of records."""
+    quiet = np.abs(np.diff(records, axis=0)) < step
+    count = np.pad(np.cumsum(quiet, axis=0), ((1, 0), (0, 0)))
+    return (count[run:] - count[:-run] == run).any(axis=0)
+
+
 def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
                   init: RollState | None = None,
                   perturb: PerturbationSpec | None = None,
@@ -529,8 +522,8 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     and coupling neighbors with a torsional spring kappa. Raises
     IntegrationError when any module fails to integrate.
     """
-    if cycles <= 0:
-        raise ConfigError("cycles must be positive")
+    if not 0 < cycles < math.inf:
+        raise ConfigError("cycles must be positive and finite")
     if steps_per_cycle < MIN_STEPS_PER_CYCLE:
         raise ConfigError(f"steps_per_cycle must be >= {MIN_STEPS_PER_CYCLE}")
     if mode not in ("lumped", "segmented"):
@@ -544,16 +537,16 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
         params, morph, mode, [float(np.mean(init.gamma)) + jitter],
         [gain_factor])
     if mode == "segmented" and np.ndim(init.gamma) == 1:
-        gamma0 = np.asarray(init.gamma, dtype=float).copy()
-        if len(gamma0) != chain:
+        if len(init.gamma) != chain:
             raise ConfigError("segmented init needs one gamma per module")
+        gamma0 = np.asarray(init.gamma, dtype=float) + jitter
 
-    dt = (TWO_PI / params.temporal_frequency) / steps_per_cycle
+    omega = params.temporal_frequency
+    dt = (TWO_PI / omega) / steps_per_cycle
     n_intervals = max(1, round(cycles * steps_per_cycle))
-    records, stalled, failures = _integrate(
-        support_pieces(morph), gains, gamma0, params.temporal_frequency, dt,
-        n_intervals, mu, phase_offsets=offsets, kappa=kappa, chain=chain,
-        steps_per_cycle=steps_per_cycle, record_full=True)
+    records, failures = _integrate(
+        support_pieces(morph), gains, gamma0, omega, dt, n_intervals, mu,
+        phase_offsets=offsets, kappa=kappa, chain=chain)
     if failures:
         raise IntegrationError(failures[0])
 
@@ -563,6 +556,8 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     per_cycle = np.diff(marks.mean(axis=1))
 
     gammas = records[:, 0] if mode == "lumped" else records
+    stalled = _stalled(records, STALL_STEP * omega * dt,
+                       max(1, steps_per_cycle // 4))
     # A segmented body counts as stalled only when every module went quiet.
     return RollTrajectory(times=times, gammas=gammas, cycles=cycles,
                           delta_gamma_per_cycle=per_cycle,

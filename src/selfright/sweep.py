@@ -121,12 +121,12 @@ def run_sweep(cfg: RunConfig) -> BehaviorDiagram:
     gamma0, gains, offsets = map(np.concatenate, zip(*cells))
 
     dt = (TWO_PI / omega) / roll.steps_per_cycle
-    marks, _, failures = _integrate(
+    n_intervals = sw.cycles_per_trial * roll.steps_per_cycle
+    (start, end), failures = _integrate(
         support_pieces(cfg.morphology), gains, gamma0, omega, dt,
-        sw.cycles_per_trial * roll.steps_per_cycle, roll.mu,
-        phase_offsets=offsets, kappa=roll.kappa, chain=chain,
-        steps_per_cycle=roll.steps_per_cycle, record_full=False)
-    rolls = ((marks[-1] - marks[0]).reshape(-1, chain).mean(axis=1)
+        n_intervals, roll.mu, phase_offsets=offsets, kappa=roll.kappa,
+        chain=chain, stride=n_intervals)
+    rolls = ((end - start).reshape(-1, chain).mean(axis=1)
              / (TWO_PI * sw.cycles_per_trial))
     trial_rolls = rolls.reshape(n_a, n_x, n_t)
 

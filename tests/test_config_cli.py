@@ -11,7 +11,7 @@ from selfright import (ConfigError, GaitParams, Morphology, RunConfig,
                        config_to_dict, lateral_angle, load_config, run_sweep,
                        save_config)
 from selfright.cli import main
-from selfright.config import RollSettings, SweepSettings
+from selfright.config import RollSettings, SidewindSettings, SweepSettings
 
 from conftest import GRAVITY
 
@@ -67,6 +67,28 @@ def test_nested_validation_surfaces():
     doc["mode"] = "wobbly"
     with pytest.raises(ConfigError):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (RollSettings, "mu", math.nan),
+    (RollSettings, "kappa", math.nan),
+    (SidewindSettings, "contact_tol", math.nan),
+    (GaitParams, "spatial_frequency", math.nan),
+    (SweepSettings, "gamma_jitter", math.nan),
+    (SweepSettings, "gain_noise", math.nan),
+    (SweepSettings, "gamma_jitter", -0.1),
+    (SweepSettings, "gain_noise", -0.1),
+])
+def test_range_checks_reject_nan_and_negative_widths(cls, name, value):
+    with pytest.raises(ConfigError, match=name):
+        cls(**{name: value})
+
+
+def test_float_field_keeps_an_int():
+    doc = config_to_dict(RunConfig())
+    doc["roll"]["mu"] = 5
+    mu = config_from_dict(doc).roll.mu
+    assert mu == 5 and type(mu) is int
 
 
 def test_hash_tracks_content():
@@ -181,6 +203,14 @@ def test_cli_simulate_segmented_columns(tmp_path):
     assert cols[2:] == [f"gamma_{i}_rad" for i in range(10)]
 
 
+@pytest.mark.parametrize("cycles", ["nan", "inf"])
+def test_cli_simulate_rejects_non_finite_cycles(tmp_path, capsys, cycles):
+    assert run_cli(["simulate", "--out", tmp_path, "--cycles", cycles]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cycles must be positive and finite")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def sweep_config(tmp_path, **overrides):
     cfg = RunConfig(morphology=Morphology(leg_length=0.0))
     doc = config_to_dict(cfg)
@@ -214,6 +244,28 @@ def test_cli_sweep_deterministic_outputs(tmp_path):
     assert run_cli(["sweep", "--config", cfg_path, "--seed", 5,
                     "--out", tmp_path / "c"]) == 0
     assert (tmp_path / "c" / "sweep.csv").read_bytes() != a
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("roll", "steps_per_cycle", 256.5),
+    ("sweep", "trials_per_cell", 2.5),
+    ("sweep", "cycles_per_trial", 1.5),
+    ("sweep", "trials_per_cell", True),
+    ("sweep", "amplitudes", ["x"]),
+    ("gait", "spatial_frequency", "0.3"),
+    (None, "seed", "x"),
+])
+def test_cli_rejects_wrongly_typed_config(tmp_path, capsys, section, key,
+                                          value):
+    path = sweep_config(tmp_path)
+    doc = json.loads(path.read_text())
+    (doc[section] if section else doc)[key] = value
+    path.write_text(json.dumps(doc))
+    assert run_cli(["sweep", "--config", path, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sweep.json").exists()
 
 
 def test_sweep_hash_ignores_unread_settings(tmp_path):

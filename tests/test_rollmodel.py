@@ -13,8 +13,8 @@ from selfright import (ConfigError, GaitParams, IntegrationError,
                        drive_gain, energy_landscape, run_sweep, simulate_roll,
                        stable_configurations, support_height)
 from selfright import rollmodel
-from selfright.rollmodel import (KAPPA_DEFAULT, _integrate, _trial_lanes,
-                                 support_pieces)
+from selfright.rollmodel import (KAPPA_DEFAULT, STALL_STEP, _integrate,
+                                 _stalled, _trial_lanes, support_pieces)
 from selfright.config import SweepSettings
 
 from conftest import (FROZEN, GRAVITY, oracle_barrier, oracle_integrate,
@@ -414,6 +414,22 @@ def test_trajectory_initial_state():
     assert traj.gammas[0] == 1.25
 
 
+def test_per_module_start_takes_the_jitter():
+    """Equal per-module starts with a perturbation give the scalar start's
+    trajectory on the same stream, bitwise; a start of the wrong length is
+    rejected."""
+    gait, spec = quasi_static_gait(xi=0.6), PerturbationSpec()
+    scalar, per_module = (
+        simulate_roll(gait, MORPH, init=RollState(gamma=gamma), perturb=spec,
+                      mode="segmented", rng=np.random.default_rng(7))
+        for gamma in (math.pi, np.full(MORPH.num_modules, math.pi)))
+    assert np.array_equal(per_module.gammas, scalar.gammas)
+    assert per_module.gammas[0, 0] != math.pi
+    with pytest.raises(ConfigError):
+        simulate_roll(gait, MORPH, init=RollState(gamma=np.zeros(3)),
+                      mode="segmented")
+
+
 def lane_batch(morph, mode, grid, seed=0):
     """Lanes of two jittered, gain-perturbed trials per (amplitude, xi)."""
     rng = np.random.default_rng(seed)
@@ -436,18 +452,20 @@ ORACLE_GRID = [(amplitude, xi)
 
 def integrate_against_oracle(morph, mode, grid, mu, kappa, nan_lane=None):
     """Run _integrate and the relocating oracle on one lane batch over two
-    cycles; require bitwise-equal records, stalled flags and failures."""
+    cycles; require bitwise-equal records, stalled flags read off the
+    records, and failures."""
     gamma0, gains, offsets, chain = lane_batch(morph, mode, grid)
     if nan_lane is not None:
         gamma0[nan_lane] = np.nan
-    args = (support_pieces(morph), gains, gamma0, OMEGA, TWO_PI / OMEGA / 256,
-            512, mu)
-    kw = dict(phase_offsets=offsets, kappa=kappa, chain=chain,
-              steps_per_cycle=256)
-    records, stalled, failures = _integrate(*args, **kw)
-    want_records, want_stalled, want_failures = oracle_integrate(*args, **kw)
+    dt = TWO_PI / OMEGA / 256
+    args = (support_pieces(morph), gains, gamma0, OMEGA, dt, 512, mu)
+    kw = dict(phase_offsets=offsets, kappa=kappa, chain=chain)
+    records, failures = _integrate(*args, **kw)
+    want_records, want_stalled, want_failures = oracle_integrate(
+        *args, **kw, steps_per_cycle=256)
     assert np.array_equal(records, want_records, equal_nan=True)
-    assert np.array_equal(stalled, want_stalled)
+    assert np.array_equal(_stalled(records, STALL_STEP * OMEGA * dt, 64),
+                          want_stalled)
     assert failures == want_failures
     return records, failures, chain
 
