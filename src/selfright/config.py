@@ -63,8 +63,7 @@ class SweepSettings:
             raise ConfigError("sweep grids must be nonempty")
         if self.trials_per_cell < 1 or self.cycles_per_trial < 1:
             raise ConfigError("trials and cycles must be >= 1")
-        if not (self.gamma_jitter >= 0 and self.gain_noise >= 0):
-            raise ConfigError("gamma_jitter and gain_noise must be >= 0")
+        self.perturbation()  # checks the widths
 
     def perturbation(self) -> PerturbationSpec:
         return PerturbationSpec(gamma_jitter=self.gamma_jitter,

@@ -32,10 +32,13 @@ class Morphology:
     def __post_init__(self) -> None:
         if self.num_modules < 2:
             raise DimensionError("num_modules must be >= 2")
-        if self.link_length < 0 or self.body_radius < 0 or self.leg_length < 0:
-            raise GeometryError("lengths must be >= 0")
-        if self.module_mass <= 0:
-            raise GeometryError("module_mass must be positive")
+        if not all(0 <= x < math.inf for x in (
+                self.link_length, self.body_radius, self.leg_length)):
+            raise GeometryError("lengths must be finite and >= 0")
+        if not math.isfinite(self.leg_angle):
+            raise GeometryError("leg_angle must be finite")
+        if not 0 < self.module_mass < math.inf:
+            raise GeometryError("module_mass must be positive and finite")
 
     @property
     def num_joints(self) -> int:

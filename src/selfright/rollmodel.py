@@ -236,6 +236,12 @@ class PerturbationSpec:
     gamma_jitter: float = 0.2
     gain_noise: float = 0.1
 
+    def __post_init__(self) -> None:
+        if not (0 <= self.gamma_jitter < math.inf
+                and 0 <= self.gain_noise < math.inf):
+            raise ConfigError(
+                "gamma_jitter and gain_noise must be finite and >= 0")
+
     @staticmethod
     def none() -> "PerturbationSpec":
         return PerturbationSpec(gamma_jitter=0.0, gain_noise=0.0)
@@ -248,7 +254,7 @@ class PerturbationSpec:
         rng and a zero jitter leaves the gain draw first in the stream.
         """
         def uniform(width: float) -> float:
-            if width <= 0:
+            if width == 0:
                 return 0.0
             if rng is None:
                 raise ConfigError("perturbation requires an explicit rng")
@@ -295,12 +301,24 @@ class TrialOutcome:
     stalled: bool
 
 
-def _rates(g, phi, gain, bias, c, s):
-    """Specific roll rate r = bias + G*sin(phi - g) - U'(g), and -dr/dg,
-    with U'(g) = c*cos(g) + s*sin(g) on each lane's piece."""
-    sin_g, cos_g, lag = np.sin(g), np.cos(g), phi - g
-    return (bias + gain * np.sin(lag) - c * cos_g - s * sin_g,
-            gain * np.cos(lag) - c * sin_g + s * cos_g)
+def _angle_terms(g, phi, gain, bias):
+    """The parts of the rate at g that no piece changes: sin(g), cos(g),
+    the drive b + G*sin(phi - g) and its -d/dg, G*cos(phi - g)."""
+    lag = phi - g
+    return np.sin(g), np.cos(g), bias + gain * np.sin(lag), gain * np.cos(lag)
+
+
+def _rate(terms, c, s):
+    """Specific roll rate r = b + G*sin(phi - g) - U'(g) from the angle
+    terms, with U'(g) = c*cos(g) + s*sin(g) on each lane's piece."""
+    sin_g, cos_g, drive, _ = terms
+    return drive - c * cos_g - s * sin_g
+
+
+def _rates(terms, c, s):
+    """The rate r and its -dr/dg on the pieces (c, s)."""
+    sin_g, cos_g, _, pull = terms
+    return _rate(terms, c, s), pull - c * sin_g + s * cos_g
 
 
 def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
@@ -319,6 +337,12 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     up across a kink, so the lane goes on along the next piece if its rate
     keeps its sign there, and rests otherwise.
 
+    A lane that starts on the kink it heads for (a lane that rested there
+    before) is settled in the first pass: its rate on the next piece
+    comes from the same angle terms, and if that rate does not keep its
+    sign the lane rests without a kink pass. Only lanes that reach a kink
+    from inside a piece, or leave one, are gathered for the kink pass.
+
     tables is (edges, c, s) of the piece table. piece and turn hold each
     lane's piece index and whole turns; they are updated in place for the
     lanes that go on to another piece; gam itself is left unchanged. A
@@ -330,8 +354,9 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     n = len(cs)
     g = start = gam
     phi, gain, b, j, t = phi1, gains, bias, piece, turn
-    tau = np.full(len(gam), 0.5 * mu * dt_len)
-    r, slope = _rates(g, phi, gain, b, cs[j], ss[j])
+    tau = 0.5 * mu * dt_len
+    terms = _angle_terms(g, phi, gain, b)
+    r, slope = _rates(terms, cs[j], ss[j])
     lanes, failed = None, []
     while True:
         up = r > 0
@@ -343,7 +368,7 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
         k = np.sqrt(np.abs(k2))
         kt = k * tau
         sf, cf, whole = np.tanh(kt), 1.0, False
-        if drift.any():
+        if np.count_nonzero(drift):
             sf = np.where(drift, np.sin(kt), sf)
             cf = np.where(drift, np.cos(kt), 1.0)
             # A drifting lane with k*tau >= pi has turned a whole turn.
@@ -357,18 +382,24 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
         else:
             out[lanes] = g_end
         bad = ~(np.abs(g_end - start) <= TWO_PI)
-        if bad.any():
+        if np.count_nonzero(bad):
             bad &= ~np.isnan(start)
-            if bad.any():
-                failed.append(np.flatnonzero(bad) if lanes is None
+            if np.count_nonzero(bad):
+                failed.append(bad.nonzero()[0] if lanes is None
                               else lanes[bad])
-        go = np.flatnonzero(hit & ~capped & ~bad)
+        go = hit & ~(capped | bad)
+        if lanes is None and np.count_nonzero(go):
+            # A lane on the kink it heads for meets the next piece at g
+            # itself: it rests there unless its rate keeps its sign.
+            on = (j + np.where(up, 1, -1)) % n
+            go &= (end != g) | (_rate(terms, cs[on], ss[on]) * r > 0)
+        go = go.nonzero()[0]
         if not go.size:
             return out, failed
         j_next = j[go] + np.where(up[go], 1, -1)
         on = j_next % n
-        r_next, slope_next = _rates(end[go], phi[go], gain[go], b[go],
-                                    cs[on], ss[on])
+        r_next, slope_next = _rates(
+            _angle_terms(end[go], phi[go], gain[go], b[go]), cs[on], ss[on])
         keep = r_next * r[go] > 0
         if not keep.all():
             go, j_next, on, r_next, slope_next = (
@@ -386,7 +417,9 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
             np.where(drift[go],
                      np.mod(np.arctan2(kn * half, p), math.pi),
                      np.arctanh(kn * half / p)) / kn)
-        tau = tau[go] - np.fmax(np.fmin(t_hit, tau[go]), 0.0)
+        if lanes is not None:
+            tau = tau[go]
+        tau = tau - np.fmax(np.fmin(t_hit, tau), 0.0)
         lanes = go if lanes is None else lanes[go]
         g, phi, gain, b, start = (
             v[go] for v in (end, phi, gain, b, start))

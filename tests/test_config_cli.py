@@ -211,6 +211,28 @@ def test_cli_simulate_rejects_non_finite_cycles(tmp_path, capsys, cycles):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "--legs", "nan"], ["simulate", "--legs", "inf"],
+    ["sidewind", "--legs", "nan"], ["sweep", "--legs=-inf"]])
+def test_cli_rejects_non_finite_legs(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: lengths must be finite and >= 0")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("leg_angle", "NaN", "leg_angle must be finite"),
+    ("module_mass", "Infinity", "module_mass must be positive and finite")])
+def test_cli_rejects_non_finite_geometry_in_config(tmp_path, capsys, name,
+                                                   value, message):
+    path = tmp_path / "config.json"
+    path.write_text('{"morphology": {"%s": %s}}' % (name, value))
+    assert run_cli(["energy", "--config", path,
+                    "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def sweep_config(tmp_path, **overrides):
     cfg = RunConfig(morphology=Morphology(leg_length=0.0))
     doc = config_to_dict(cfg)

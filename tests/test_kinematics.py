@@ -160,6 +160,16 @@ def test_morphology_validation():
         Morphology(module_mass=0.0)
 
 
+@pytest.mark.parametrize("name, message", [
+    ("link_length", "lengths"), ("body_radius", "lengths"),
+    ("leg_length", "lengths"), ("leg_angle", "leg_angle"),
+    ("module_mass", "module_mass")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_morphology_rejects_non_finite(name, message, value):
+    with pytest.raises(GeometryError, match=message):
+        Morphology(**{name: value})
+
+
 def test_limbless_cross_section_is_circle():
     r, tips = cross_section(MORPH.limbless())
     assert r == MORPH.body_radius

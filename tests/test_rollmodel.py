@@ -390,6 +390,14 @@ def test_perturbation_requires_rng():
                   perturb=PerturbationSpec.none())
 
 
+@pytest.mark.parametrize("widths", [
+    dict(gamma_jitter=-0.5), dict(gain_noise=-1.0),
+    dict(gamma_jitter=math.nan), dict(gain_noise=math.inf)])
+def test_perturbation_widths_validated(widths):
+    with pytest.raises(ConfigError, match="gamma_jitter and gain_noise"):
+        PerturbationSpec(**widths)
+
+
 def test_simulate_validation():
     with pytest.raises(ConfigError):
         simulate_roll(quasi_static_gait(), MORPH, cycles=0.0)
@@ -430,15 +438,17 @@ def test_per_module_start_takes_the_jitter():
                       mode="segmented")
 
 
-def lane_batch(morph, mode, grid, seed=0):
-    """Lanes of two jittered, gain-perturbed trials per (amplitude, xi)."""
+def lane_batch(morph, mode, grid, seed=0, starts=None):
+    """Lanes of gain-perturbed trials per (amplitude, xi): two jittered
+    ones near pi, or one at each of the given starts."""
     rng = np.random.default_rng(seed)
     cells = []
     for amplitude, xi in grid:
+        gamma = (math.pi + rng.uniform(-0.2, 0.2, 2) if starts is None
+                 else np.asarray(starts))
         *lanes, chain = _trial_lanes(
-            quasi_static_gait(amplitude, xi), morph, mode,
-            math.pi + rng.uniform(-0.2, 0.2, 2),
-            1.0 + rng.uniform(-0.1, 0.1, 2))
+            quasi_static_gait(amplitude, xi), morph, mode, gamma,
+            1.0 + rng.uniform(-0.1, 0.1, len(gamma)))
         cells.append(lanes)
     gamma0, gains, offsets = map(np.concatenate, zip(*cells))
     return gamma0, gains, offsets, chain
@@ -450,13 +460,11 @@ ORACLE_GRID = [(amplitude, xi)
                for xi in (0.0, 0.6)]
 
 
-def integrate_against_oracle(morph, mode, grid, mu, kappa, nan_lane=None):
+def integrate_against_oracle(morph, batch, mu, kappa):
     """Run _integrate and the relocating oracle on one lane batch over two
     cycles; require bitwise-equal records, stalled flags read off the
     records, and failures."""
-    gamma0, gains, offsets, chain = lane_batch(morph, mode, grid)
-    if nan_lane is not None:
-        gamma0[nan_lane] = np.nan
+    gamma0, gains, offsets, chain = batch
     dt = TWO_PI / OMEGA / 256
     args = (support_pieces(morph), gains, gamma0, OMEGA, dt, 512, mu)
     kw = dict(phase_offsets=offsets, kappa=kappa, chain=chain)
@@ -481,7 +489,42 @@ def test_integrate_matches_relocating_oracle(morph, mode, mu):
     the time left after it (tau) must come from the lane's state before
     the interval; at mu = 5 tanh(k*tau) rounds to 1 and would hide it.
     """
-    integrate_against_oracle(morph, mode, ORACLE_GRID, mu, KAPPA_DEFAULT)
+    integrate_against_oracle(morph, lane_batch(morph, mode, ORACLE_GRID), mu,
+                             KAPPA_DEFAULT)
+
+
+@pytest.mark.parametrize("mu", [5.0, 0.05])
+@pytest.mark.parametrize("mode", ["lumped", "segmented"])
+@pytest.mark.parametrize("leg_angle", [0.0, 0.3])
+def test_lanes_starting_on_kinks_match_relocating_oracle(leg_angle, mode,
+                                                         mu):
+    """Lanes that start exactly on a kink, in the first turn or a turn up
+    or down, settle or leave it in the first pass of an interval; the
+    result is the relocating marcher's, bitwise. Bodies with 4 and 3
+    kinks per turn.
+
+    A lumped trial's command starts at its own roll, and such a lane has
+    not been seen to reach a kink from inside a piece while its rate on
+    the next piece changes sign between its start and the kink; lumped
+    lanes whose command starts off their roll do. So the lumped batch
+    runs every trial twice, the second time with its command phase
+    spread over a turn: a marcher that settled those lanes by the next
+    piece's rate at their start would fail here.
+    """
+    morph = replace(MORPH, leg_angle=leg_angle)
+    edges, _ = support_pieces(morph)
+    starts = (edges[1:] + TWO_PI * np.array([[-1.0], [0.0], [1.0]])).ravel()
+    grid = [(amplitude, xi)
+            for amplitude in (math.pi / 8, math.pi / 4, math.pi / 3)
+            for xi in (0.0, 0.6)]
+    gamma0, gains, offsets, chain = lane_batch(morph, mode, grid,
+                                               starts=starts)
+    if mode == "lumped":
+        gamma0, gains = np.tile(gamma0, 2), np.tile(gains, 2)
+        offsets = np.append(offsets, np.linspace(0.0, TWO_PI, len(offsets),
+                                                 endpoint=False))
+    integrate_against_oracle(morph, (gamma0, gains, offsets, chain), mu,
+                             KAPPA_DEFAULT)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 0.0])
@@ -489,9 +532,11 @@ def test_failing_chains_match_relocating_oracle(kappa):
     """A chain that starts NaN fails in the first interval, and at
     kappa = 0.5 a staggered chain fails mid-run; both then read NaN while
     their batch mates march on exactly as in the relocating marcher."""
-    records, failures, chain = integrate_against_oracle(
-        MORPH, "segmented", [(math.pi / 4, 0.0), (math.pi / 4, 0.6)], 5.0,
-        kappa, nan_lane=-3)
+    batch = lane_batch(MORPH, "segmented",
+                       [(math.pi / 4, 0.0), (math.pi / 4, 0.6)])
+    batch[0][-3] = np.nan
+    records, failures, chain = integrate_against_oracle(MORPH, batch, 5.0,
+                                                        kappa)
     assert failures[3] == "non-finite roll state in output interval 0"
     assert np.isnan(records[1:, -chain:]).all()
     assert np.isfinite(records[:, :chain]).all()
@@ -500,27 +545,43 @@ def test_failing_chains_match_relocating_oracle(kappa):
         assert "interval 0" not in failures[2]
 
 
-def test_rates_evaluated_once_per_interval_on_one_piece(monkeypatch,
-                                                         limbless_morph):
-    """A flat body's lanes never reach a kink, so each output interval
-    evaluates the rate once; on a legged sweep no evaluation is empty."""
+@pytest.fixture
+def rate_sizes(monkeypatch):
+    """The lane count of every rate evaluation: each pass of the marcher
+    computes the rate's angle terms once, for all its lanes."""
     sizes = []
-    rates = rollmodel._rates
+    terms = rollmodel._angle_terms
 
     def counting(g, *args):
         sizes.append(len(g))
-        return rates(g, *args)
+        return terms(g, *args)
 
-    monkeypatch.setattr(rollmodel, "_rates", counting)
+    monkeypatch.setattr(rollmodel, "_angle_terms", counting)
+    return sizes
+
+
+def test_rates_evaluated_once_per_interval_on_one_piece(rate_sizes,
+                                                         limbless_morph):
+    """A flat body's lanes never reach a kink, so each output interval
+    evaluates the rate once; on a legged sweep no evaluation is empty."""
     simulate_roll(quasi_static_gait(xi=0.6), limbless_morph, cycles=1.5)
-    assert len(sizes) == 384
-    sizes.clear()
+    assert len(rate_sizes) == 384
+    rate_sizes.clear()
     for mode in ("lumped", "segmented"):
         run_sweep(RunConfig(morphology=MORPH, mode=mode, sweep=SweepSettings(
             amplitudes=(math.pi / 8, math.pi / 4), xis=(0.0, 0.6),
             trials_per_cell=2, cycles_per_trial=1)))
-    assert len(sizes) > 2 * 256
-    assert min(sizes) >= 1
+    assert len(rate_sizes) > 2 * 256
+    assert min(rate_sizes) >= 1
+
+
+def test_lane_resting_on_a_kink_settles_in_the_first_pass(rate_sizes):
+    """A stuck trial rests on a kink for most of its intervals; each of
+    those is settled by the interval's first pass, without a kink pass."""
+    traj = simulate_roll(quasi_static_gait(math.pi / 8), MORPH, cycles=3.0,
+                         init=RollState(gamma=math.pi))
+    assert traj.stalled and len(traj.gammas) == 769
+    assert 768 <= len(rate_sizes) < 800
 
 
 def make_trajectory(per_cycle):
