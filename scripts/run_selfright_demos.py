@@ -16,8 +16,7 @@ import numpy as np
 
 from selfright import (GaitParams, Morphology, classify_trial,
                        displacement_trajectory, energy_landscape,
-                       lateral_displacement, simulate_roll,
-                       stable_configurations)
+                       lateral_displacement, simulate_roll)
 
 OMEGA = 1e-3  # quasi-static drive frequency, rad/s
 
@@ -32,7 +31,7 @@ def demo_landscape(morph: Morphology) -> None:
     print("== energy landscape vs leg length ==")
     for leg in (0.0, 0.03, 0.07, 0.11):
         land = energy_landscape(replace(morph, leg_length=leg))
-        minima = ", ".join(f"{g:.3f}" for g in stable_configurations(land))
+        minima = ", ".join(f"{g:.3f}" for g in land.minima)
         print(f"  L={leg:.2f} m: barrier={land.barrier:.4f} J, "
               f"minima at [{minima}] rad")
     print()

@@ -13,14 +13,13 @@ from .config import (RunConfig, config_from_dict, config_hash, config_json,
 from .errors import (ConfigError, ContactError, DimensionError,
                      GeometryError, IntegrationError, SelfRightError)
 from .gait import (GaitParams, JointAngles, coherence, joint_vector,
-                   lateral_angle, phase_lag, vertical_angle)
+                   lateral_angle, vertical_angle)
 from .kinematics import (FramePose, Morphology, body_wave_height,
                          center_of_mass, cross_section, forward_kinematics,
                          wave_height_slope)
-from .rollmodel import (EnergyLandscape, PerturbationSpec, RollState,
-                        RollTrajectory, TrialOutcome, classify_trial,
-                        drive_gain, energy_landscape, simulate_roll,
-                        stable_configurations, support_height)
+from .rollmodel import (EnergyLandscape, PerturbationSpec, RollTrajectory,
+                        TrialOutcome, classify_trial, drive_gain,
+                        energy_landscape, simulate_roll, support_height)
 from .sidewinding import (DisplacementReport, contact_set,
                           displacement_trajectory, lateral_displacement)
 from .sweep import (BehaviorDiagram, binariness, estimate_psr, run_sweep,
@@ -32,15 +31,14 @@ __all__ = [
     "BehaviorDiagram", "ConfigError", "ContactError", "DimensionError",
     "DisplacementReport", "EnergyLandscape", "FramePose", "GaitParams",
     "GeometryError", "IntegrationError", "JointAngles", "Morphology",
-    "PerturbationSpec", "RollState", "RollTrajectory", "RunConfig",
+    "PerturbationSpec", "RollTrajectory", "RunConfig",
     "SelfRightError", "TrialOutcome", "binariness",
     "body_wave_height", "center_of_mass", "classify_trial", "coherence",
     "config_from_dict", "config_hash", "config_json", "config_to_dict",
     "contact_set", "cross_section", "displacement_trajectory", "drive_gain",
     "energy_landscape", "estimate_psr", "forward_kinematics",
     "joint_vector", "lateral_angle", "lateral_displacement", "load_config",
-    "phase_lag", "run_sweep", "save_config",
-    "simulate_roll", "stable_configurations", "support_height",
+    "run_sweep", "save_config", "simulate_roll", "support_height",
     "vertical_angle", "wave_height_slope", "write_diagram_csv",
     "write_diagram_json",
 ]

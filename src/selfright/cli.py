@@ -2,11 +2,11 @@
 
 Five subcommands cover the pipeline: gait (commanded joint angles),
 energy (roll-angle landscape), simulate (one roll trial), sweep
-(behavior diagram over amplitude and spatial frequency), and sidewind
-(planar displacement estimate). Every output file embeds the sha256 of
-the effective run configuration and the seed, and contains nothing
-time- or host-dependent, so identical invocations produce identical
-bytes.
+(behavior diagram over amplitude and spatial frequency, its P_sr map
+also printed to stdout), and sidewind (planar displacement estimate).
+Every output file embeds the sha256 of the effective run configuration
+and the seed, and contains nothing time- or host-dependent, so
+identical invocations produce identical bytes.
 
 Settings resolve in precedence order: command-line flag, then SRSIM_*
 environment variable, then --config file, then built-in default.
@@ -27,8 +27,7 @@ import numpy as np
 from .config import RunConfig, config_hash, load_config
 from .errors import ConfigError, SelfRightError
 from .gait import joint_vector
-from .rollmodel import (RollState, classify_trial, energy_landscape,
-                        simulate_roll)
+from .rollmodel import classify_trial, energy_landscape, simulate_roll
 from .sidewinding import displacement_trajectory
 from .sweep import (binariness, provenance_config, run_sweep,
                     write_diagram_csv, write_diagram_json)
@@ -163,7 +162,7 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         perturb = cfg.sweep.perturbation()
         rng = np.random.default_rng(cfg.seed)
     traj = simulate_roll(cfg.gait, cfg.morphology, cycles=cycles,
-                         init=RollState(gamma=args.gamma0),
+                         gamma0=args.gamma0,
                          perturb=perturb, mode=cfg.mode, rng=rng,
                          mu=cfg.roll.mu, kappa=cfg.roll.kappa,
                          steps_per_cycle=cfg.roll.steps_per_cycle)
@@ -207,6 +206,10 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     write_diagram_json(diagram, json_path, meta)
     print(csv_path)
     print(json_path)
+    # The P_sr map, amplitude growing upward; a NaN cell prints as nan.
+    print("  A_rad \\ xi " + " ".join(f"{x:4.1f}" for x in diagram.xis))
+    for amp, row in zip(diagram.amplitudes[::-1], diagram.p_sr[::-1]):
+        print(f"  {amp:9.4f}  " + " ".join(f"{v:4.1f}" for v in row))
     print(f"binariness={binariness(diagram):.4f} "
           f"cells={diagram.p_sr.size} errors={len(diagram.errors)}")
     return 0

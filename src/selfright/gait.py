@@ -49,10 +49,12 @@ class GaitParams:
         if not 0.0 <= self.amplitude_vertical <= MAX_AMPLITUDE:
             raise ConfigError(
                 f"amplitude_vertical {self.amplitude_vertical} outside [0, pi/2]")
-        if not self.temporal_frequency > 0.0:
-            raise ConfigError("temporal_frequency must be positive")
-        if not self.spatial_frequency >= 0.0:
-            raise ConfigError("spatial_frequency must be >= 0")
+        if not 0.0 < self.temporal_frequency < math.inf:
+            raise ConfigError("temporal_frequency must be positive and finite")
+        if not 0.0 <= self.spatial_frequency < math.inf:
+            raise ConfigError("spatial_frequency must be finite and >= 0")
+        if not math.isfinite(self.lateral_phase):
+            raise ConfigError("lateral_phase must be finite")
         if self.num_lateral_joints < 1:
             raise ConfigError("num_lateral_joints must be >= 1")
 
@@ -70,12 +72,11 @@ class JointAngles:
     """Joint angles of both waves at one instant or at a batch of instants.
 
     lateral and vertical have the joints on their last axis; any leading
-    axes index the samples, and time holds their times.
+    axes index the samples.
     """
 
     lateral: np.ndarray
     vertical: np.ndarray
-    time: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lateral", np.asarray(self.lateral, dtype=float))
@@ -116,13 +117,7 @@ def joint_vector(params: GaitParams, t: float | np.ndarray) -> JointAngles:
     lat = params.amplitude_lateral * np.sin(
         phase[..., :params.num_lateral_joints] + params.lateral_phase)
     vert = params.amplitude_vertical * np.cos(phase)
-    return JointAngles(lateral=lat, vertical=vert,
-                       time=float(t) if t.ndim == 0 else t)
-
-
-def phase_lag(params: GaitParams) -> float:
-    """Phase lag between adjacent joints of one axis: 2*pi*xi/N."""
-    return TWO_PI * params.spatial_frequency / params.num_lateral_joints
+    return JointAngles(lateral=lat, vertical=vert)
 
 
 def coherence(xi: float, num_lateral_joints: int = 4) -> float:

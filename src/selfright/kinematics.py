@@ -84,16 +84,6 @@ class FramePose:
             raise DimensionError(
                 "FramePose needs (..., 3) positions and (..., 3, 3) orientations")
 
-    @staticmethod
-    def identity() -> "FramePose":
-        return FramePose(position=np.zeros(3), orientation=np.eye(3))
-
-    def is_orthonormal(self, tol: float = 1e-9) -> bool:
-        """Whether every orientation in the stack is a proper rotation."""
-        r = self.orientation
-        return bool(np.abs(r @ np.swapaxes(r, -1, -2) - np.eye(3)).max() <= tol
-                    and np.abs(np.linalg.det(r) - 1.0).max() <= tol)
-
 
 def _rotation(angle: np.ndarray, a: int, b: int) -> np.ndarray:
     """Rotations by angle (any shape) that turn axis a toward axis b."""
@@ -106,8 +96,7 @@ def _rotation(angle: np.ndarray, a: int, b: int) -> np.ndarray:
     return rot
 
 
-def forward_kinematics(morph: Morphology, angles: JointAngles,
-                       base: FramePose | None = None) -> FramePose:
+def forward_kinematics(morph: Morphology, angles: JointAngles) -> FramePose:
     """Module frames of the chain under the given joint angles.
 
     Module k+1 sits one link_length along module k's local x axis; the
@@ -115,11 +104,9 @@ def forward_kinematics(morph: Morphology, angles: JointAngles,
     positive pitches the head down) or z (lateral joint) axis. Leading
     axes of the angle arrays are samples: the result stacks the module
     frames on the axis after them, (..., M, 3) positions and
-    (..., M, 3, 3) orientations. Every sample starts from the one base
-    frame.
+    (..., M, 3, 3) orientations. Every sample starts from the world
+    frame: module 0 at the origin, axes aligned.
     """
-    if base is None:
-        base = FramePose.identity()
     n_vert = morph.num_vertical_joints
     n_lat = morph.num_lateral_joints
     if (angles.vertical.shape[-1:] != (n_vert,)
@@ -130,8 +117,8 @@ def forward_kinematics(morph: Morphology, angles: JointAngles,
 
     batch = angles.vertical.shape[:-1]
     step = np.array([morph.link_length, 0.0, 0.0])
-    pos = np.broadcast_to(base.position, batch + (3,))
-    ori = np.broadcast_to(base.orientation, batch + (3, 3))
+    pos = np.zeros(batch + (3,))
+    ori = np.broadcast_to(np.eye(3), batch + (3, 3))
     positions, orientations = [pos], [ori]
     for j in range(1, morph.num_joints + 1):
         if j % 2 == 1:

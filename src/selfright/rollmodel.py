@@ -25,9 +25,11 @@ GRAVITY = 9.80665
 # Mobility of the quasi-static roll dynamics, rad/s per N*m.
 MU_DEFAULT = 5.0
 
-# Torsional neighbor coupling for segmented mode, N*m/rad. Stiff enough to
-# keep neighbor phases coherent; much stiffer couplings, held fixed over an
-# output interval, leave staggered lanes no root and roll them a whole turn.
+# Torsional neighbor coupling for segmented mode, N*m/rad. Weak: on the
+# default sweep grid every cell that is finite at this value lies within
+# 0.0124 of its value at kappa = 0, and the modules right in the order of
+# their command stagger. Much stiffer couplings, held fixed over an output
+# interval, leave staggered lanes no root and roll them a whole turn.
 KAPPA_DEFAULT = 0.05
 
 # Dimensionless calibration of the drive gain, fixed once so that the
@@ -47,6 +49,11 @@ MIN_STEPS_PER_CYCLE = 200
 STALL_STEP = 0.1
 
 DEFAULT_RESOLUTION = 1024
+# Minima and barrier come from the piece table, so the samples only draw
+# the curve for export. 2**20 samples already make a 60 MB energy.csv;
+# the cap turns a larger request into a ConfigError before numpy tries
+# to allocate it.
+MAX_RESOLUTION = 2**20
 
 
 @dataclass(frozen=True)
@@ -179,8 +186,9 @@ def energy_landscape(morph: Morphology, resolution: int = DEFAULT_RESOLUTION) ->
     support piece each sample lies on (at a kink, of the piece that
     starts there). Minima and barrier come from the piece table.
     """
-    if resolution < 64:
-        raise ConfigError("landscape resolution must be >= 64")
+    if not 64 <= resolution <= MAX_RESOLUTION:
+        raise ConfigError(
+            f"landscape resolution must be in [64, {MAX_RESOLUTION}]")
     gamma = np.arange(resolution) * (TWO_PI / resolution)
     height = support_height(morph, gamma)
     energy = morph.total_mass * GRAVITY * np.asarray(height, dtype=float)
@@ -192,12 +200,6 @@ def energy_landscape(morph: Morphology, resolution: int = DEFAULT_RESOLUTION) ->
     return EnergyLandscape(gamma_samples=gamma, energy=energy,
                            denergy=c * np.cos(gamma) + s * np.sin(gamma) + 0.0,
                            minima=minima, barrier=barrier)
-
-
-def stable_configurations(landscape: EnergyLandscape) -> list[float]:
-    """Roll angles of the landscape's minima, sorted ascending in [0, 2*pi):
-    the middles of flat pieces, interior minima and convex valley kinks."""
-    return list(landscape.minima)
 
 
 @functools.lru_cache(maxsize=32)
@@ -261,14 +263,6 @@ class PerturbationSpec:
             return rng.uniform(-width, width)
 
         return uniform(self.gamma_jitter), 1.0 + uniform(self.gain_noise)
-
-
-@dataclass(frozen=True)
-class RollState:
-    """Roll angle (unwrapped, accumulating over revolutions) at a time."""
-
-    gamma: float | np.ndarray
-    time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -535,7 +529,7 @@ def _stalled(records: np.ndarray, step: float, run: int) -> np.ndarray:
 
 
 def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
-                  init: RollState | None = None,
+                  gamma0: float | np.ndarray = 0.0,
                   perturb: PerturbationSpec | None = None,
                   mode: str = "lumped",
                   rng: np.random.Generator | None = None,
@@ -545,10 +539,13 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
                   steps_per_cycle: int = STEPS_PER_CYCLE) -> RollTrajectory:
     """Integrate the quasi-static roll response to the commanded gait.
 
-    The commanded roll phase ramps from the trial's initial roll:
-    phi_cmd(t) = gamma_start + omega*t. Fractional cycles are allowed
-    (a half cycle is the one-shot righting maneuver); per-cycle roll
-    displacements are reported for completed full cycles.
+    gamma0 is the initial roll (unwrapped, accumulating over
+    revolutions): one value, or in segmented mode one per module. The
+    commanded roll phase ramps from the trial's mean initial roll:
+    phi_cmd(t) = gamma_start + omega*t, with times starting at 0.
+    Fractional cycles are allowed (a half cycle is the one-shot righting
+    maneuver); per-cycle roll displacements are reported for completed
+    full cycles.
 
     Segmented mode evolves one roll angle per module, staggering each
     module's command phase across the body by the gait's total phase span
@@ -561,29 +558,28 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
         raise ConfigError(f"steps_per_cycle must be >= {MIN_STEPS_PER_CYCLE}")
     if mode not in ("lumped", "segmented"):
         raise ConfigError(f"unknown mode {mode!r}")
-
-    if init is None:
-        init = RollState(gamma=0.0, time=0.0)
+    if not np.isfinite(gamma0).all():
+        raise ConfigError("gamma0 must be finite")
 
     jitter, gain_factor = (perturb or PerturbationSpec.none()).draw(rng)
-    gamma0, gains, offsets, chain = _trial_lanes(
-        params, morph, mode, [float(np.mean(init.gamma)) + jitter],
+    starts, gains, offsets, chain = _trial_lanes(
+        params, morph, mode, [float(np.mean(gamma0)) + jitter],
         [gain_factor])
-    if mode == "segmented" and np.ndim(init.gamma) == 1:
-        if len(init.gamma) != chain:
-            raise ConfigError("segmented init needs one gamma per module")
-        gamma0 = np.asarray(init.gamma, dtype=float) + jitter
+    if mode == "segmented" and np.ndim(gamma0) == 1:
+        if len(gamma0) != chain:
+            raise ConfigError("segmented gamma0 needs one value per module")
+        starts = np.asarray(gamma0, dtype=float) + jitter
 
     omega = params.temporal_frequency
     dt = (TWO_PI / omega) / steps_per_cycle
     n_intervals = max(1, round(cycles * steps_per_cycle))
     records, failures = _integrate(
-        support_pieces(morph), gains, gamma0, omega, dt, n_intervals, mu,
+        support_pieces(morph), gains, starts, omega, dt, n_intervals, mu,
         phase_offsets=offsets, kappa=kappa, chain=chain)
     if failures:
         raise IntegrationError(failures[0])
 
-    times = init.time + dt * np.arange(n_intervals + 1)
+    times = dt * np.arange(n_intervals + 1)
     full_cycles = int(n_intervals // steps_per_cycle)
     marks = records[::steps_per_cycle][:full_cycles + 1]
     per_cycle = np.diff(marks.mean(axis=1))

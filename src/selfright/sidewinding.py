@@ -107,9 +107,25 @@ def _rotate(theta: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
 
-def _trace(params: GaitParams, morph: Morphology, cycles: int,
-           samples_per_cycle: int,
-           contact_tol: float) -> tuple[DisplacementReport, np.ndarray]:
+def displacement_trajectory(params: GaitParams, morph: Morphology,
+                            cycles: int = 1,
+                            samples_per_cycle: int = DEFAULT_SAMPLES_PER_CYCLE,
+                            contact_tol: float = DEFAULT_CONTACT_TOL,
+                            ) -> tuple[DisplacementReport, np.ndarray]:
+    """Net lateral translation of the body under the anchored-contact
+    model, and the world path of the body-frame origin.
+
+    Samples the gait over whole cycles; between consecutive samples the
+    shared contact modules (falling back to the union of both samples'
+    contacts when the sets are disjoint) are held fixed in the world, and
+    the planar rigid motion of the body accumulates. The anchor choice is
+    the same in both directions of a step, so a gait that retraces its
+    shapes (a reciprocal standing wave) returns to its start. The report
+    holds the magnitude of the center-of-mass displacement perpendicular
+    to the mean body axis, normalized by body length and cycle count. The
+    path has one (x, y) row per sample, starting at the origin's initial
+    position.
+    """
     if cycles < 1:
         raise ConfigError("cycles must be >= 1")
     if samples_per_cycle < 8:
@@ -165,29 +181,7 @@ def lateral_displacement(params: GaitParams, morph: Morphology,
                          cycles: int = 1,
                          samples_per_cycle: int = DEFAULT_SAMPLES_PER_CYCLE,
                          contact_tol: float = DEFAULT_CONTACT_TOL) -> DisplacementReport:
-    """Net lateral translation of the body under the anchored-contact model.
-
-    Samples the gait over whole cycles; between consecutive samples the
-    shared contact modules (falling back to the union of both samples'
-    contacts when the sets are disjoint) are held fixed in the world, and
-    the planar rigid motion of the body accumulates. The anchor choice is
-    the same in both directions of a step, so a gait that retraces its
-    shapes (a reciprocal standing wave) returns to its start. Reports the
-    magnitude of the center-of-mass displacement perpendicular to the
-    mean body axis, normalized by body length and cycle count.
-    """
-    report, _ = _trace(params, morph, cycles, samples_per_cycle, contact_tol)
+    """The report of displacement_trajectory, without the path."""
+    report, _ = displacement_trajectory(params, morph, cycles,
+                                        samples_per_cycle, contact_tol)
     return report
-
-
-def displacement_trajectory(params: GaitParams, morph: Morphology,
-                            cycles: int = 1,
-                            samples_per_cycle: int = DEFAULT_SAMPLES_PER_CYCLE,
-                            contact_tol: float = DEFAULT_CONTACT_TOL,
-                            ) -> tuple[DisplacementReport, np.ndarray]:
-    """As lateral_displacement, plus the world path of the body-frame origin.
-
-    The path has one (x, y) row per sample, starting at the origin's
-    initial position.
-    """
-    return _trace(params, morph, cycles, samples_per_cycle, contact_tol)

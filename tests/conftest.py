@@ -149,6 +149,14 @@ def oracle_chain_frames(morph, vertical, lateral):
     return np.array(positions), np.array(orientations)
 
 
+def is_orthonormal(orientations, tol=1e-9):
+    """Whether every 3x3 matrix of the (..., 3, 3) stack is a proper
+    rotation."""
+    r = orientations
+    return bool(np.abs(r @ np.swapaxes(r, -1, -2) - np.eye(3)).max() <= tol
+                and np.abs(np.linalg.det(r) - 1.0).max() <= tol)
+
+
 def oracle_trace(params, morph, cycles, samples_per_cycle, contact_tol):
     """The sidewinding trace, one step fit and one 2x2 pose product at a time.
 

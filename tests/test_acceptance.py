@@ -18,7 +18,7 @@ from selfright import (GaitParams, Morphology, RunConfig, binariness,
                        classify_trial, config_to_dict, drive_gain,
                        energy_landscape,
                        lateral_angle, lateral_displacement, run_sweep,
-                       simulate_roll, stable_configurations, vertical_angle)
+                       simulate_roll, vertical_angle)
 from selfright.cli import main as cli_main
 
 from conftest import oracle_barrier
@@ -96,7 +96,7 @@ def test_criterion_3_energy_landscape():
 
     legged = energy_landscape(MORPH, 1024)
     step = TWO_PI / legged.resolution
-    minima = stable_configurations(legged)
+    minima = legged.minima
     assert len(minima) == 2
     assert abs(minima[0] - 0.0) <= step
     assert abs(minima[1] - math.pi) <= step

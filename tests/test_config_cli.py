@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from selfright import (ConfigError, GaitParams, Morphology, RunConfig,
                        save_config)
 from selfright.cli import main
 from selfright.config import RollSettings, SidewindSettings, SweepSettings
+from selfright.rollmodel import MAX_RESOLUTION
 
 from conftest import GRAVITY
 
@@ -231,6 +233,36 @@ def test_cli_rejects_non_finite_geometry_in_config(tmp_path, capsys, name,
     assert run_cli(["energy", "--config", path,
                     "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gait", "--xi", "inf"], "spatial_frequency must be finite"),
+    (["sidewind", "--xi", "inf"], "spatial_frequency must be finite"),
+    (["simulate", "--xi", "inf"], "spatial_frequency must be finite"),
+    (["simulate", "--gamma0", "inf"], "gamma0 must be finite"),
+    (["simulate", "--gamma0", "nan"], "gamma0 must be finite"),
+    (["energy", "--resolution", MAX_RESOLUTION + 1], "landscape resolution")])
+def test_cli_rejects_out_of_range_inputs(tmp_path, capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv + ["--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lateral_phase", "1e400"), ("temporal_frequency", "Infinity")])
+def test_cli_rejects_non_finite_gait_in_config(tmp_path, capsys, name,
+                                               value):
+    path = tmp_path / "config.json"
+    path.write_text('{"gait": {"%s": %s}}' % (name, value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["gait", "--config", path,
+                        "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert not (tmp_path / "out").exists()
 
 
 def sweep_config(tmp_path, **overrides):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from selfright import (ConfigError, GaitParams, coherence, joint_vector,
-                       lateral_angle, phase_lag, vertical_angle)
+                       lateral_angle, vertical_angle)
 
 from conftest import FROZEN, oracle_coherence, oracle_lateral, oracle_vertical
 
@@ -155,14 +155,6 @@ def test_zero_amplitude_gives_zero_vectors():
     assert np.all(angles.vertical == 0.0)
 
 
-def test_phase_lag_values():
-    assert phase_lag(make_params(0.1, 1.0, 0.0, 4)) == 0.0
-    assert phase_lag(make_params(0.1, 1.0, 0.6, 4)) == pytest.approx(
-        0.3 * math.pi, rel=1e-14)
-    assert phase_lag(make_params(0.1, 1.0, 1.2, 4)) == pytest.approx(
-        0.6 * math.pi, rel=1e-14)
-
-
 def test_param_validation():
     with pytest.raises(ConfigError):
         GaitParams(amplitude_lateral=math.pi / 2 + 0.01)
@@ -172,6 +164,10 @@ def test_param_validation():
         GaitParams(temporal_frequency=0.0)
     with pytest.raises(ConfigError):
         GaitParams(spatial_frequency=-0.5)
+    for name in ("temporal_frequency", "spatial_frequency", "lateral_phase"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match=name):
+                GaitParams(**{name: value})
     with pytest.raises(ConfigError):
         GaitParams(num_lateral_joints=0)
 

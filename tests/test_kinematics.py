@@ -12,7 +12,8 @@ from selfright import (DimensionError, FramePose, GaitParams, GeometryError,
                        center_of_mass, cross_section, forward_kinematics,
                        joint_vector, wave_height_slope)
 
-from conftest import FROZEN, oracle_chain_frames, oracle_planar_chain
+from conftest import (FROZEN, is_orthonormal, oracle_chain_frames,
+                      oracle_planar_chain)
 
 MORPH = Morphology()
 
@@ -65,7 +66,7 @@ def test_chain_length_conserved(values):
 @given(values=angle_arrays)
 def test_orientations_orthonormal(values):
     poses = forward_kinematics(MORPH, make_angles(values))
-    assert poses.is_orthonormal(1e-9)
+    assert is_orthonormal(poses.orientation, 1e-9)
 
 
 def test_orthonormality_bulk():
@@ -74,22 +75,7 @@ def test_orthonormality_bulk():
     for _ in range(10_000 // MORPH.num_modules):
         values = rng.uniform(-math.pi / 2, math.pi / 2, 9)
         poses = forward_kinematics(MORPH, make_angles(values))
-        assert poses.is_orthonormal(1e-9)
-
-
-def test_base_rotation_equivariance():
-    angles = make_angles(np.linspace(-0.8, 0.8, 9))
-    base_rot = np.array([[0.0, -1.0, 0.0],
-                         [1.0, 0.0, 0.0],
-                         [0.0, 0.0, 1.0]])
-    shift = np.array([0.3, -0.2, 0.5])
-    base = FramePose(position=shift, orientation=base_rot)
-    plain = forward_kinematics(MORPH, angles)
-    moved = forward_kinematics(MORPH, angles, base)
-    for p_pos, p_ori, q_pos, q_ori in zip(plain.position, plain.orientation,
-                                          moved.position, moved.orientation):
-        assert np.allclose(q_pos, base_rot @ p_pos + shift, atol=1e-12)
-        assert np.allclose(q_ori, base_rot @ p_ori, atol=1e-12)
+        assert is_orthonormal(poses.orientation, 1e-9)
 
 
 def test_com_single_module():

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfright import (ConfigError, GaitParams, IntegrationError,
-                       Morphology, PerturbationSpec, RollState,
-                       RollTrajectory, RunConfig, classify_trial, coherence,
-                       drive_gain, energy_landscape, run_sweep, simulate_roll,
-                       stable_configurations, support_height)
+                       Morphology, PerturbationSpec, RollTrajectory,
+                       RunConfig, classify_trial, coherence, drive_gain,
+                       energy_landscape, run_sweep, simulate_roll,
+                       support_height)
 from selfright import rollmodel
-from selfright.rollmodel import (KAPPA_DEFAULT, STALL_STEP, _integrate,
-                                 _stalled, _trial_lanes, support_pieces)
+from selfright.rollmodel import (KAPPA_DEFAULT, MAX_RESOLUTION, STALL_STEP,
+                                 _integrate, _stalled, _trial_lanes,
+                                 support_pieces)
 from selfright.config import SweepSettings
 
 from conftest import (FROZEN, GRAVITY, oracle_barrier, oracle_integrate,
@@ -112,7 +113,7 @@ def test_limbless_landscape_flat(limbless_landscape):
     span = limbless_landscape.energy.max() - limbless_landscape.energy.min()
     assert span <= 1e-6 * limbless_landscape.energy.mean()
     assert limbless_landscape.barrier <= 1e-6
-    assert stable_configurations(limbless_landscape) == []
+    assert limbless_landscape.minima == ()
     # a flat slope is reported as 0, never -0
     assert not np.signbit(limbless_landscape.denergy).any()
 
@@ -120,7 +121,7 @@ def test_limbless_landscape_flat(limbless_landscape):
 def test_legged_landscape_bistable(default_landscape):
     """The minima are the middles of the flat disc pieces, the one that
     straddles 0 folded onto 0, not onto 2*pi."""
-    minima = stable_configurations(default_landscape)
+    minima = default_landscape.minima
     assert minima == pytest.approx([0.0, math.pi], abs=1e-12)
     assert all(0.0 <= g < TWO_PI for g in minima)
 
@@ -161,6 +162,9 @@ def test_landscape_wraps_continuously(default_landscape):
 def test_landscape_resolution_guard():
     with pytest.raises(ConfigError):
         energy_landscape(MORPH, 63)
+    # One past the cap raises before any sample is allocated.
+    with pytest.raises(ConfigError, match="resolution"):
+        energy_landscape(MORPH, MAX_RESOLUTION + 1)
 
 
 @pytest.mark.parametrize("leg_angle", [0.3, 0.5])
@@ -184,7 +188,7 @@ def test_angled_wells_match_dense_samples(leg_angle, leg):
         vals = u[span % n]
         lowest = span[vals == vals.min()]
         wells.append((lowest[0] + lowest[-1]) / 2.0 * step)
-    minima = stable_configurations(land)
+    minima = land.minima
     assert len(minima) == 2
     for found, oracle in zip(minima, wells):
         gap = math.remainder(found - oracle, TWO_PI)
@@ -195,6 +199,12 @@ def test_drive_gain_zero_without_lift():
     p = GaitParams(amplitude_lateral=math.pi / 4, amplitude_vertical=0.0,
                    temporal_frequency=OMEGA)
     assert drive_gain(p, MORPH) == 0.0
+    # Only the vertical wave lifts: at A_v = pi/4 the lateral amplitude
+    # leaves the gain bitwise unchanged.
+    gains = {drive_gain(replace(p, amplitude_vertical=math.pi / 4,
+                                amplitude_lateral=a_l), MORPH)
+             for a_l in (0.0, math.pi / 8, math.pi / 2)}
+    assert gains == {drive_gain(quasi_static_gait(math.pi / 4), MORPH)}
 
 
 def test_drive_gain_frozen_and_monotone():
@@ -341,7 +351,7 @@ def test_limbless_segmented_roll_shift_invariant(limbless_morph):
     rate below it as well as above.
     """
     rolls = [simulate_roll(quasi_static_gait(xi=0.6), limbless_morph,
-                           cycles=1.0, init=RollState(gamma=g0),
+                           cycles=1.0, gamma0=g0,
                            mode="segmented").delta_gamma_total
              for g0 in (-7.3, 0.0, 1.0, math.pi, 12.0)]
     assert np.ptp(rolls) <= 1e-9
@@ -405,6 +415,10 @@ def test_simulate_validation():
         simulate_roll(quasi_static_gait(), MORPH, steps_per_cycle=199)
     with pytest.raises(ConfigError):
         simulate_roll(quasi_static_gait(), MORPH, mode="hybrid")
+    for gamma0 in (math.inf, math.nan, np.r_[np.zeros(9), -math.inf]):
+        with pytest.raises(ConfigError, match="gamma0 must be finite"):
+            simulate_roll(quasi_static_gait(), MORPH, gamma0=gamma0,
+                          mode="segmented")
 
 
 def test_trajectory_time_axis(limbless_morph):
@@ -417,8 +431,7 @@ def test_trajectory_time_axis(limbless_morph):
 
 
 def test_trajectory_initial_state():
-    start = RollState(gamma=1.25)
-    traj = simulate_roll(quasi_static_gait(), MORPH, cycles=1.0, init=start)
+    traj = simulate_roll(quasi_static_gait(), MORPH, cycles=1.0, gamma0=1.25)
     assert traj.gammas[0] == 1.25
 
 
@@ -428,14 +441,13 @@ def test_per_module_start_takes_the_jitter():
     rejected."""
     gait, spec = quasi_static_gait(xi=0.6), PerturbationSpec()
     scalar, per_module = (
-        simulate_roll(gait, MORPH, init=RollState(gamma=gamma), perturb=spec,
+        simulate_roll(gait, MORPH, gamma0=gamma, perturb=spec,
                       mode="segmented", rng=np.random.default_rng(7))
         for gamma in (math.pi, np.full(MORPH.num_modules, math.pi)))
     assert np.array_equal(per_module.gammas, scalar.gammas)
     assert per_module.gammas[0, 0] != math.pi
     with pytest.raises(ConfigError):
-        simulate_roll(gait, MORPH, init=RollState(gamma=np.zeros(3)),
-                      mode="segmented")
+        simulate_roll(gait, MORPH, gamma0=np.zeros(3), mode="segmented")
 
 
 def lane_batch(morph, mode, grid, seed=0, starts=None):
@@ -579,7 +591,7 @@ def test_lane_resting_on_a_kink_settles_in_the_first_pass(rate_sizes):
     """A stuck trial rests on a kink for most of its intervals; each of
     those is settled by the interval's first pass, without a kink pass."""
     traj = simulate_roll(quasi_static_gait(math.pi / 8), MORPH, cycles=3.0,
-                         init=RollState(gamma=math.pi))
+                         gamma0=math.pi)
     assert traj.stalled and len(traj.gammas) == 769
     assert 768 <= len(rate_sizes) < 800
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from selfright import (BehaviorDiagram, ConfigError, GaitParams, Morphology,
-                       PerturbationSpec, RollState, RunConfig, binariness,
+                       PerturbationSpec, RunConfig, binariness,
                        estimate_psr, run_sweep, simulate_roll,
                        write_diagram_csv, write_diagram_json)
 from selfright.config import (DEFAULT_AMPLITUDES, DEFAULT_XIS, RollSettings,
@@ -264,7 +264,7 @@ def test_batched_trial_equals_simulate_roll(mode, perturb):
         traj = simulate_roll(
             cell_gait(cfg, sw.amplitudes[a_idx], sw.xis[x_idx]),
             cfg.morphology, cycles=float(sw.cycles_per_trial),
-            init=RollState(gamma=math.pi), perturb=perturb, mode=mode,
+            gamma0=math.pi, perturb=perturb, mode=mode,
             rng=rng, mu=roll.mu, kappa=roll.kappa,
             steps_per_cycle=roll.steps_per_cycle)
         rolls = traj.delta_gamma_total / (2 * math.pi * sw.cycles_per_trial)
