@@ -22,8 +22,7 @@ from .rollmodel import (EnergyLandscape, PerturbationSpec, RollTrajectory,
                         energy_landscape, simulate_roll, support_height)
 from .sidewinding import (DisplacementReport, contact_set,
                           displacement_trajectory, lateral_displacement)
-from .sweep import (BehaviorDiagram, binariness, estimate_psr, run_sweep,
-                    write_diagram_csv, write_diagram_json)
+from .sweep import BehaviorDiagram, binariness, estimate_psr, run_sweep
 
 __version__ = "0.1.0"
 
@@ -39,6 +38,5 @@ __all__ = [
     "energy_landscape", "estimate_psr", "forward_kinematics",
     "joint_vector", "lateral_angle", "lateral_displacement", "load_config",
     "run_sweep", "save_config", "simulate_roll", "support_height",
-    "vertical_angle", "wave_height_slope", "write_diagram_csv",
-    "write_diagram_json",
+    "vertical_angle", "wave_height_slope",
 ]

@@ -6,7 +6,8 @@ energy (roll-angle landscape), simulate (one roll trial), sweep
 also printed to stdout), and sidewind (planar displacement estimate).
 Every output file embeds the sha256 of the effective run configuration
 and the seed, and contains nothing time- or host-dependent, so
-identical invocations produce identical bytes.
+identical invocations produce identical bytes. Each command prints the
+path of every file it writes, in the order it writes them.
 
 Settings resolve in precedence order: command-line flag, then SRSIM_*
 environment variable, then --config file, then built-in default.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -29,8 +31,7 @@ from .errors import ConfigError, SelfRightError
 from .gait import joint_vector
 from .rollmodel import classify_trial, energy_landscape, simulate_roll
 from .sidewinding import displacement_trajectory
-from .sweep import (binariness, provenance_config, run_sweep,
-                    write_diagram_csv, write_diagram_json)
+from .sweep import BehaviorDiagram, binariness, provenance_config, run_sweep
 
 ENV_PREFIX = "SRSIM_"
 
@@ -101,23 +102,68 @@ class _BothAmplitudes(argparse.Action):
         setattr(namespace, "gait.amplitude_vertical", value)
 
 
+def _provenance(cfg: RunConfig) -> dict:
+    """What every output file records of the run that wrote it."""
+    return {"config_sha256": config_hash(cfg), "seed": cfg.seed}
+
+
 def _write_csv(path: Path, cfg: RunConfig, header: tuple[str, ...],
                rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# config_sha256={config_hash(cfg)} seed={cfg.seed}",
+    """cfg's provenance as a comment line, the header, then the rows."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in _provenance(cfg).items()),
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"config_sha256": config_hash(cfg), "seed": cfg.seed}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    path.write_text("\n".join(lines) + "\n")
+    print(path)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(path)
+
+
+def write_diagram_csv(diagram: BehaviorDiagram, path: Path) -> None:
+    """One row per trial plus a summary row per cell.
+
+    Trial rows leave p_sr empty; the summary row (trial column 'summary')
+    carries the cell's mean rolls per cycle and P_sr.
+    """
+    rows = []
+    for amp, trial_row, mean_row, p_row in zip(
+            diagram.amplitudes.tolist(), diagram.trial_rolls.tolist(),
+            diagram.trial_rolls.mean(axis=2).tolist(),
+            diagram.p_sr.tolist()):
+        for xi, cell, mean, p in zip(diagram.xis.tolist(), trial_row,
+                                     mean_row, p_row):
+            rows.extend((amp, xi, trial, rolls, "")
+                        for trial, rolls in enumerate(cell))
+            rows.append((amp, xi, "summary", mean, p))
+    _write_csv(path, provenance_config(diagram.config),
+               ("A_rad", "xi", "trial", "rolls_per_cycle", "p_sr"), rows)
+
+
+def write_diagram_json(diagram: BehaviorDiagram, path: Path) -> None:
+    cfg = diagram.config
+    roll, sw = cfg.roll, cfg.sweep
+    _write_json(path, {
+        "meta": _provenance(provenance_config(cfg)),
+        "calibration": {"mu": roll.mu, "kappa": roll.kappa,
+                        "drive_frequency": cfg.gait.temporal_frequency,
+                        "steps_per_cycle": roll.steps_per_cycle},
+        "protocol": {"trials_per_cell": sw.trials_per_cell,
+                     "cycles_per_trial": sw.cycles_per_trial,
+                     "seed": cfg.seed, "mode": cfg.mode},
+        "amplitudes": diagram.amplitudes.tolist(),
+        "xis": diagram.xis.tolist(),
+        "p_sr": [[None if math.isnan(v) else v for v in row]
+                 for row in diagram.p_sr.tolist()],
+        "trial_rolls": [[[None if math.isnan(v) else v for v in cell]
+                         for cell in row]
+                        for row in diagram.trial_rolls.tolist()],
+        "errors": list(diagram.errors),
+    })
 
 
 def cmd_gait(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
@@ -131,37 +177,33 @@ def cmd_gait(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
                             angles.vertical.tolist()):
         rows.extend((t, i, "lateral", a) for i, a in enumerate(lat))
         rows.extend((t, i, "vertical", a) for i, a in enumerate(vert))
-    path = out / "gait.csv"
-    _write_csv(path, cfg, ("time_s", "joint", "axis", "angle_rad"), rows)
-    print(path)
+    _write_csv(out / "gait.csv", cfg,
+               ("time_s", "joint", "axis", "angle_rad"), rows)
     return 0
 
 
 def cmd_energy(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     land = energy_landscape(cfg.morphology, cfg.roll.resolution)
-    csv_path = out / "energy.csv"
-    _write_csv(csv_path, cfg, ("gamma_rad", "energy_J", "denergy_J_per_rad"),
+    _write_csv(out / "energy.csv", cfg,
+               ("gamma_rad", "energy_J", "denergy_J_per_rad"),
                zip(land.gamma_samples.tolist(), land.energy.tolist(),
                    land.denergy.tolist()))
-    json_path = out / "energy.json"
-    _write_json(json_path, cfg, {
+    _write_json(out / "energy.json", {
+        **_provenance(cfg),
         "minima_rad": list(land.minima),
         "barrier_J": land.barrier,
         "resolution": land.resolution,
         "leg_length_m": cfg.morphology.leg_length,
     })
-    print(csv_path)
-    print(json_path)
     return 0
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    cycles = 0.5 if args.half else args.cycles
     perturb = rng = None
     if args.perturb:
         perturb = cfg.sweep.perturbation()
         rng = np.random.default_rng(cfg.seed)
-    traj = simulate_roll(cfg.gait, cfg.morphology, cycles=cycles,
+    traj = simulate_roll(cfg.gait, cfg.morphology, cycles=args.cycles,
                          gamma0=args.gamma0,
                          perturb=perturb, mode=cfg.mode, rng=rng,
                          mu=cfg.roll.mu, kappa=cfg.roll.kappa,
@@ -176,20 +218,18 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
              [f"gamma_{i}_rad" for i in range(gammas.shape[1])])
     rows = ((t, p, *gs) for t, p, gs in
             zip(traj.times.tolist(), phi_cmd.tolist(), gammas.tolist()))
-    csv_path = out / "trajectory.csv"
-    _write_csv(csv_path, cfg, ("time_s", "phi_cmd_rad", *names), rows)
-    json_path = out / "outcome.json"
-    _write_json(json_path, cfg, {
+    _write_csv(out / "trajectory.csv", cfg,
+               ("time_s", "phi_cmd_rad", *names), rows)
+    _write_json(out / "outcome.json", {
+        **_provenance(cfg),
         "self_righted": outcome.self_righted,
         "rolls_per_cycle": outcome.rolls_per_cycle,
         "stalled": outcome.stalled,
-        "cycles": cycles,
+        "cycles": traj.cycles,
         "mode": traj.mode,
         "gamma_start_rad": start,
         "gamma_end_rad": float(gammas[-1].mean()),
     })
-    print(csv_path)
-    print(json_path)
     print(f"self_righted={outcome.self_righted} "
           f"rolls_per_cycle={outcome.rolls_per_cycle:.4f}")
     return 0
@@ -197,15 +237,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     diagram = run_sweep(cfg)
-    meta = {"config_sha256": config_hash(provenance_config(cfg)),
-            "seed": cfg.seed}
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "sweep.csv"
-    json_path = out / "sweep.json"
-    write_diagram_csv(diagram, csv_path, meta)
-    write_diagram_json(diagram, json_path, meta)
-    print(csv_path)
-    print(json_path)
+    write_diagram_csv(diagram, out / "sweep.csv")
+    write_diagram_json(diagram, out / "sweep.json")
     # The P_sr map, amplitude growing upward; a NaN cell prints as nan.
     print("  A_rad \\ xi " + " ".join(f"{x:4.1f}" for x in diagram.xis))
     for amp, row in zip(diagram.amplitudes[::-1], diagram.p_sr[::-1]):
@@ -224,14 +257,11 @@ def cmd_sidewind(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     period = cfg.gait.period
     rows = ((k, period * k / sw.samples_per_cycle, float(p[0]), float(p[1]))
             for k, p in enumerate(path_xy))
-    csv_path = out / "sidewind.csv"
-    _write_csv(csv_path, cfg, ("sample", "time_s", "x_m", "y_m"), rows)
-    json_path = out / "sidewind.json"
+    _write_csv(out / "sidewind.csv", cfg, ("sample", "time_s", "x_m", "y_m"),
+               rows)
     payload = dataclasses.asdict(report)
     payload["net_xy"] = list(payload["net_xy"])
-    _write_json(json_path, cfg, payload)
-    print(csv_path)
-    print(json_path)
+    _write_json(out / "sidewind.json", {**_provenance(cfg), **payload})
     print(f"lateral_displacement={report.lateral_displacement:.4f} "
           f"contact_fraction={report.contact_fraction:.4f}")
     return 0
@@ -280,10 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common, gait_flags],
                        help="run one quasi-static roll trial")
-    p.add_argument("--cycles", type=float, default=1.0, metavar="C",
-                   help="gait cycles to integrate (default 1)")
-    p.add_argument("--half", action="store_true",
-                   help="integrate half a cycle (one-shot righting)")
+    span = p.add_mutually_exclusive_group()
+    # --cycles comes first, so its default is the one args.cycles gets.
+    span.add_argument("--cycles", type=float, default=1.0, metavar="C",
+                      help="gait cycles to integrate (default 1)")
+    span.add_argument("--half", action="store_const", dest="cycles",
+                      const=0.5,
+                      help="integrate half a cycle (one-shot righting)")
     p.add_argument("--gamma0", type=float, default=0.0, metavar="RAD",
                    help="initial roll angle (default 0)")
     p.add_argument("--perturb", action="store_true",

@@ -105,6 +105,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("lumped", "segmented"):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _build(cls, data, path: str):

@@ -270,8 +270,9 @@ class RollTrajectory:
     """Recorded roll trajectory of one trial.
 
     gammas has shape (steps+1,) in lumped mode or (steps+1, M) in
-    segmented mode. delta_gamma_per_cycle averages over modules in
-    segmented mode; its length is the number of completed full cycles.
+    segmented mode. cycles is the span integrated, in whole output
+    intervals. delta_gamma_per_cycle averages over modules in segmented
+    mode; its length is the number of completed full cycles.
     """
 
     times: np.ndarray
@@ -544,7 +545,8 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     commanded roll phase ramps from the trial's mean initial roll:
     phi_cmd(t) = gamma_start + omega*t, with times starting at 0.
     Fractional cycles are allowed (a half cycle is the one-shot righting
-    maneuver); per-cycle roll displacements are reported for completed
+    maneuver) and round to whole output intervals, of which there must be
+    at least one; per-cycle roll displacements are reported for completed
     full cycles.
 
     Segmented mode evolves one roll angle per module, staggering each
@@ -560,6 +562,10 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
         raise ConfigError(f"unknown mode {mode!r}")
     if not np.isfinite(gamma0).all():
         raise ConfigError("gamma0 must be finite")
+    n_intervals = round(cycles * steps_per_cycle)
+    if n_intervals < 1:
+        raise ConfigError(f"cycles must span at least one output interval "
+                          f"(1/{steps_per_cycle} of a cycle)")
 
     jitter, gain_factor = (perturb or PerturbationSpec.none()).draw(rng)
     starts, gains, offsets, chain = _trial_lanes(
@@ -572,7 +578,6 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
 
     omega = params.temporal_frequency
     dt = (TWO_PI / omega) / steps_per_cycle
-    n_intervals = max(1, round(cycles * steps_per_cycle))
     records, failures = _integrate(
         support_pieces(morph), gains, starts, omega, dt, n_intervals, mu,
         phase_offsets=offsets, kappa=kappa, chain=chain)
@@ -588,7 +593,8 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     stalled = _stalled(records, STALL_STEP * omega * dt,
                        max(1, steps_per_cycle // 4))
     # A segmented body counts as stalled only when every module went quiet.
-    return RollTrajectory(times=times, gammas=gammas, cycles=cycles,
+    return RollTrajectory(times=times, gammas=gammas,
+                          cycles=n_intervals / steps_per_cycle,
                           delta_gamma_per_cycle=per_cycle,
                           stalled=bool(stalled.all()), mode=mode)
 

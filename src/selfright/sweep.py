@@ -7,7 +7,6 @@ probability estimated as mean roll displacement per cycle over 2*pi.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -58,10 +57,6 @@ class BehaviorDiagram:
     p_sr: np.ndarray
     errors: tuple[str, ...]
     config: RunConfig
-
-    @property
-    def mean_rolls(self) -> np.ndarray:
-        return self.trial_rolls.mean(axis=2)
 
 
 def estimate_psr(trial_rolls: np.ndarray) -> float:
@@ -145,54 +140,3 @@ def run_sweep(cfg: RunConfig) -> BehaviorDiagram:
                            trial_rolls=trial_rolls, p_sr=p_sr,
                            errors=tuple(errors), config=cfg)
 
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
-def write_diagram_csv(diagram: BehaviorDiagram, path, meta: dict) -> None:
-    """One row per trial plus a summary row per cell.
-
-    Trial rows leave p_sr empty; the summary row (trial column 'summary')
-    carries the cell's mean rolls per cycle and P_sr.
-    """
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items()))]
-    lines.append("A_rad,xi,trial,rolls_per_cycle,p_sr")
-    mean_rolls = diagram.mean_rolls
-    for a_idx, amp in enumerate(diagram.amplitudes):
-        for x_idx, xi in enumerate(diagram.xis):
-            for trial in range(diagram.trial_rolls.shape[2]):
-                rolls = diagram.trial_rolls[a_idx, x_idx, trial]
-                lines.append(f"{_fmt(amp)},{_fmt(xi)},{trial},{_fmt(rolls)},")
-            lines.append(f"{_fmt(amp)},{_fmt(xi)},summary,"
-                         f"{_fmt(mean_rolls[a_idx, x_idx])},"
-                         f"{_fmt(diagram.p_sr[a_idx, x_idx])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def diagram_to_dict(diagram: BehaviorDiagram, meta: dict) -> dict:
-    cfg = diagram.config
-    roll, sw = cfg.roll, cfg.sweep
-    return {
-        "meta": dict(sorted(meta.items())),
-        "calibration": {"mu": roll.mu, "kappa": roll.kappa,
-                        "drive_frequency": cfg.gait.temporal_frequency,
-                        "steps_per_cycle": roll.steps_per_cycle},
-        "protocol": {"trials_per_cell": sw.trials_per_cell,
-                     "cycles_per_trial": sw.cycles_per_trial,
-                     "seed": cfg.seed, "mode": cfg.mode},
-        "amplitudes": list(diagram.amplitudes),
-        "xis": list(diagram.xis),
-        "p_sr": [[None if np.isnan(v) else v for v in row]
-                 for row in diagram.p_sr],
-        "trial_rolls": [[[None if np.isnan(v) else v for v in cell]
-                         for cell in row] for row in diagram.trial_rolls],
-        "errors": list(diagram.errors),
-    }
-
-
-def write_diagram_json(diagram: BehaviorDiagram, path, meta: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(diagram_to_dict(diagram, meta), fh, indent=1, sort_keys=True)
-        fh.write("\n")

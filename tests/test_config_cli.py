@@ -80,6 +80,7 @@ def test_nested_validation_surfaces():
     (SweepSettings, "gain_noise", math.nan),
     (SweepSettings, "gamma_jitter", -0.1),
     (SweepSettings, "gain_noise", -0.1),
+    (RunConfig, "seed", -1),
 ])
 def test_range_checks_reject_nan_and_negative_widths(cls, name, value):
     with pytest.raises(ConfigError, match=name):
@@ -241,13 +242,45 @@ def test_cli_rejects_non_finite_geometry_in_config(tmp_path, capsys, name,
     (["simulate", "--xi", "inf"], "spatial_frequency must be finite"),
     (["simulate", "--gamma0", "inf"], "gamma0 must be finite"),
     (["simulate", "--gamma0", "nan"], "gamma0 must be finite"),
-    (["energy", "--resolution", MAX_RESOLUTION + 1], "landscape resolution")])
+    (["energy", "--resolution", MAX_RESOLUTION + 1], "landscape resolution"),
+    (["simulate", "--cycles", 0.0001], "cycles must span at least one"),
+    (["sweep", "--seed", -1], "seed must be >= 0"),
+    (["simulate", "--perturb", "--seed", -1], "seed must be >= 0")])
 def test_cli_rejects_out_of_range_inputs(tmp_path, capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(argv + ["--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_simulate_half_excludes_cycles(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["simulate", "--half", "--cycles", 3,
+                 "--out", tmp_path / "out"])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["gait", "--samples", 8], ["gait.csv"]),
+    (["energy"], ["energy.csv", "energy.json"]),
+    (["simulate", "--half"], ["trajectory.csv", "outcome.json"]),
+    (["sweep", "--trials", 1, "--cycles", 1, "--legs", 0],
+     ["sweep.csv", "sweep.json"]),
+    (["sidewind", "--cycles", 1], ["sidewind.csv", "sidewind.json"])])
+def test_cli_prints_the_paths_it_writes(tmp_path, capsys, argv, names):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    paths = [out / name for name in names]
+    assert lines[:len(paths)] == [str(p) for p in paths]
+    assert not any(line.startswith(str(out)) for line in lines[len(paths):])
+    assert sorted(out.iterdir()) == sorted(paths)
+    # written in the order printed
+    mtimes = [p.stat().st_mtime_ns for p in paths]
+    assert mtimes == sorted(mtimes)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -416,6 +449,11 @@ def test_cli_env_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SRSIM_SEED", "not-a-number")
     assert run_cli(["gait", "--out", tmp_path]) == 1
     assert "SRSIM_SEED" in capsys.readouterr().err
+
+    monkeypatch.setenv("SRSIM_SEED", "-3")
+    assert run_cli(["sweep", "--out", tmp_path / "neg"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+    assert not (tmp_path / "neg").exists()
 
 
 def test_cli_legs_flag_changes_hash(tmp_path):

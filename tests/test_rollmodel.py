@@ -14,9 +14,10 @@ from selfright import (ConfigError, GaitParams, IntegrationError,
                        support_height)
 from selfright import rollmodel
 from selfright.rollmodel import (KAPPA_DEFAULT, MAX_RESOLUTION, STALL_STEP,
-                                 _integrate, _stalled, _trial_lanes,
-                                 support_pieces)
+                                 STEPS_PER_CYCLE, _integrate, _stalled,
+                                 _trial_lanes, support_pieces)
 from selfright.config import SweepSettings
+from selfright.sweep import cell_gait
 
 from conftest import (FROZEN, GRAVITY, oracle_barrier, oracle_integrate,
                       oracle_support_heights)
@@ -371,6 +372,23 @@ def test_segmented_matches_lumped_in_phase():
         lumped.gammas[:, None], MORPH.num_modules, axis=1))
 
 
+@pytest.mark.parametrize("kappa", [
+    0.0,
+    pytest.param(KAPPA_DEFAULT, marks=pytest.mark.xfail(
+        raises=IntegrationError, strict=True,
+        reason="ROADMAP item 1: the coupling torque, held fixed over an "
+               "output interval, rolls the chain more than a whole turn"))])
+def test_limbless_segmented_cell_integrates(limbless_morph, kappa):
+    """One trial of the default limbless segmented grid's cell A = pi/24,
+    xi = 0.6, from the inverted pose: uncoupled it integrates, and at the
+    default kappa it fails in output interval 1, as do 249 of that grid's
+    715 trials."""
+    traj = simulate_roll(cell_gait(RunConfig(), math.pi / 24, 0.6),
+                         limbless_morph, cycles=1.0, gamma0=math.pi,
+                         mode="segmented", kappa=kappa)
+    assert np.isfinite(traj.gammas).all()
+
+
 def test_segmented_large_coupling_out_of_phase_errors():
     with pytest.raises(IntegrationError):
         simulate_roll(quasi_static_gait(xi=0.6), MORPH, cycles=1.0,
@@ -411,6 +429,9 @@ def test_perturbation_widths_validated(widths):
 def test_simulate_validation():
     with pytest.raises(ConfigError):
         simulate_roll(quasi_static_gait(), MORPH, cycles=0.0)
+    for cycles in (1e-4, 0.49 / STEPS_PER_CYCLE):
+        with pytest.raises(ConfigError, match="at least one output interval"):
+            simulate_roll(quasi_static_gait(), MORPH, cycles=cycles)
     with pytest.raises(ConfigError):
         simulate_roll(quasi_static_gait(), MORPH, steps_per_cycle=199)
     with pytest.raises(ConfigError):
@@ -428,6 +449,21 @@ def test_trajectory_time_axis(limbless_morph):
     assert np.all(np.diff(traj.times) > 0)
     assert traj.times[-1] == pytest.approx(cycles * TWO_PI / OMEGA, rel=1e-12)
     assert len(traj.delta_gamma_per_cycle) == 2
+
+
+@pytest.mark.parametrize("cycles", [1.4 / STEPS_PER_CYCLE,
+                                    2.4 / STEPS_PER_CYCLE, 0.3, 0.5])
+def test_fractional_trial_normalised_by_span_integrated(limbless_morph,
+                                                        cycles):
+    """cycles rounds to whole output intervals, and a trial without a full
+    cycle reports its rolls over that span: a limbless body follows its
+    command, so it reads one roll per cycle at any span."""
+    traj = simulate_roll(quasi_static_gait(), limbless_morph, cycles=cycles)
+    intervals = len(traj.times) - 1
+    assert intervals == round(cycles * STEPS_PER_CYCLE)
+    assert traj.cycles == intervals / STEPS_PER_CYCLE
+    assert classify_trial(traj).rolls_per_cycle == pytest.approx(1.0,
+                                                                 rel=1e-12)
 
 
 def test_trajectory_initial_state():

@@ -11,11 +11,11 @@ from hypothesis import given, strategies as st
 
 from selfright import (BehaviorDiagram, ConfigError, GaitParams, Morphology,
                        PerturbationSpec, RunConfig, binariness,
-                       estimate_psr, run_sweep, simulate_roll,
-                       write_diagram_csv, write_diagram_json)
+                       config_hash, estimate_psr, run_sweep, simulate_roll)
+from selfright.cli import write_diagram_csv, write_diagram_json
 from selfright.config import (DEFAULT_AMPLITUDES, DEFAULT_XIS, RollSettings,
                               SweepSettings)
-from selfright.sweep import cell_gait
+from selfright.sweep import cell_gait, provenance_config
 
 LEGGED = Morphology()
 LIMBLESS = LEGGED.limbless()
@@ -160,13 +160,13 @@ def test_error_cells_are_tagged_not_fatal():
 def test_csv_and_json_outputs(tmp_path):
     cfg = small_config()
     diagram = run_sweep(cfg)
-    meta = {"config_sha256": "deadbeef", "seed": 0}
+    digest = config_hash(provenance_config(cfg))
 
     csv_path = tmp_path / "sweep.csv"
-    write_diagram_csv(diagram, csv_path, meta)
+    write_diagram_csv(diagram, csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("#")
-    assert "config_sha256=deadbeef" in lines[0]
+    assert f"config_sha256={digest}" in lines[0]
     assert lines[1] == "A_rad,xi,trial,rolls_per_cycle,p_sr"
     # per cell: one row per trial plus a summary row
     assert len(lines) == 2 + 4 * (cfg.sweep.trials_per_cell + 1)
@@ -176,15 +176,15 @@ def test_csv_and_json_outputs(tmp_path):
     assert all(ln.endswith(",") for ln in trial_rows)
 
     json_path = tmp_path / "sweep.json"
-    write_diagram_json(diagram, json_path, meta)
+    write_diagram_json(diagram, json_path)
     doc = json.loads(json_path.read_text())
-    assert doc["meta"]["config_sha256"] == "deadbeef"
+    assert doc["meta"]["config_sha256"] == digest
     assert doc["protocol"]["seed"] == 0
     assert np.asarray(doc["p_sr"]).shape == (2, 2)
     assert doc["calibration"]["mu"] == cfg.roll.mu
 
     # identical rerun, identical bytes
-    write_diagram_csv(run_sweep(small_config()), tmp_path / "again.csv", meta)
+    write_diagram_csv(run_sweep(small_config()), tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == csv_path.read_bytes()
 
 
@@ -195,7 +195,7 @@ def test_json_null_for_failed_cells(tmp_path):
                        trials_per_cell=1)
     diagram = run_sweep(cfg)
     path = tmp_path / "failed.json"
-    write_diagram_json(diagram, path, {"seed": 0})
+    write_diagram_json(diagram, path)
     doc = json.loads(path.read_text())
     assert doc["p_sr"][0][0] is None
     assert doc["errors"]
