@@ -16,7 +16,9 @@ environment variable, then --config file, then built-in default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -349,13 +351,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A command's stdout is held until it returns, so a reader that closes
+    # the pipe early cannot stop it before it has written all its files.
+    printed = io.StringIO()
     try:
-        cfg = _effective_config(args)
-        out = _out_dir(args)
-        return args.func(cfg, args, out)
+        with contextlib.redirect_stdout(printed):
+            cfg = _effective_config(args)
+            out = _out_dir(args)
+            status = args.func(cfg, args, out)
     except SelfRightError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        status = 1
+    try:
+        print(printed.getvalue(), end="", flush=True)
+    except BrokenPipeError:
+        # Python's recipe for a closed stdout: point it at devnull, so the
+        # flush at exit cannot fail again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
+    return status
 
 
 if __name__ == "__main__":

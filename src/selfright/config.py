@@ -164,10 +164,12 @@ def config_to_dict(config: RunConfig) -> dict:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read ({exc})") from exc
     return config_from_dict(data)
 
 

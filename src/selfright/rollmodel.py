@@ -332,11 +332,12 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     up across a kink, so the lane goes on along the next piece if its rate
     keeps its sign there, and rests otherwise.
 
-    A lane that starts on the kink it heads for (a lane that rested there
-    before) is settled in the first pass: its rate on the next piece
-    comes from the same angle terms, and if that rate does not keep its
-    sign the lane rests without a kink pass. Only lanes that reach a kink
-    from inside a piece, or leave one, are gathered for the kink pass.
+    A lane that starts on the kink it heads for (one that rested or
+    arrived there before) is settled before the first pass's flow: its
+    rate on the next piece comes from the same angle terms. If that rate
+    keeps its sign, the lane switches to the next piece in place and the
+    first pass marches it along that piece; otherwise it rests. Only lanes
+    that reach a kink from inside a piece are gathered for a kink pass.
 
     tables is (edges, c, s) of the piece table. piece and turn hold each
     lane's piece index and whole turns; they are updated in place for the
@@ -356,7 +357,25 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     while True:
         up = r > 0
         edge = edges[j + up] + TWO_PI * t
-        capped = up & (phi < edge)
+        capped = held = up & (phi < edge)
+        settle = (edge == g) & ~capped if lanes is None else False
+        if np.count_nonzero(settle):
+            # A lane on the kink it heads for meets the next piece at g
+            # itself: it goes on along that piece if its rate keeps its
+            # sign there, and rests otherwise. Going on takes no time.
+            j_next = j + np.where(up, 1, -1)
+            keeps = _rate(terms, cs.take(j_next, mode="wrap"),
+                          ss.take(j_next, mode="wrap")) * r > 0
+            sw = (settle & keeps).nonzero()[0]
+            if sw.size:
+                j_next, up_sw = j_next[sw], up[sw]
+                on = j_next % n
+                piece[sw], turn[sw] = on, t[sw] + j_next // n
+                r[sw], slope[sw] = _rates([v[sw] for v in terms],
+                                          cs[on], ss[on])
+                edge[sw] = edges[on + up_sw] + TWO_PI * turn[sw]
+                capped[sw] = up_sw & (phi[sw] < edge[sw])
+            held = capped | (settle & ~keeps)
         end = np.where(capped, np.maximum(g, phi), edge)
         k2 = slope * slope + r * (r - 2.0 * b)
         drift = k2 < 0
@@ -382,13 +401,7 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
             if np.count_nonzero(bad):
                 failed.append(bad.nonzero()[0] if lanes is None
                               else lanes[bad])
-        go = hit & ~(capped | bad)
-        if lanes is None and np.count_nonzero(go):
-            # A lane on the kink it heads for meets the next piece at g
-            # itself: it rests there unless its rate keeps its sign.
-            on = (j + np.where(up, 1, -1)) % n
-            go &= (end != g) | (_rate(terms, cs[on], ss[on]) * r > 0)
-        go = go.nonzero()[0]
+        go = (hit & ~(held | bad)).nonzero()[0]
         if not go.size:
             return out, failed
         j_next = j[go] + np.where(up[go], 1, -1)

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from selfright import (Morphology, center_of_mass, contact_set,
-                       energy_landscape, forward_kinematics, joint_vector)
+                       energy_landscape, forward_kinematics, joint_vector,
+                       support_height)
 from selfright.gait import TWO_PI
 from selfright.rollmodel import STALL_STEP, STEPS_PER_CYCLE
 
@@ -222,6 +223,18 @@ def oracle_rates(g, phi, gain, bias, slopes):
     sin_g, cos_g, lag = np.sin(g), np.cos(g), phi - g
     return (bias + gain * np.sin(lag) - c * cos_g - s * sin_g,
             gain * np.cos(lag) - c * sin_g + s * cos_g)
+
+
+def chain_energy(morph, gamma, phi, gains):
+    """Energy E = M*m*g*support_height(gamma) - G*cos(phi - gamma) of each
+    lumped lane (a chain of one module, so no coupling term).
+
+    With the command phase phi held fixed, the lane's specific roll rate
+    G*sin(phi - gamma) - U'(gamma) is -dE/dgamma: the exact flow over an
+    output interval can only lower E, whatever the body, gain or start.
+    """
+    return (morph.total_mass * GRAVITY * support_height(morph, gamma)
+            - gains * np.cos(phi - gamma))
 
 
 def oracle_march(gam: np.ndarray, lanes: np.ndarray, phi1: np.ndarray,

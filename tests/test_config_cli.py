@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from selfright.config import RollSettings, SidewindSettings, SweepSettings
 from selfright.rollmodel import MAX_RESOLUTION
 
 from conftest import GRAVITY
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def custom_config():
@@ -263,13 +269,16 @@ def test_cli_simulate_half_excludes_cycles(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv, names", [
+EVERY_COMMAND = [
     (["gait", "--samples", 8], ["gait.csv"]),
     (["energy"], ["energy.csv", "energy.json"]),
     (["simulate", "--half"], ["trajectory.csv", "outcome.json"]),
     (["sweep", "--trials", 1, "--cycles", 1, "--legs", 0],
      ["sweep.csv", "sweep.json"]),
-    (["sidewind", "--cycles", 1], ["sidewind.csv", "sidewind.json"])])
+    (["sidewind", "--cycles", 1], ["sidewind.csv", "sidewind.json"])]
+
+
+@pytest.mark.parametrize("argv, names", EVERY_COMMAND)
 def test_cli_prints_the_paths_it_writes(tmp_path, capsys, argv, names):
     out = tmp_path / "out"
     assert run_cli(argv + ["--out", out]) == 0
@@ -281,6 +290,45 @@ def test_cli_prints_the_paths_it_writes(tmp_path, capsys, argv, names):
     # written in the order printed
     mtimes = [p.stat().st_mtime_ns for p in paths]
     assert mtimes == sorted(mtimes)
+
+
+@pytest.mark.parametrize("argv, names", EVERY_COMMAND)
+def test_cli_closed_stdout_stops_only_the_printing(tmp_path, argv, names):
+    """A command whose stdout is a pipe nobody reads (its first write
+    raises BrokenPipeError) still writes every file, byte for byte as a
+    normal run does, prints no traceback and exits 1."""
+    assert run_cli(argv + ["--out", tmp_path / "normal"]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "selfright", *map(str, argv),
+             "--out", str(tmp_path / "closed")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "BrokenPipeError" not in done.stderr
+    for name in names:
+        assert ((tmp_path / "closed" / name).read_bytes()
+                == (tmp_path / "normal" / name).read_bytes())
+    assert len(list((tmp_path / "closed").iterdir())) == len(names)
+
+
+@pytest.mark.parametrize("make", ["missing", "directory", "non-utf-8"])
+def test_cli_reports_an_unreadable_config(tmp_path, capsys, make):
+    path = tmp_path / "config.json"
+    if make == "directory":
+        path.mkdir()
+    elif make == "non-utf-8":
+        path.write_bytes(b"\xff\xfe")
+    assert run_cli(["sweep", "--config", path,
+                    "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: cannot read (")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, value", [

@@ -19,7 +19,8 @@ from selfright.rollmodel import (KAPPA_DEFAULT, MAX_RESOLUTION, STALL_STEP,
 from selfright.config import SweepSettings
 from selfright.sweep import cell_gait
 
-from conftest import (FROZEN, GRAVITY, oracle_barrier, oracle_integrate,
+from conftest import (FROZEN, GRAVITY, chain_energy, oracle_barrier,
+                      oracle_integrate, oracle_march, oracle_rates,
                       oracle_support_heights)
 
 MORPH = Morphology()
@@ -630,6 +631,64 @@ def test_lane_resting_on_a_kink_settles_in_the_first_pass(rate_sizes):
                          gamma0=math.pi)
     assert traj.stalled and len(traj.gammas) == 769
     assert 768 <= len(rate_sizes) < 800
+
+
+def test_lane_leaving_a_kink_marches_in_the_first_pass(rate_sizes):
+    """Two lanes start on the kink they head for, one down from the piece
+    above it and one up from the piece below it, and keep their rate's
+    sign on the next piece. Each switches piece at no cost in time and is
+    marched along the next piece by the interval's first pass, without a
+    kink pass; neither reaches that piece's far edge. The result is the
+    relocating marcher's, bitwise."""
+    edges, slopes = support_pieces(MORPH)
+    gam = edges[[1, 2]]
+    piece, turn = np.array([1, 1]), np.zeros(2)
+    phi1 = gam + np.array([-0.1, 0.1])
+    gains, bias = np.full(2, 5.0), np.zeros(2)
+    here, _ = oracle_rates(gam, phi1, gains, bias, slopes[[1, 1]])
+    beyond, _ = oracle_rates(gam, phi1, gains, bias, slopes[[0, 2]])
+    assert (here < 0.0).tolist() == [True, False]
+    assert (here * beyond > 0.0).all()
+
+    mu, dt = 0.05, TWO_PI / OMEGA / 256
+    tables = (edges, *np.ascontiguousarray(slopes.T))
+    out, failed = rollmodel._march_interval(gam, piece, turn, phi1, gains,
+                                            bias, tables, mu, dt)
+    assert len(rate_sizes) == 1 and not failed
+    assert piece.tolist() == [0, 2] and turn.tolist() == [0.0, 0.0]
+    assert edges[0] < out[0] < gam[0] and gam[1] < out[1] < edges[3]
+    want = gam.copy()
+    assert not oracle_march(want, np.arange(2), phi1, gains, bias,
+                            (edges, slopes), mu, dt)
+    assert np.array_equal(out, want)
+
+
+# Largest rounding of a lane's energy change. On these sweeps |E| stays
+# below 10 J and |gamma| below 30 rad, so E rounds by well under 1e-13 J.
+ENERGY_ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("morph", [MORPH, MORPH.limbless()],
+                         ids=["legged", "limbless"])
+def test_march_never_raises_a_lumped_lane_energy(monkeypatch, morph):
+    """Every lane-interval of the default lumped sweep, with caps, kink
+    settles and kink passes, lowers chain_energy or keeps it, to rounding:
+    a check of the marcher that needs no second solver."""
+    march = rollmodel._march_interval
+    rises, lane_intervals = [], []
+
+    def checked(gam, piece, turn, phi1, gains, bias, *rest):
+        assert not bias.any()
+        before = chain_energy(morph, gam, phi1, gains)
+        out, failed = march(gam, piece, turn, phi1, gains, bias, *rest)
+        rises.append((chain_energy(morph, out, phi1, gains) - before).max())
+        lane_intervals.append(len(gam))
+        return out, failed
+
+    monkeypatch.setattr(rollmodel, "_march_interval", checked)
+    run_sweep(RunConfig(morphology=morph))
+    assert sum(lane_intervals) == 549_120
+    assert max(rises) <= ENERGY_ROUNDING
 
 
 def make_trajectory(per_cycle):
