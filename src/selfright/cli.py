@@ -257,8 +257,8 @@ def cmd_sidewind(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         samples_per_cycle=sw.samples_per_cycle, contact_tol=sw.contact_tol)
 
     period = cfg.gait.period
-    rows = ((k, period * k / sw.samples_per_cycle, float(p[0]), float(p[1]))
-            for k, p in enumerate(path_xy))
+    rows = ((k, period * k / sw.samples_per_cycle, x, y)
+            for k, (x, y) in enumerate(path_xy.tolist()))
     _write_csv(out / "sidewind.csv", cfg, ("sample", "time_s", "x_m", "y_m"),
                rows)
     payload = dataclasses.asdict(report)

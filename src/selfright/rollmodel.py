@@ -239,10 +239,11 @@ class PerturbationSpec:
     gain_noise: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (0 <= self.gamma_jitter < math.inf
-                and 0 <= self.gain_noise < math.inf):
-            raise ConfigError(
-                "gamma_jitter and gain_noise must be finite and >= 0")
+        # A draw spans 2 * width, which must stay finite.
+        if not (0 <= 2 * self.gamma_jitter < math.inf
+                and 0 <= 2 * self.gain_noise < math.inf):
+            raise ConfigError("gamma_jitter and gain_noise must be >= 0, "
+                              "with 2 * width finite")
 
     @staticmethod
     def none() -> "PerturbationSpec":
@@ -261,6 +262,30 @@ class PerturbationSpec:
             if rng is None:
                 raise ConfigError("perturbation requires an explicit rng")
             return rng.uniform(-width, width)
+
+        return uniform(self.gamma_jitter), 1.0 + uniform(self.gain_noise)
+
+    def draw_trials(self, seed: int, n_cells: int, n_trials: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """draw for every trial of a sweep grid, in one array pass.
+
+        Element [cell, t] of each (n_cells, n_trials) array equals, bitwise,
+        draw(Generator(PCG64(SeedSequence(entropy=seed,
+        spawn_key=(cell, t))))): the streams run as array arithmetic
+        (selfright.streams) under draw's rules.
+        """
+        n_draws = (self.gamma_jitter > 0) + (self.gain_noise > 0)
+        doubles = iter(())
+        if n_draws:
+            # Imported only here: loading it would add to every start-up.
+            from .streams import spawned_doubles
+            doubles = iter(spawned_doubles(seed, n_cells, n_trials, n_draws))
+
+        def uniform(width: float) -> np.ndarray:
+            if width == 0:
+                return np.zeros((n_cells, n_trials))
+            # Generator.uniform(low, high): low + (high - low) * double
+            return -width + (width - -width) * next(doubles)
 
         return uniform(self.gamma_jitter), 1.0 + uniform(self.gain_noise)
 

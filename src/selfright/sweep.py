@@ -79,39 +79,33 @@ def binariness(diagram: BehaviorDiagram) -> float:
     return float(np.count_nonzero(inside)) / p.size
 
 
-def _trial_rng(seed: int, cell_idx: int, trial: int) -> np.random.Generator:
-    """Order-independent random stream of one trial of one cell."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, trial)))
-
-
 def run_sweep(cfg: RunConfig) -> BehaviorDiagram:
     """Run cfg's grid sweep; deterministic for a given config and seed.
 
     Each cell's gait is cfg.gait with the cell's amplitude and xi
     (cell_gait). Trials start inverted (gamma = pi, plus the seeded
-    jitter). Cell a_idx * len(xis) + x_idx draws trial t's perturbation
-    from the stream SeedSequence(entropy=seed, spawn_key=(cell, t)). Every
-    trial becomes lanes of one integration: one lane per lumped trial, one
-    per module for a segmented trial. A lane does not depend on its batch
-    mates, so each trial equals simulate_roll for that trial and stream
-    bitwise. A trial that fails to integrate reads NaN, as does its cell's
+    jitter). Every trial's perturbation is drawn in one array pass
+    (PerturbationSpec.draw_trials), bitwise equal to drawing trial t of
+    cell a_idx * len(xis) + x_idx from its own stream,
+    Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(cell, t)))).
+    Every trial becomes lanes of one integration: one lane per lumped
+    trial, one per module for a segmented trial. A lane does not depend on
+    its batch mates, so each trial equals simulate_roll for that trial and
+    stream bitwise. A trial that fails to integrate reads NaN, as does its cell's
     P_sr; its error is listed in errors and logged to the "selfright"
     logger.
     """
     sw, roll, omega = cfg.sweep, cfg.roll, cfg.gait.temporal_frequency
-    perturb = sw.perturbation()
     n_a, n_x, n_t = len(sw.amplitudes), len(sw.xis), sw.trials_per_cell
+    jitter, gain_factor = sw.perturbation().draw_trials(cfg.seed, n_a * n_x,
+                                                        n_t)
     cells = []
     for a_idx, amp in enumerate(sw.amplitudes):
         for x_idx, xi in enumerate(sw.xis):
             cell_idx = a_idx * n_x + x_idx
-            jitter, gain_factor = np.array(
-                [perturb.draw(_trial_rng(cfg.seed, cell_idx, trial))
-                 for trial in range(n_t)]).T
             *lanes, chain = _trial_lanes(
                 cell_gait(cfg, amp, xi), cfg.morphology, cfg.mode,
-                math.pi + jitter, gain_factor)
+                math.pi + jitter[cell_idx], gain_factor[cell_idx])
             cells.append(lanes)
     gamma0, gains, offsets = map(np.concatenate, zip(*cells))
 

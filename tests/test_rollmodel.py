@@ -421,7 +421,8 @@ def test_perturbation_requires_rng():
 
 @pytest.mark.parametrize("widths", [
     dict(gamma_jitter=-0.5), dict(gain_noise=-1.0),
-    dict(gamma_jitter=math.nan), dict(gain_noise=math.inf)])
+    dict(gamma_jitter=math.nan), dict(gain_noise=math.inf),
+    dict(gamma_jitter=1e308)])
 def test_perturbation_widths_validated(widths):
     with pytest.raises(ConfigError, match="gamma_jitter and gain_noise"):
         PerturbationSpec(**widths)

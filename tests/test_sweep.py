@@ -243,6 +243,29 @@ def test_failed_trials_logged(caplog):
     assert diagram.errors[0].startswith("cell(0,0) trial 0: ")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5,
+                                  2**140 + 11])
+@pytest.mark.parametrize("spec", [
+    PerturbationSpec(), PerturbationSpec(gamma_jitter=0.0),
+    PerturbationSpec(gain_noise=0.0), PerturbationSpec.none(),
+], ids=["default", "no-jitter", "no-gain-noise", "none"])
+def test_draw_trials_equals_per_trial_streams(seed, spec):
+    """One-pass draws equal draw on each trial's own stream, bitwise.
+
+    SeedSequence pads a seed of up to four 32-bit words and mixes the
+    words past four in later, and a zero width leaves the other draw
+    first in the stream.
+    """
+    n_cells, n_trials = 3 * 4, 5
+    jitter, gain_factor = spec.draw_trials(seed, n_cells, n_trials)
+    expected = np.array([[spec.draw(np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(cell, trial)))))
+        for trial in range(n_trials)] for cell in range(n_cells)])
+    drawn = np.stack([jitter, gain_factor], axis=-1)
+    assert drawn.dtype == expected.dtype == np.float64
+    assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("mode, perturb", [
     ("segmented", PerturbationSpec()),
     ("segmented", PerturbationSpec(gamma_jitter=0.0, gain_noise=0.1)),
