@@ -31,7 +31,8 @@ import numpy as np
 from .config import RunConfig, config_hash, load_config
 from .errors import ConfigError, SelfRightError
 from .gait import joint_vector
-from .rollmodel import classify_trial, energy_landscape, simulate_roll
+from .rollmodel import (MAX_RESOLUTION, classify_trial, energy_landscape,
+                        simulate_roll)
 from .sidewinding import displacement_trajectory
 from .sweep import BehaviorDiagram, binariness, provenance_config, run_sweep
 
@@ -170,8 +171,8 @@ def write_diagram_json(diagram: BehaviorDiagram, path: Path) -> None:
 
 def cmd_gait(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     g = cfg.gait
-    if args.samples < 1:
-        raise ConfigError("--samples must be >= 1")
+    if not 1 <= args.samples <= MAX_RESOLUTION:
+        raise ConfigError(f"--samples must be >= 1 and <= {MAX_RESOLUTION}")
     times = g.period * np.arange(args.samples + 1) / args.samples
     angles = joint_vector(g, times)
     rows = []

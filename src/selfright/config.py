@@ -17,9 +17,9 @@ from pathlib import Path
 from .errors import ConfigError
 from .gait import GaitParams
 from .kinematics import Morphology
-from .rollmodel import (DEFAULT_RESOLUTION, KAPPA_DEFAULT,
-                        MIN_STEPS_PER_CYCLE, MU_DEFAULT, QUASI_STATIC_OMEGA,
-                        STEPS_PER_CYCLE, PerturbationSpec)
+from .rollmodel import (DEFAULT_RESOLUTION, KAPPA_DEFAULT, MU_DEFAULT,
+                        QUASI_STATIC_OMEGA, STEPS_PER_CYCLE, PerturbationSpec,
+                        check_calibration)
 from .sidewinding import DEFAULT_CONTACT_TOL, DEFAULT_SAMPLES_PER_CYCLE
 
 DEFAULT_AMPLITUDES = tuple(k * math.pi / 24 for k in range(1, 12))
@@ -36,13 +36,7 @@ class RollSettings:
     resolution: int = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ConfigError("mu must be positive")
-        if not self.kappa >= 0:
-            raise ConfigError("kappa must be >= 0")
-        if self.steps_per_cycle < MIN_STEPS_PER_CYCLE:
-            raise ConfigError(
-                f"steps_per_cycle must be >= {MIN_STEPS_PER_CYCLE}")
+        check_calibration(self.mu, self.kappa, self.steps_per_cycle)
 
 
 @dataclass(frozen=True)

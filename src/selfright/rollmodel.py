@@ -49,10 +49,10 @@ MIN_STEPS_PER_CYCLE = 200
 STALL_STEP = 0.1
 
 DEFAULT_RESOLUTION = 1024
-# Minima and barrier come from the piece table, so the samples only draw
-# the curve for export. 2**20 samples already make a 60 MB energy.csv;
-# the cap turns a larger request into a ConfigError before numpy tries
-# to allocate it.
+# Largest sample count of any per-sample array a command allocates:
+# landscape samples, a trial's output intervals, gait or sidewinding
+# samples. 2**20 samples already make a 60 MB energy.csv; the cap turns a
+# larger request into a ConfigError before numpy tries to allocate it.
 MAX_RESOLUTION = 2**20
 
 
@@ -321,29 +321,36 @@ class TrialOutcome:
     stalled: bool
 
 
-def _angle_terms(g, phi, gain, bias):
+def _angle_terms(g, phi, gain, bias, flat):
     """The parts of the rate at g that no piece changes: sin(g), cos(g),
-    the drive b + G*sin(phi - g) and its -d/dg, G*cos(phi - g)."""
+    the drive b + G*sin(phi - g) and its -d/dg, G*cos(phi - g). With no
+    bias (None) the drive is G*sin(phi - g); on a flat table, where
+    U' = 0, sin(g) and cos(g) are not needed and come back None."""
     lag = phi - g
-    return np.sin(g), np.cos(g), bias + gain * np.sin(lag), gain * np.cos(lag)
+    drive = gain * np.sin(lag)
+    if bias is not None:
+        drive = bias + drive
+    trig = (None, None) if flat else (np.sin(g), np.cos(g))
+    return (*trig, drive, gain * np.cos(lag))
 
 
 def _rate(terms, c, s):
     """Specific roll rate r = b + G*sin(phi - g) - U'(g) from the angle
     terms, with U'(g) = c*cos(g) + s*sin(g) on each lane's piece."""
     sin_g, cos_g, drive, _ = terms
-    return drive - c * cos_g - s * sin_g
+    return drive if sin_g is None else drive - c * cos_g - s * sin_g
 
 
 def _rates(terms, c, s):
     """The rate r and its -dr/dg on the pieces (c, s)."""
     sin_g, cos_g, _, pull = terms
-    return _rate(terms, c, s), pull - c * sin_g + s * cos_g
+    slope = pull if sin_g is None else pull - c * sin_g + s * cos_g
+    return _rate(terms, c, s), slope
 
 
 def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
-                    phi1: np.ndarray, gains: np.ndarray, bias: np.ndarray,
-                    tables, mu: float, dt_len: float
+                    phi1: np.ndarray, gains: np.ndarray,
+                    bias: np.ndarray | None, tables, mu: float, dt_len: float
                     ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Advance every lane through one output interval.
 
@@ -352,7 +359,10 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     With r' = -dr/dg and k**2 = r'**2 + r*(r - 2*b), constant on the
     piece, it turns in a time 2*tau/mu by 2*atan2(sf*r, cf + sf*r'):
     (cf, sf) is (1, tanh(k*tau)/k) when locked, (cos(k*tau), sin(k*tau)/k)
-    with k = sqrt(-k**2) when drifting, and (1, tau) at k = 0. A lane stops
+    with k = sqrt(-k**2) when drifting, and (1, tau) at k = 0. With no
+    bias (None, an uncoupled batch) k**2 = r'**2 + r**2 >= 0: every lane
+    is locked, so the drift terms are skipped. A flat table (U' = 0) needs
+    no sin(g) or cos(g): the rate is the drive. A lane stops
     where this flow passes phi1 (never passed upward) or a kink; U' jumps
     up across a kink, so the lane goes on along the next piece if its rate
     keeps its sign there, and rests otherwise.
@@ -373,10 +383,11 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     """
     edges, cs, ss = tables
     n = len(cs)
+    flat = not (cs.any() or ss.any())
     g = start = gam
     phi, gain, b, j, t = phi1, gains, bias, piece, turn
     tau = 0.5 * mu * dt_len
-    terms = _angle_terms(g, phi, gain, b)
+    terms = _angle_terms(g, phi, gain, b, flat)
     r, slope = _rates(terms, cs[j], ss[j])
     lanes, failed = None, []
     while True:
@@ -402,19 +413,26 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
                 capped[sw] = up_sw & (phi[sw] < edge[sw])
             held = capped | (settle & ~keeps)
         end = np.where(capped, np.maximum(g, phi), edge)
-        k2 = slope * slope + r * (r - 2.0 * b)
-        drift = k2 < 0
-        k = np.sqrt(np.abs(k2))
+        if b is None:
+            k2 = slope * slope + r * r
+            k, drift = np.sqrt(k2), None
+        else:
+            k2 = slope * slope + r * (r - 2.0 * b)
+            drift = k2 < 0
+            k = np.sqrt(np.abs(k2))
+            if not np.count_nonzero(drift):
+                drift = None
         kt = k * tau
-        sf, cf, whole = np.tanh(kt), 1.0, False
-        if np.count_nonzero(drift):
+        sf, cf = np.tanh(kt), 1.0
+        if drift is not None:
             sf = np.where(drift, np.sin(kt), sf)
             cf = np.where(drift, np.cos(kt), 1.0)
-            # A drifting lane with k*tau >= pi has turned a whole turn.
-            whole = drift & (kt >= math.pi)
         sf = np.where(k2 == 0, tau, sf / k)
         turned = 2.0 * np.arctan2(sf * r, cf + sf * slope)
-        hit = ((turned - (end - g)) * r > 0) | whole
+        hit = (turned - (end - g)) * r > 0
+        if drift is not None:
+            # A drifting lane with k*tau >= pi has turned a whole turn.
+            hit |= drift & (kt >= math.pi)
         g_end = np.where(hit, end, np.where(r != 0, g + turned, g))
         if lanes is None:
             out = g_end
@@ -432,7 +450,8 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
         j_next = j[go] + np.where(up[go], 1, -1)
         on = j_next % n
         r_next, slope_next = _rates(
-            _angle_terms(end[go], phi[go], gain[go], b[go]), cs[on], ss[on])
+            _angle_terms(end[go], phi[go], gain[go],
+                         None if b is None else b[go], flat), cs[on], ss[on])
         keep = r_next * r[go] > 0
         if not keep.all():
             go, j_next, on, r_next, slope_next = (
@@ -445,17 +464,18 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
         dist = np.where((dist > 0) == up[go], dist, 0.0)
         half, kn = np.sin(dist / 2.0), k[go]
         p = r[go] * np.cos(dist / 2.0) - slope[go] * half
-        t_hit = np.where(
-            k2[go] == 0, half / p,
-            np.where(drift[go],
-                     np.mod(np.arctan2(kn * half, p), math.pi),
-                     np.arctanh(kn * half / p)) / kn)
+        arc = np.arctanh(kn * half / p)
+        if drift is not None:
+            arc = np.where(drift[go],
+                           np.mod(np.arctan2(kn * half, p), math.pi), arc)
+        t_hit = np.where(k2[go] == 0, half / p, arc / kn)
         if lanes is not None:
             tau = tau[go]
         tau = tau - np.fmax(np.fmin(t_hit, tau), 0.0)
         lanes = go if lanes is None else lanes[go]
-        g, phi, gain, b, start = (
-            v[go] for v in (end, phi, gain, b, start))
+        g, phi, gain, start = (v[go] for v in (end, phi, gain, start))
+        if b is not None:
+            b = b[go]
         r, slope = r_next, slope_next
         j, t = on, t[go] + j_next // n
         piece[lanes], turn[lanes] = j, t
@@ -503,7 +523,7 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     gam.reshape(-1, chain)[list(failures)] = np.nan
 
     gamma_ref = gam.copy()
-    bias = np.zeros(len(gam))
+    bias = None  # an uncoupled chain carries no bias
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in range(n_intervals):
             phi1 = gamma_ref + omega * (n + 1) * dt - phase_offsets
@@ -530,6 +550,17 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
             if (n + 1) % stride == 0:
                 records[(n + 1) // stride] = gam
     return records, failures
+
+
+def check_calibration(mu: float, kappa: float, steps_per_cycle: int) -> None:
+    """Raise ConfigError unless 0 < mu < inf, 0 <= kappa < inf and
+    steps_per_cycle >= MIN_STEPS_PER_CYCLE."""
+    if not 0 < mu < math.inf:
+        raise ConfigError("mu must be positive and finite")
+    if not 0 <= kappa < math.inf:
+        raise ConfigError("kappa must be >= 0 and finite")
+    if steps_per_cycle < MIN_STEPS_PER_CYCLE:
+        raise ConfigError(f"steps_per_cycle must be >= {MIN_STEPS_PER_CYCLE}")
 
 
 def _trial_lanes(params: GaitParams, morph: Morphology, mode: str,
@@ -594,16 +625,19 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     """
     if not 0 < cycles < math.inf:
         raise ConfigError("cycles must be positive and finite")
-    if steps_per_cycle < MIN_STEPS_PER_CYCLE:
-        raise ConfigError(f"steps_per_cycle must be >= {MIN_STEPS_PER_CYCLE}")
+    check_calibration(mu, kappa, steps_per_cycle)
     if mode not in ("lumped", "segmented"):
         raise ConfigError(f"unknown mode {mode!r}")
     if not np.isfinite(gamma0).all():
         raise ConfigError("gamma0 must be finite")
-    n_intervals = round(cycles * steps_per_cycle)
+    # The min keeps a span too large to round (an inf product) over the cap.
+    n_intervals = round(min(cycles * steps_per_cycle, MAX_RESOLUTION + 1))
     if n_intervals < 1:
         raise ConfigError(f"cycles must span at least one output interval "
                           f"(1/{steps_per_cycle} of a cycle)")
+    if n_intervals > MAX_RESOLUTION:
+        raise ConfigError(f"cycles must span at most {MAX_RESOLUTION} output "
+                          f"intervals ({steps_per_cycle} per cycle)")
 
     jitter, gain_factor = (perturb or PerturbationSpec.none()).draw(rng)
     starts, gains, offsets, chain = _trial_lanes(

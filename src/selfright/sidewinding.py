@@ -19,6 +19,7 @@ from .errors import ConfigError, ContactError
 from .gait import TWO_PI, GaitParams, joint_vector
 from .kinematics import (FramePose, Morphology, center_of_mass, cross_section,
                          forward_kinematics)
+from .rollmodel import MAX_RESOLUTION
 
 # Modules whose lowest silhouette point is within this height (m) of the
 # lowest point of the whole body count as grounded. Acts as the effective
@@ -130,8 +131,11 @@ def displacement_trajectory(params: GaitParams, morph: Morphology,
         raise ConfigError("cycles must be >= 1")
     if samples_per_cycle < 8:
         raise ConfigError("samples_per_cycle must be >= 8")
-
     n_samples = cycles * samples_per_cycle
+    if n_samples > MAX_RESOLUTION:
+        raise ConfigError(f"cycles * samples_per_cycle must be <= "
+                          f"{MAX_RESOLUTION}")
+
     period = TWO_PI / params.temporal_frequency
     times = period * np.arange(n_samples + 1) / samples_per_cycle
     frames = forward_kinematics(morph, joint_vector(params, times))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from selfright import (ConfigError, GaitParams, Morphology, RunConfig,
                        save_config)
 from selfright.cli import main
 from selfright.config import RollSettings, SidewindSettings, SweepSettings
-from selfright.rollmodel import MAX_RESOLUTION
+from selfright.rollmodel import MAX_RESOLUTION, STEPS_PER_CYCLE
 
 from conftest import GRAVITY
 
@@ -80,6 +81,8 @@ def test_nested_validation_surfaces():
 @pytest.mark.parametrize("cls, name, value", [
     (RollSettings, "mu", math.nan),
     (RollSettings, "kappa", math.nan),
+    (RollSettings, "mu", math.inf),
+    (RollSettings, "kappa", math.inf),
     (SidewindSettings, "contact_tol", math.nan),
     (GaitParams, "spatial_frequency", math.nan),
     (SweepSettings, "gamma_jitter", math.nan),
@@ -240,6 +243,50 @@ def test_cli_rejects_non_finite_geometry_in_config(tmp_path, capsys, name,
     assert run_cli(["energy", "--config", path,
                     "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"roll": {"mu": Infinity}}', "mu must be positive and finite"),
+    ('{"roll": {"kappa": Infinity}, "mode": "segmented"}',
+     "kappa must be >= 0 and finite")], ids=["mu", "kappa"])
+def test_cli_rejects_non_finite_roll_calibration(tmp_path, capsys, doc,
+                                                 message):
+    """json.load takes Infinity; a sweep must not run on it (its sweep.json
+    would not be strict JSON) nor fail as a non-finite roll state."""
+    path = tmp_path / "config.json"
+    path.write_text(doc)
+    assert run_cli(["sweep", "--config", path,
+                    "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, roll, message", [
+    (["simulate", "--cycles", (MAX_RESOLUTION + 1) / STEPS_PER_CYCLE], {},
+     "cycles must span at most"),
+    (["simulate"], {"steps_per_cycle": MAX_RESOLUTION + 1},
+     "cycles must span at most"),
+    (["sidewind", "--samples", MAX_RESOLUTION + 1], {},
+     "cycles * samples_per_cycle must be <="),
+    (["gait", "--samples", MAX_RESOLUTION + 1], {}, "--samples must be")],
+    ids=["simulate-cycles", "simulate-steps", "sidewind", "gait"])
+def test_cli_rejects_oversized_sample_counts_unallocated(tmp_path, capsys,
+                                                         argv, roll, message):
+    """One sample over the cap is an error line, raised before any
+    per-sample array exists: the run's traced peak stays below one float
+    per sample."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"roll": roll}))
+    tracemalloc.start()
+    try:
+        status = run_cli(argv + ["--config", path, "--out", tmp_path / "out"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert peak < 8 * MAX_RESOLUTION
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
