@@ -350,7 +350,8 @@ def _rates(terms, c, s):
 
 def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
                     phi1: np.ndarray, gains: np.ndarray,
-                    bias: np.ndarray | None, tables, mu: float, dt_len: float
+                    bias: np.ndarray | None, tables, mu: float, dt_len: float,
+                    *, flat: bool | None = None, rest: list | None = None
                     ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Advance every lane through one output interval.
 
@@ -371,19 +372,26 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     arrived there before) is settled before the first pass's flow: its
     rate on the next piece comes from the same angle terms. If that rate
     keeps its sign, the lane switches to the next piece in place and the
-    first pass marches it along that piece; otherwise it rests. Only lanes
-    that reach a kink from inside a piece are gathered for a kink pass.
+    first pass marches it along that piece; otherwise it rests, held on
+    the kink. Only lanes that reach a kink from inside a piece are
+    gathered for a kink pass. When rest is a list and some lane settles,
+    the marcher appends (lanes, drive, r, r_next) for the lanes held on a
+    kink: their indices, their drive G*sin(phi1 - g) and their rates on
+    their piece and on the next one.
 
-    tables is (edges, c, s) of the piece table. piece and turn hold each
-    lane's piece index and whole turns; they are updated in place for the
-    lanes that go on to another piece; gam itself is left unchanged. A
-    lane that starts NaN (a failed chain) marches as NaN. Returns the lane
-    states at the interval's end and the indices of the lanes that failed
-    in it (a whole turn rolled, or turned non-finite from a finite start).
+    tables is (edges, c, s) of the piece table; flat tells whether all of
+    its slopes are zero (worked out from the table when None). piece and
+    turn hold each lane's piece index and whole turns; they are updated in
+    place for the lanes that go on to another piece; gam itself is left
+    unchanged. A lane that starts NaN (a failed chain) marches as NaN.
+    Returns the lane states at the interval's end and the indices of the
+    lanes that failed in it (a whole turn rolled, or turned non-finite
+    from a finite start).
     """
     edges, cs, ss = tables
     n = len(cs)
-    flat = not (cs.any() or ss.any())
+    if flat is None:
+        flat = not (cs.any() or ss.any())
     g = start = gam
     phi, gain, b, j, t = phi1, gains, bias, piece, turn
     tau = 0.5 * mu * dt_len
@@ -400,8 +408,13 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
             # itself: it goes on along that piece if its rate keeps its
             # sign there, and rests otherwise. Going on takes no time.
             j_next = j + np.where(up, 1, -1)
-            keeps = _rate(terms, cs.take(j_next, mode="wrap"),
-                          ss.take(j_next, mode="wrap")) * r > 0
+            r_next = _rate(terms, cs.take(j_next, mode="wrap"),
+                           ss.take(j_next, mode="wrap"))
+            keeps = r_next * r > 0
+            if rest is not None:
+                on_kink = (settle & ~keeps).nonzero()[0]
+                rest.append((on_kink, terms[2][on_kink], r[on_kink],
+                             r_next[on_kink]))
             sw = (settle & keeps).nonzero()[0]
             if sw.size:
                 j_next, up_sw = j_next[sw], up[sw]
@@ -481,6 +494,43 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
         piece[lanes], turn[lanes] = j, t
 
 
+# Output intervals per block of an uncoupled batch: lanes park and wake
+# only at block boundaries, and a block marches its awake lanes on
+# compacted arrays.
+BLOCK = 16
+
+# A rest span keeps the drive this fraction of the torques and angles
+# involved inside the band that holds a lane on its kink: far above the
+# rounding of the rates and of the command phase.
+REST_MARGIN = 1e-9
+
+
+def _rest_span(lag, gain, drive, rates, step, margin):
+    """Output intervals after this one for which a lane held on a kink
+    stays held, each interval adding step > 0 to its lag = phi - g.
+
+    rates are the lane's rates on its piece and on the next one, from
+    the drive D = gain*sin(lag). On a convex kink the piece below has the
+    larger rate, so the kink's one-sided slopes are D - max(rates) and
+    D - min(rates): the lane stays held (Adler-locked on the kink) while
+    G*sin(lag) stays between them. The band is narrowed by margin on each
+    side and the span ends before sin(lag) can first leave it, in closed
+    form. A lane that does not start 2*margin inside the band, or has
+    gain <= 0, gets 0. Inputs are arrays of held lanes.
+    """
+    low, high = np.fmin(*rates), np.fmax(*rates)
+    lo = (drive - high + margin) / gain
+    hi = (drive - low - margin) / gain
+    x = np.mod(lag + math.pi / 2.0, TWO_PI) - math.pi / 2.0  # [-pi/2, 3pi/2)
+    # sin first reaches hi on a rising branch, lo on a falling one.
+    rise = np.where(hi < 1.0, np.arcsin(np.fmin(hi, 1.0)), np.inf)
+    fall = np.where(lo > -1.0, math.pi - np.arcsin(np.fmax(lo, -1.0)),
+                    np.inf)
+    leave = np.fmin(np.where(x < rise, rise, rise + TWO_PI), fall)
+    inside = (gain > 0.0) & (low < -2.0 * margin) & (high > 2.0 * margin)
+    return np.where(inside, np.ceil((leave - x) / step) - 1.0, 0.0)
+
+
 def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                omega: float, dt: float, n_intervals: int, mu: float,
                phase_offsets: np.ndarray,
@@ -504,12 +554,23 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     interval, or turns non-finite, fails its whole chain: the chain reads
     NaN from then on and marches as NaN.
 
+    Intervals run in blocks of BLOCK. In an uncoupled batch (lumped lanes,
+    or kappa = 0 chains) a lane depends on nothing but itself, and a lane
+    held on a kink at a block's last interval (not capped, gain > 0) is
+    parked for the whole blocks of its rest span (_rest_span): while its
+    drive stays strictly between the kink's one-sided slopes, the marcher
+    returns its roll, piece and turn unchanged, so a parked lane keeps
+    exactly the bits it would be marched to. Each block marches only the
+    awake lanes; a block with none calls no march. Coupled chains are
+    never parked.
+
     Returns (records, failures): records holds the lane states at every
     stride-th interval boundary, starting with gamma0; failures maps each
     failed chain's index to the error of its first failed lane.
     """
     edges, slopes = pieces
     tables = (edges, *np.ascontiguousarray(slopes.T))
+    flat = not slopes.any()
     gam = np.asarray(gamma0, dtype=float).copy()
     records = np.empty((n_intervals // stride + 1, len(gam)))
     records[0] = gam
@@ -523,32 +584,71 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     gam.reshape(-1, chain)[list(failures)] = np.nan
 
     gamma_ref = gam.copy()
+    coupled = kappa > 0.0 and chain > 1
+    step = omega * dt
+    # Only lanes held on a kink park, and only in an uncoupled batch.
+    parks = not coupled and np.isfinite(edges[0]) and step > 0.0
+    reach = float(np.abs(slopes).sum(axis=1).max())  # bounds every |U'|
+    wake = np.zeros(len(gam), dtype=np.int64)  # first interval to march
+    # Zero-padded twists: the Laplacian of a chain is one difference.
+    twist = np.zeros((len(gam) // chain, chain + 1)) if coupled else None
     bias = None  # an uncoupled chain carries no bias
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(n_intervals):
-            phi1 = gamma_ref + omega * (n + 1) * dt - phase_offsets
-            if kappa > 0.0 and chain > 1:
-                by_chain = gam.reshape(-1, chain)
-                twist = by_chain[:, 1:] - by_chain[:, :-1]
-                lap = np.empty_like(by_chain)
-                lap[:, 0] = twist[:, 0]
-                lap[:, 1:-1] = twist[:, 1:] - twist[:, :-1]
-                lap[:, -1] = 0.0 - twist[:, -1]
-                bias = (kappa * chain) * lap.ravel()
-
-            gam, failed = _march_interval(gam, piece, turn, phi1, gains, bias,
-                                          tables, mu, dt)
-            if failed:
-                for lane in sorted(np.concatenate(failed).tolist()):
-                    failures.setdefault(
-                        lane // chain,
-                        ("non-finite roll state" if math.isnan(gam[lane])
-                         else "rolled more than a whole turn")
-                        + f" in output interval {n}")
-                gam.reshape(-1, chain)[list(failures)] = np.nan
-
-            if (n + 1) % stride == 0:
-                records[(n + 1) // stride] = gam
+        for first in range(0, n_intervals, BLOCK):
+            last = min(first + BLOCK, n_intervals)
+            awake = (wake <= first).nonzero()[0]
+            # With every lane awake, views (no copies) of the lane arrays.
+            at = slice(None) if awake.size == len(gam) else awake
+            g, p, t, gain, ref, off = (v[at] for v in (
+                gam, piece, turn, gains, gamma_ref, phase_offsets))
+            rest = None
+            for n in range(first, last):
+                if g.size:
+                    phi1 = ref + omega * (n + 1) * dt - off
+                    if coupled:
+                        by_chain = g.reshape(-1, chain)
+                        np.subtract(by_chain[:, 1:], by_chain[:, :-1],
+                                    out=twist[:, 1:-1])
+                        bias = (kappa * chain) * (twist[:, 1:]
+                                                  - twist[:, :-1]).ravel()
+                    if parks and n == last - 1:
+                        rest = []
+                    g, failed = _march_interval(g, p, t, phi1, gain, bias,
+                                                tables, mu, dt, flat=flat,
+                                                rest=rest)
+                    if failed:
+                        lanes = np.sort(np.concatenate(failed))
+                        for i, lane in zip(lanes.tolist(),
+                                           awake[lanes].tolist()):
+                            failures.setdefault(
+                                lane // chain,
+                                ("non-finite roll state" if math.isnan(g[i])
+                                 else "rolled more than a whole turn")
+                                + f" in output interval {n}")
+                        # gam holds the block's start, where a lane of a
+                        # chain failed before is NaN already.
+                        gam.reshape(-1, chain)[list(failures)] = np.nan
+                        g[np.isnan(gam[at])] = np.nan
+                if (n + 1) % stride == 0:
+                    row = records[(n + 1) // stride]
+                    row[:] = gam
+                    row[at] = g
+            gam[at], piece[at], turn[at] = g, p, t
+            if rest:
+                # Park the lanes held at the block's last interval for the
+                # whole blocks of their rest span. The margin covers the
+                # rounding of the rates and of the lag, whose size grows
+                # to at most |g| + |phi1| + step * left.
+                held, drive, r, r_next = rest[0]
+                g, phi1, gain = g[held], phi1[held], gain[held]
+                left = n_intervals - last
+                margin = REST_MARGIN * (reach + gain * (
+                    1.0 + np.abs(g) + np.abs(phi1) + step * left))
+                span = np.fmin(_rest_span(phi1 - g, gain, drive, (r, r_next),
+                                          step, margin), left)
+                parked = span >= BLOCK
+                wake[awake[held[parked]]] = (last + BLOCK
+                                             * (span[parked] // BLOCK))
     return records, failures
 
 

@@ -15,7 +15,8 @@ import numpy as np
 from .config import RollSettings, RunConfig
 from .errors import ConfigError
 from .gait import TWO_PI, GaitParams
-from .rollmodel import _integrate, _trial_lanes, support_pieces
+from .rollmodel import (MAX_RESOLUTION, _integrate, _trial_lanes,
+                        support_pieces)
 # Kept importable from this module: bench/tracer.py wraps them here.
 from .rollmodel import (drive_gain, energy_landscape,  # noqa: F401
                         simulate_roll)
@@ -93,9 +94,14 @@ def run_sweep(cfg: RunConfig) -> BehaviorDiagram:
     its batch mates, so each trial equals simulate_roll for that trial and
     stream bitwise. A trial that fails to integrate reads NaN, as does its cell's
     P_sr; its error is listed in errors and logged to the "selfright"
-    logger.
+    logger. A trial longer than MAX_RESOLUTION output intervals is a
+    ConfigError, raised before anything is drawn or marched.
     """
     sw, roll, omega = cfg.sweep, cfg.roll, cfg.gait.temporal_frequency
+    n_intervals = sw.cycles_per_trial * roll.steps_per_cycle
+    if n_intervals > MAX_RESOLUTION:
+        raise ConfigError(f"cycles_per_trial * steps_per_cycle must be <= "
+                          f"{MAX_RESOLUTION}")
     n_a, n_x, n_t = len(sw.amplitudes), len(sw.xis), sw.trials_per_cell
     jitter, gain_factor = sw.perturbation().draw_trials(cfg.seed, n_a * n_x,
                                                         n_t)
@@ -110,7 +116,6 @@ def run_sweep(cfg: RunConfig) -> BehaviorDiagram:
     gamma0, gains, offsets = map(np.concatenate, zip(*cells))
 
     dt = (TWO_PI / omega) / roll.steps_per_cycle
-    n_intervals = sw.cycles_per_trial * roll.steps_per_cycle
     (start, end), failures = _integrate(
         support_pieces(cfg.morphology), gains, gamma0, omega, dt,
         n_intervals, roll.mu, phase_offsets=offsets, kappa=roll.kappa,

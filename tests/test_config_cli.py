@@ -268,8 +268,14 @@ def test_cli_rejects_non_finite_roll_calibration(tmp_path, capsys, doc,
      "cycles must span at most"),
     (["sidewind", "--samples", MAX_RESOLUTION + 1], {},
      "cycles * samples_per_cycle must be <="),
-    (["gait", "--samples", MAX_RESOLUTION + 1], {}, "--samples must be")],
-    ids=["simulate-cycles", "simulate-steps", "sidewind", "gait"])
+    (["gait", "--samples", MAX_RESOLUTION + 1], {}, "--samples must be"),
+    (["sweep", "--trials", 1, "--legs", 0, "--cycles", 1],
+     {"steps_per_cycle": MAX_RESOLUTION + 1},
+     "cycles_per_trial * steps_per_cycle must be <="),
+    (["sweep", "--trials", 1, "--legs", 0, "--cycles", 100_000_000_000], {},
+     "cycles_per_trial * steps_per_cycle must be <=")],
+    ids=["simulate-cycles", "simulate-steps", "sidewind", "gait",
+         "sweep-steps", "sweep-cycles"])
 def test_cli_rejects_oversized_sample_counts_unallocated(tmp_path, capsys,
                                                          argv, roll, message):
     """One sample over the cap is an error line, raised before any

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from selfright import (ConfigError, GaitParams, IntegrationError,
                        Morphology, PerturbationSpec, RollTrajectory,
@@ -13,7 +13,9 @@ from selfright import (ConfigError, GaitParams, IntegrationError,
                        energy_landscape, run_sweep, simulate_roll,
                        support_height)
 from selfright import rollmodel
-from selfright.rollmodel import (KAPPA_DEFAULT, MAX_RESOLUTION, STALL_STEP,
+from selfright import sweep as sweep_module
+from selfright.rollmodel import (KAPPA_DEFAULT, MAX_RESOLUTION,
+                                 MIN_STEPS_PER_CYCLE, MU_DEFAULT, STALL_STEP,
                                  STEPS_PER_CYCLE, _integrate, _stalled,
                                  _trial_lanes, support_pieces)
 from selfright.config import SweepSettings
@@ -670,12 +672,21 @@ def test_rates_evaluated_once_per_interval_on_one_piece(rate_sizes,
 
 
 def test_lane_resting_on_a_kink_settles_in_the_first_pass(rate_sizes):
-    """A stuck trial rests on a kink for most of its intervals; each of
-    those is settled by the interval's first pass, without a kink pass."""
-    traj = simulate_roll(quasi_static_gait(math.pi / 8), MORPH, cycles=3.0,
-                         gamma0=math.pi)
+    """A stuck trial rests on a kink for most of its intervals. While it
+    is marched, each rest is settled by the interval's first pass, without
+    a kink pass; once a block ends with it held, it is parked for the
+    whole blocks of its rest span and not marched at all. The trajectory
+    is the relocating marcher's, bitwise."""
+    gait = quasi_static_gait(math.pi / 8)
+    traj = simulate_roll(gait, MORPH, cycles=3.0, gamma0=math.pi)
     assert traj.stalled and len(traj.gammas) == 769
-    assert 768 <= len(rate_sizes) < 800
+    # 774 rate evaluations when every interval is marched, 150 parked.
+    assert 0 < len(rate_sizes) <= 150
+    want, _, _ = oracle_integrate(
+        support_pieces(MORPH), np.array([drive_gain(gait, MORPH)]),
+        np.array([math.pi]), OMEGA, TWO_PI / OMEGA / 256, 768, MU_DEFAULT,
+        phase_offsets=np.zeros(1))
+    assert np.array_equal(traj.gammas, want[:, 0])
 
 
 def test_lane_leaving_a_kink_marches_in_the_first_pass(rate_sizes):
@@ -716,24 +727,182 @@ ENERGY_ROUNDING = 1e-12
 @pytest.mark.parametrize("morph", [MORPH, MORPH.limbless()],
                          ids=["legged", "limbless"])
 def test_march_never_raises_a_lumped_lane_energy(monkeypatch, morph):
-    """Every lane-interval of the default lumped sweep, with caps, kink
-    settles and kink passes, lowers chain_energy or keeps it, to rounding:
-    a check of the marcher that needs no second solver."""
-    march = rollmodel._march_interval
-    rises, lane_intervals = [], []
+    """Every lane-interval of the default lumped sweep is marched once or
+    parked. A marched one, with caps, kink settles and kink passes, lowers
+    chain_energy or keeps it, to rounding: a check of the marcher that
+    needs no second solver. A parked one keeps its roll bitwise. The
+    legged sweep parks about half of its lane-intervals; a flat body has
+    no kink and parks none. Lanes are told apart by their gains."""
+    march, integrate = rollmodel._march_interval, rollmodel._integrate
+    rises, marched, run = [], [], {}
 
-    def checked(gam, piece, turn, phi1, gains, bias, *rest):
+    def checked(gam, piece, turn, phi1, gains, bias, *args, **kwargs):
         assert bias is None  # a lumped lane is never biased
-        before = chain_energy(morph, gam, phi1, gains)
-        out, failed = march(gam, piece, turn, phi1, gains, bias, *rest)
-        rises.append((chain_energy(morph, out, phi1, gains) - before).max())
-        lane_intervals.append(len(gam))
+        out, failed = march(gam, piece, turn, phi1, gains, bias, *args,
+                            **kwargs)
+        rises.append((chain_energy(morph, out, phi1, gains)
+                      - chain_energy(morph, gam, phi1, gains)).max())
+        marched.append(run["order"][np.searchsorted(
+            run["gains"], gains, sorter=run["order"])])
         return out, failed
 
+    def recorded(pieces, gains, *args, **kwargs):
+        assert len(np.unique(gains)) == len(gains)
+        run["order"], run["gains"] = np.argsort(gains), gains
+        run["records"], failures = integrate(pieces, gains, *args,
+                                             **dict(kwargs, stride=1))
+        return run["records"][[0, -1]], failures
+
     monkeypatch.setattr(rollmodel, "_march_interval", checked)
+    monkeypatch.setattr(sweep_module, "_integrate", recorded)
     run_sweep(RunConfig(morphology=morph))
-    assert sum(lane_intervals) == 549_120
+    records = run["records"]
+    assert len(marched) == 768 and records.shape == (769, 715)
+    n_marched = n_parked = 0
+    for n, lanes in enumerate(marched):
+        parked = np.ones(715, dtype=bool)
+        parked[lanes] = False
+        assert len(lanes) + np.count_nonzero(parked) == 715
+        assert np.array_equal(records[n + 1, parked], records[n, parked])
+        n_marched += len(lanes)
+        n_parked += np.count_nonzero(parked)
+    assert n_marched + n_parked == 549_120
+    assert n_parked == (260_544 if morph is MORPH else 0)
     assert max(rises) <= ENERGY_ROUNDING
+
+
+def test_lanes_park_and_wake_across_blocks(monkeypatch):
+    """Stuck and righting lumped lanes, and a kappa = 0 chain, over two
+    cycles at mu = 5 and 0.05: lanes park, wake and park again across
+    several blocks, and the records at every interval are the relocating
+    marcher's, bitwise."""
+    sizes = []
+    march = rollmodel._march_interval
+
+    def counting(gam, *args, **kwargs):
+        sizes.append(len(gam))
+        return march(gam, *args, **kwargs)
+
+    monkeypatch.setattr(rollmodel, "_march_interval", counting)
+    grid = [(math.pi / 12, 0.0), (math.pi / 8, 0.6), (math.pi / 6, 0.0),
+            (math.pi / 4, 0.3)]
+    for mode in ("lumped", "segmented"):
+        for mu in (5.0, 0.05):
+            sizes.clear()
+            batch = lane_batch(MORPH, mode, grid)
+            integrate_against_oracle(MORPH, batch, mu, 0.0)
+            full = len(batch[0])
+            # Parked (fewer lanes marched) in several blocks, and woken
+            # (more marched again) after parking.
+            parked = [n // rollmodel.BLOCK for n, k in enumerate(sizes)
+                      if k < full]
+            assert len(set(parked)) >= 4
+            assert any(b > a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_lanes_without_a_rest_span_are_never_parked(monkeypatch):
+    """Lanes resting on the default body's first kink (flat piece 0
+    below, U' up to 1.341 N*m on piece 1 above) with a gain of 0 or below
+    (gain_noise > 1 draws such gains) and a lane that starts NaN are
+    marched in every interval, beside a positive-gain lane on the same
+    kink that parks; a capped lane on a kink is not reported held, so it
+    is never parked."""
+    edges, slopes = support_pieces(MORPH)
+    tables = (edges, *np.ascontiguousarray(slopes.T))
+    dt = TWO_PI / OMEGA / 256
+    gains = np.array([0.05, 0.0, -0.5, 0.3])
+    gamma0 = np.array([edges[1]] * 3 + [np.nan])
+    offsets = np.array([0.0, 0.0, math.pi, 0.0])
+    seen = []
+    march = rollmodel._march_interval
+
+    def recording(gam, piece, turn, phi1, gains, *args, **kwargs):
+        seen.append(gains.tolist())
+        return march(gam, piece, turn, phi1, gains, *args, **kwargs)
+
+    monkeypatch.setattr(rollmodel, "_march_interval", recording)
+    records, failures = _integrate((edges, slopes), gains, gamma0, OMEGA,
+                                   dt, 512, MU_DEFAULT, offsets)
+    assert list(failures) == [3]
+    assert len(seen) == 512
+    assert all(g[-3:] == [0.0, -0.5, 0.3] for g in seen)
+    assert sum(g[0] != 0.05 for g in seen) >= 4 * rollmodel.BLOCK
+    # Each of them rests on the kink: the gain-0 lane for the whole run,
+    # the negative one while its command lies below it, half a cycle.
+    assert (records[:, 1] == edges[1]).all()
+    assert (records[:128, 2] == edges[1]).all()
+
+    # A lane on piece 1 at its upper kink heading up, its command below
+    # it (capped), and one on piece 2 heading down to the same kink (held).
+    gam = np.full(2, edges[2])
+    piece, turn = np.array([1, 2]), np.zeros(2)
+    rest = []
+    out, failed = rollmodel._march_interval(
+        gam, piece, turn, gam - 0.5, np.full(2, 0.5), None, tables,
+        MU_DEFAULT, dt, rest=rest)
+    assert np.array_equal(out, gam) and not failed
+    assert rest[0][0].tolist() == [1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gain=st.floats(0.01, 5.0),
+       below=st.floats(0.0, 1.5), above=st.floats(0.0, 1.5),
+       lag=st.floats(-math.pi, math.pi),
+       steps=st.integers(MIN_STEPS_PER_CYCLE, 1024),
+       upper=st.booleans())
+def test_rest_span_keeps_a_held_lane_held(gain, below, above, lag, steps,
+                                         upper):
+    """A lane held on a convex kink, on the piece below or above it, with
+    one-sided slopes G*(sin(lag) - below) and G*(sin(lag) + above), stays
+    held through every interval of its rest span: the marcher returns its
+    roll, piece and turn unchanged."""
+    left, right = math.sin(lag) - below, math.sin(lag) + above
+    # Kinks at 0 and pi; U' = c*cos(g), so the slopes at 0 are c0 and c1.
+    edges = np.array([-math.pi, 0.0, math.pi])
+    tables = (edges, np.array([left, right]) * gain, np.zeros(2))
+    gam, piece, turn = np.zeros(1), np.array([int(upper)]), np.zeros(1)
+    step = TWO_PI / steps
+    dt, gains, phi = step / OMEGA, np.array([gain]), np.array([lag])
+    rest = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rollmodel._march_interval(gam, piece, turn, phi, gains, None, tables,
+                                  MU_DEFAULT, dt, rest=rest)
+        assume(rest and rest[0][0].size)
+        _, drive, r, r_next = rest[0]
+        margin = rollmodel.REST_MARGIN * (right - left + 1.0) * gain
+        span = rollmodel._rest_span(phi - gam, gains, drive, (r, r_next),
+                                    step, margin)[0]
+        for k in range(1, int(min(span, 3 * steps)) + 1):
+            out, failed = rollmodel._march_interval(
+                gam, piece, turn, phi + k * step, gains, None, tables,
+                MU_DEFAULT, dt)
+            assert (out.tolist(), piece.tolist(), turn.tolist(), failed) == (
+                [0.0], [int(upper)], [0.0], [])
+
+
+def test_rest_span_in_closed_form():
+    """The span ends before G*sin(lag), lag growing by step per interval,
+    first leaves the band between the kink's slopes: on a rising branch
+    through the upper slope, on a falling one through the lower; a band
+    holding the whole drive never ends. A gain of 0 or below, a NaN state
+    or a drive within two margins of a slope gets no span."""
+    def span(lag, gain, slopes, step=0.01, margin=1e-9):
+        lag, gain = np.asarray(lag, dtype=float), np.asarray(gain, float)
+        drive = gain * np.sin(lag)
+        rates = tuple(drive - np.asarray(u, dtype=float) for u in slopes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return rollmodel._rest_span(lag, gain, drive, rates, step,
+                                        margin).tolist()
+
+    # sin(0.5 + 0.01*k) < 0.9 up to k = 61 (asin(0.9) = 1.1198); from
+    # lag 2 it falls below -0.5 after 7*pi/6 - 2 = 1.665, at k = 167.
+    assert span([0.5, 2.0, 0.5], [1.0, 1.0, 1.0],
+                ([-0.5, -0.5, -2.0], [0.9, 0.95, 2.0])) == [61, 166, np.inf]
+    d = math.sin(0.5)
+    assert span([0.5] * 4, [0.0, -1.0, 1.0, 1.0],
+                ([-0.5, -0.5, -0.5, d - 1.5e-9],
+                 [0.9, 0.9, d + 1.5e-9, 0.9])) == [0.0] * 4
+    assert span([np.nan], [1.0], ([-0.5], [0.9])) == [0.0]
 
 
 def make_trajectory(per_cycle):

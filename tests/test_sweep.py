@@ -15,6 +15,8 @@ from selfright import (BehaviorDiagram, ConfigError, GaitParams, Morphology,
 from selfright.cli import write_diagram_csv, write_diagram_json
 from selfright.config import (DEFAULT_AMPLITUDES, DEFAULT_XIS, RollSettings,
                               SweepSettings)
+from selfright import sweep
+from selfright.rollmodel import MAX_RESOLUTION
 from selfright.sweep import cell_gait, provenance_config
 
 LEGGED = Morphology()
@@ -94,6 +96,23 @@ def test_spec_validation():
         small_config(trials_per_cell=0)
     with pytest.raises(ConfigError):
         small_config(mode="other")
+
+
+def test_run_sweep_rejects_an_oversized_span_unmarched(monkeypatch):
+    """A trial one output interval over the cap is a ConfigError, raised
+    before any perturbation is drawn or any lane marched; the cap itself
+    passes the check."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called past the span check")
+
+    monkeypatch.setattr(PerturbationSpec, "draw_trials", forbidden)
+    monkeypatch.setattr(sweep, "_integrate", forbidden)
+    for steps, allowed in ((MAX_RESOLUTION + 1, False),
+                           (MAX_RESOLUTION, True)):
+        cfg = small_config(roll=RollSettings(steps_per_cycle=steps))
+        with pytest.raises(AssertionError if allowed else ConfigError,
+                           match=None if allowed else "steps_per_cycle"):
+            run_sweep(cfg)
 
 
 def test_sweep_shapes_and_determinism():
