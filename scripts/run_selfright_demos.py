@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from selfright import (GaitParams, Morphology, classify_trial,
-                       displacement_trajectory, energy_landscape,
-                       lateral_displacement, simulate_roll)
+from selfright import (GaitParams, Morphology, displacement_trajectory,
+                       energy_landscape, lateral_displacement, simulate_roll)
 
 OMEGA = 1e-3  # quasi-static drive frequency, rad/s
 
@@ -42,8 +41,7 @@ def demo_one_shot(morph: Morphology, out: Path | None) -> None:
     for num, den in ((1, 12), (1, 8), (1, 6), (1, 4)):
         amp = math.pi * num / den
         traj = simulate_roll(gait(amp), morph, cycles=0.5)
-        outcome = classify_trial(traj)
-        verdict = "RIGHTED" if outcome.self_righted else "stalled"
+        verdict = "RIGHTED" if traj.self_righted else "stalled"
         print(f"  A=pi/{den:<2d}: delta_gamma={traj.delta_gamma_total:7.4f} "
               f"rad -> {verdict}")
         if out is not None and den == 4:

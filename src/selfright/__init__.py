@@ -18,8 +18,8 @@ from .kinematics import (FramePose, Morphology, body_wave_height,
                          center_of_mass, cross_section, forward_kinematics,
                          wave_height_slope)
 from .rollmodel import (EnergyLandscape, PerturbationSpec, RollTrajectory,
-                        TrialOutcome, classify_trial, drive_gain,
-                        energy_landscape, simulate_roll, support_height)
+                        drive_gain, energy_landscape, simulate_roll,
+                        support_height)
 from .sidewinding import (DisplacementReport, contact_set,
                           displacement_trajectory, lateral_displacement)
 from .sweep import BehaviorDiagram, binariness, estimate_psr, run_sweep
@@ -30,9 +30,8 @@ __all__ = [
     "BehaviorDiagram", "ConfigError", "ContactError", "DimensionError",
     "DisplacementReport", "EnergyLandscape", "FramePose", "GaitParams",
     "GeometryError", "IntegrationError", "JointAngles", "Morphology",
-    "PerturbationSpec", "RollTrajectory", "RunConfig",
-    "SelfRightError", "TrialOutcome", "binariness",
-    "body_wave_height", "center_of_mass", "classify_trial", "coherence",
+    "PerturbationSpec", "RollTrajectory", "RunConfig", "SelfRightError",
+    "binariness", "body_wave_height", "center_of_mass", "coherence",
     "config_from_dict", "config_hash", "config_json", "config_to_dict",
     "contact_set", "cross_section", "displacement_trajectory", "drive_gain",
     "energy_landscape", "estimate_psr", "forward_kinematics",

@@ -31,8 +31,7 @@ import numpy as np
 from .config import RunConfig, config_hash, load_config
 from .errors import ConfigError, SelfRightError
 from .gait import joint_vector
-from .rollmodel import (MAX_RESOLUTION, classify_trial, energy_landscape,
-                        simulate_roll)
+from .rollmodel import MAX_RESOLUTION, energy_landscape, simulate_roll
 from .sidewinding import displacement_trajectory
 from .sweep import BehaviorDiagram, binariness, provenance_config, run_sweep
 
@@ -202,16 +201,13 @@ def cmd_energy(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
-    perturb = rng = None
-    if args.perturb:
-        perturb = cfg.sweep.perturbation()
-        rng = np.random.default_rng(cfg.seed)
+    perturb = cfg.sweep.perturbation() if args.perturb else None
+    # Trial (0, 0) of the seed's streams: trial 0 of a one-cell sweep.
     traj = simulate_roll(cfg.gait, cfg.morphology, cycles=args.cycles,
-                         gamma0=args.gamma0,
-                         perturb=perturb, mode=cfg.mode, rng=rng,
+                         gamma0=args.gamma0, perturb=perturb, mode=cfg.mode,
+                         stream=(cfg.seed, 0, 0),
                          mu=cfg.roll.mu, kappa=cfg.roll.kappa,
                          steps_per_cycle=cfg.roll.steps_per_cycle)
-    outcome = classify_trial(traj)
 
     gammas = traj.gammas.reshape(len(traj.times), -1)
     start = float(gammas[0].mean())
@@ -225,16 +221,16 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
                ("time_s", "phi_cmd_rad", *names), rows)
     _write_json(out / "outcome.json", {
         **_provenance(cfg),
-        "self_righted": outcome.self_righted,
-        "rolls_per_cycle": outcome.rolls_per_cycle,
-        "stalled": outcome.stalled,
+        "self_righted": traj.self_righted,
+        "rolls_per_cycle": traj.rolls_per_cycle,
+        "stalled": traj.stalled,
         "cycles": traj.cycles,
         "mode": traj.mode,
         "gamma_start_rad": start,
         "gamma_end_rad": float(gammas[-1].mean()),
     })
-    print(f"self_righted={outcome.self_righted} "
-          f"rolls_per_cycle={outcome.rolls_per_cycle:.4f}")
+    print(f"self_righted={traj.self_righted} "
+          f"rolls_per_cycle={traj.rolls_per_cycle:.4f}")
     return 0
 
 
@@ -323,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma0", type=float, default=0.0, metavar="RAD",
                    help="initial roll angle (default 0)")
     p.add_argument("--perturb", action="store_true",
-                   help="apply seeded initial-angle and gain perturbations")
+                   help="apply the initial-angle and gain perturbations of "
+                        "trial 0 of a one-cell sweep at --seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common],

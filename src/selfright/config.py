@@ -101,6 +101,15 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        body, gait = self.morphology, self.gait
+        if ((gait.num_lateral_joints, gait.num_vertical_joints)
+                != (body.num_lateral_joints, body.num_vertical_joints)):
+            raise ConfigError(
+                f"gait.num_lateral_joints {gait.num_lateral_joints} does not "
+                f"fit morphology.num_modules {body.num_modules}: the gait "
+                f"drives {gait.num_lateral_joints} lateral and "
+                f"{gait.num_vertical_joints} vertical joints, the body has "
+                f"{body.num_lateral_joints} and {body.num_vertical_joints}")
 
 
 def _build(cls, data, path: str):

@@ -245,45 +245,31 @@ class PerturbationSpec:
             raise ConfigError("gamma_jitter and gain_noise must be >= 0, "
                               "with 2 * width finite")
 
-    @staticmethod
-    def none() -> "PerturbationSpec":
-        return PerturbationSpec(gamma_jitter=0.0, gain_noise=0.0)
-
-    def draw(self, rng: np.random.Generator | None) -> tuple[float, float]:
-        """One trial's initial-roll jitter and drive-gain factor.
-
-        The jitter is drawn first, then the gain noise, each uniform in
-        +-width. A zero width draws nothing, so an all-zero spec needs no
-        rng and a zero jitter leaves the gain draw first in the stream.
-        """
-        def uniform(width: float) -> float:
-            if width == 0:
-                return 0.0
-            if rng is None:
-                raise ConfigError("perturbation requires an explicit rng")
-            return rng.uniform(-width, width)
-
-        return uniform(self.gamma_jitter), 1.0 + uniform(self.gain_noise)
-
-    def draw_trials(self, seed: int, n_cells: int, n_trials: int
+    def draw_trials(self, seed: int | None, cells, trials
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """draw for every trial of a sweep grid, in one array pass.
+        """Initial-roll jitter and drive-gain factor of every trial
+        (cell, t), cell in cells and t in trials, in one array pass.
 
-        Element [cell, t] of each (n_cells, n_trials) array equals, bitwise,
-        draw(Generator(PCG64(SeedSequence(entropy=seed,
-        spawn_key=(cell, t))))): the streams run as array arithmetic
-        (selfright.streams) under draw's rules.
+        Element [i, j] of each (len(cells), len(trials)) array is drawn,
+        bitwise, from trial (cells[i], trials[j])'s own stream,
+        Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(cell, t)))),
+        run as array arithmetic (selfright.streams): the jitter first, then
+        the gain noise, each Generator.uniform in +-width. A zero width
+        draws nothing, so a zero jitter leaves the gain draw first in the
+        stream and an all-zero spec needs no seed (None).
         """
         n_draws = (self.gamma_jitter > 0) + (self.gain_noise > 0)
         doubles = iter(())
         if n_draws:
+            if seed is None:
+                raise ConfigError("perturbation requires an explicit stream")
             # Imported only here: loading it would add to every start-up.
             from .streams import spawned_doubles
-            doubles = iter(spawned_doubles(seed, n_cells, n_trials, n_draws))
+            doubles = iter(spawned_doubles(seed, cells, trials, n_draws))
 
         def uniform(width: float) -> np.ndarray:
             if width == 0:
-                return np.zeros((n_cells, n_trials))
+                return np.zeros((len(cells), len(trials)))
             # Generator.uniform(low, high): low + (high - low) * double
             return -width + (width - -width) * next(doubles)
 
@@ -296,14 +282,14 @@ class RollTrajectory:
 
     gammas has shape (steps+1,) in lumped mode or (steps+1, M) in
     segmented mode. cycles is the span integrated, in whole output
-    intervals. delta_gamma_per_cycle averages over modules in segmented
-    mode; its length is the number of completed full cycles.
+    intervals, and rolls_per_cycle the trial's roll over it in turns per
+    cycle, averaged over modules: the figure a sweep reports per trial.
     """
 
     times: np.ndarray
     gammas: np.ndarray
     cycles: float
-    delta_gamma_per_cycle: np.ndarray
+    rolls_per_cycle: float
     stalled: bool
     mode: str
 
@@ -313,12 +299,10 @@ class RollTrajectory:
         end = self.gammas[-1]
         return float(np.mean(end - start))
 
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    self_righted: bool
-    rolls_per_cycle: float
-    stalled: bool
+    @property
+    def self_righted(self) -> bool:
+        """At least half a turn per cycle: the trial left its well."""
+        return self.rolls_per_cycle >= 0.5
 
 
 def _angle_terms(g, phi, gain, bias, flat):
@@ -690,6 +674,59 @@ def _trial_lanes(params: GaitParams, morph: Morphology, mode: str,
             np.tile(offsets, len(gamma_starts)), m)
 
 
+def _run_trials(gaits, morph: Morphology, mode: str, cycles: float,
+                steps_per_cycle: int, perturb: PerturbationSpec, stream,
+                gamma0: float, mu: float, kappa: float,
+                every_interval: bool = False):
+    """Integrate a batch of trials and reduce each to its rolls per cycle.
+
+    stream is (seed, cells, trials): the batch runs trial (cell, t) for
+    cell in cells, with gait gaits[i] for cells[i], and t in trials. Each
+    trial starts at gamma0 plus the jitter drawn from its own stream
+    (PerturbationSpec.draw_trials) and spans cycles rounded to whole
+    output intervals, at least one and at most MAX_RESOLUTION; the batch
+    has at most MAX_RESOLUTION lanes. Both are checked before anything is
+    drawn or built. All gaits share one drive frequency.
+
+    Returns (records, rolls, failures, dt): records as _integrate gives
+    them, at every interval if every_interval, else at the start and the
+    end only; rolls[k] is trial k's mean over its lanes of
+    (end - start) / (2*pi * cycles integrated), NaN for a failed trial;
+    failures maps a failed trial's index to its error; dt is the output
+    interval.
+    """
+    if not 0 < cycles < math.inf:
+        raise ConfigError("cycles must be positive and finite")
+    # The min keeps a span too large to round (an inf product) over the cap.
+    n_intervals = round(min(cycles * steps_per_cycle, MAX_RESOLUTION + 1))
+    if not 1 <= n_intervals <= MAX_RESOLUTION:
+        raise ConfigError(f"cycles must span at least one and at most "
+                          f"{MAX_RESOLUTION} output intervals "
+                          f"({steps_per_cycle} per cycle)")
+    if mode not in ("lumped", "segmented"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    seed, cells, trials = stream
+    chain = 1 if mode == "lumped" else morph.num_modules
+    n_lanes = len(cells) * len(trials) * chain
+    if n_lanes > MAX_RESOLUTION:
+        raise ConfigError(f"a batch must have at most {MAX_RESOLUTION} lanes "
+                          f"(cells x trials x lanes per trial), got {n_lanes}")
+
+    jitter, gain_factor = perturb.draw_trials(seed, cells, trials)
+    starts, gains, offsets = map(np.concatenate, zip(*(
+        _trial_lanes(gait, morph, mode, gamma0 + j, f)[:3]
+        for gait, j, f in zip(gaits, jitter, gain_factor))))
+    omega = gaits[0].temporal_frequency
+    dt = (TWO_PI / omega) / steps_per_cycle
+    records, failures = _integrate(
+        support_pieces(morph), gains, starts, omega, dt, n_intervals, mu,
+        phase_offsets=offsets, kappa=kappa, chain=chain,
+        stride=1 if every_interval else n_intervals)
+    rolls = ((records[-1] - records[0]).reshape(-1, chain).mean(axis=1)
+             / (TWO_PI * (n_intervals / steps_per_cycle)))
+    return records, rolls, failures, dt
+
+
 def _stalled(records: np.ndarray, step: float, run: int) -> np.ndarray:
     """Per-lane stall flag: the lane moved less than step between each of
     run consecutive pairs of records."""
@@ -699,84 +736,53 @@ def _stalled(records: np.ndarray, step: float, run: int) -> np.ndarray:
 
 
 def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
-                  gamma0: float | np.ndarray = 0.0,
+                  gamma0: float = 0.0,
                   perturb: PerturbationSpec | None = None,
                   mode: str = "lumped",
-                  rng: np.random.Generator | None = None,
+                  stream: tuple[int, int, int] | None = None,
                   *,
                   mu: float = MU_DEFAULT,
                   kappa: float = KAPPA_DEFAULT,
                   steps_per_cycle: int = STEPS_PER_CYCLE) -> RollTrajectory:
     """Integrate the quasi-static roll response to the commanded gait.
 
-    gamma0 is the initial roll (unwrapped, accumulating over
-    revolutions): one value, or in segmented mode one per module. The
-    commanded roll phase ramps from the trial's mean initial roll:
-    phi_cmd(t) = gamma_start + omega*t, with times starting at 0.
+    gamma0 is the initial roll (one value, unwrapped, accumulating over
+    revolutions). The commanded roll phase ramps from the trial's initial
+    roll: phi_cmd(t) = gamma_start + omega*t, with times starting at 0.
     Fractional cycles are allowed (a half cycle is the one-shot righting
-    maneuver) and round to whole output intervals, of which there must be
-    at least one; per-cycle roll displacements are reported for completed
-    full cycles.
+    maneuver) and round to whole output intervals (_run_trials' span
+    rule). perturb draws from stream = (seed, cell, t), the stream of
+    trial t of cell `cell` in a sweep of that seed; a nonzero perturbation
+    needs one. So a sweep trial, replayed here with its cell's gait,
+    gamma0 = pi and cycles_per_trial, gives its rolls per cycle bitwise.
 
     Segmented mode evolves one roll angle per module, staggering each
     module's command phase across the body by the gait's total phase span
     and coupling neighbors with a torsional spring kappa. Raises
     IntegrationError when any module fails to integrate.
     """
-    if not 0 < cycles < math.inf:
-        raise ConfigError("cycles must be positive and finite")
     check_calibration(mu, kappa, steps_per_cycle)
-    if mode not in ("lumped", "segmented"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if not np.isfinite(gamma0).all():
-        raise ConfigError("gamma0 must be finite")
-    # The min keeps a span too large to round (an inf product) over the cap.
-    n_intervals = round(min(cycles * steps_per_cycle, MAX_RESOLUTION + 1))
-    if n_intervals < 1:
-        raise ConfigError(f"cycles must span at least one output interval "
-                          f"(1/{steps_per_cycle} of a cycle)")
-    if n_intervals > MAX_RESOLUTION:
-        raise ConfigError(f"cycles must span at most {MAX_RESOLUTION} output "
-                          f"intervals ({steps_per_cycle} per cycle)")
-
-    jitter, gain_factor = (perturb or PerturbationSpec.none()).draw(rng)
-    starts, gains, offsets, chain = _trial_lanes(
-        params, morph, mode, [float(np.mean(gamma0)) + jitter],
-        [gain_factor])
-    if mode == "segmented" and np.ndim(gamma0) == 1:
-        if len(gamma0) != chain:
-            raise ConfigError("segmented gamma0 needs one value per module")
-        starts = np.asarray(gamma0, dtype=float) + jitter
-
-    omega = params.temporal_frequency
-    dt = (TWO_PI / omega) / steps_per_cycle
-    records, failures = _integrate(
-        support_pieces(morph), gains, starts, omega, dt, n_intervals, mu,
-        phase_offsets=offsets, kappa=kappa, chain=chain)
+    if np.ndim(gamma0) or not math.isfinite(gamma0):
+        raise ConfigError("gamma0 must be finite and one value")
+    seed, cell, trial = stream or (None, 0, 0)
+    if stream is not None and not (seed >= 0 and 0 <= cell < 2**32
+                                   and 0 <= trial < 2**32):
+        raise ConfigError("stream must be (seed, cell, trial) with seed >= 0 "
+                          "and cell and trial in [0, 2**32)")
+    records, rolls, failures, dt = _run_trials(
+        [params], morph, mode, cycles, steps_per_cycle,
+        perturb or PerturbationSpec(gamma_jitter=0.0, gain_noise=0.0),
+        (seed, [cell], [trial]), float(gamma0), mu, kappa,
+        every_interval=True)
     if failures:
         raise IntegrationError(failures[0])
 
-    times = dt * np.arange(n_intervals + 1)
-    full_cycles = int(n_intervals // steps_per_cycle)
-    marks = records[::steps_per_cycle][:full_cycles + 1]
-    per_cycle = np.diff(marks.mean(axis=1))
-
-    gammas = records[:, 0] if mode == "lumped" else records
-    stalled = _stalled(records, STALL_STEP * omega * dt,
+    n_intervals = len(records) - 1
+    stalled = _stalled(records, STALL_STEP * params.temporal_frequency * dt,
                        max(1, steps_per_cycle // 4))
     # A segmented body counts as stalled only when every module went quiet.
-    return RollTrajectory(times=times, gammas=gammas,
+    return RollTrajectory(times=dt * np.arange(n_intervals + 1),
+                          gammas=records[:, 0] if mode == "lumped" else records,
                           cycles=n_intervals / steps_per_cycle,
-                          delta_gamma_per_cycle=per_cycle,
+                          rolls_per_cycle=float(rolls[0]),
                           stalled=bool(stalled.all()), mode=mode)
-
-
-def classify_trial(traj: RollTrajectory) -> TrialOutcome:
-    """Outcome of one trial: righting success and mean rolls per cycle."""
-    if len(traj.delta_gamma_per_cycle) > 0:
-        mean_delta = float(np.mean(traj.delta_gamma_per_cycle))
-    else:
-        mean_delta = traj.delta_gamma_total / traj.cycles
-    return TrialOutcome(self_righted=mean_delta >= math.pi,
-                        rolls_per_cycle=mean_delta / TWO_PI,
-                        stalled=traj.stalled)

@@ -1,7 +1,7 @@
 """numpy's seeded random streams as array arithmetic.
 
-A sweep draws each trial from its own stream,
-Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(cell, t)))).
+Every perturbed trial, of a sweep or of simulate_roll, draws from its own
+stream, Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(cell, t)))).
 Building one generator per trial costs far more than the two doubles it
 yields, so this module runs SeedSequence's hash and PCG64 for every
 trial at once, bitwise equal to numpy's. NEP 19 keeps both streams
@@ -23,16 +23,16 @@ _M32, _M64 = 2**32 - 1, 2**64 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def spawned_doubles(seed: int, n_cells: int, n_trials: int, n: int
-                    ) -> np.ndarray:
+def spawned_doubles(seed: int, cells, trials, n: int) -> np.ndarray:
     """The first n doubles in [0, 1) of every cell's and trial's stream.
 
-    Element [k, cell, t] is draw k of
-    Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(cell, t)))),
-    as Generator.random would return it, for n >= 1.
+    cells and trials are index arrays (each index below 2**32); element
+    [k, i, j] is draw k of Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=(cells[i], trials[j])))), as Generator.random would return
+    it, for n >= 1.
     """
-    state = _spawned_state(seed, np.arange(n_cells, dtype=np.uint32)[:, None],
-                           np.arange(n_trials, dtype=np.uint32))
+    state = _spawned_state(seed, np.asarray(cells, dtype=np.uint32)[:, None],
+                           np.asarray(trials, dtype=np.uint32))
     return _pcg64_doubles(state, n)
 
 

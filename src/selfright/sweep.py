@@ -14,12 +14,11 @@ import numpy as np
 
 from .config import RollSettings, RunConfig
 from .errors import ConfigError
-from .gait import TWO_PI, GaitParams
-from .rollmodel import (MAX_RESOLUTION, _integrate, _trial_lanes,
-                        support_pieces)
+from .gait import GaitParams
+from .rollmodel import _run_trials
 # Kept importable from this module: bench/tracer.py wraps them here.
-from .rollmodel import (drive_gain, energy_landscape,  # noqa: F401
-                        simulate_roll)
+from .rollmodel import (_integrate, drive_gain,  # noqa: F401
+                        energy_landscape, simulate_roll)
 
 # P_sr values this close to an endpoint collapse onto it, so exact-binary
 # claims are testable without float fuzz.
@@ -85,43 +84,25 @@ def run_sweep(cfg: RunConfig) -> BehaviorDiagram:
 
     Each cell's gait is cfg.gait with the cell's amplitude and xi
     (cell_gait). Trials start inverted (gamma = pi, plus the seeded
-    jitter). Every trial's perturbation is drawn in one array pass
-    (PerturbationSpec.draw_trials), bitwise equal to drawing trial t of
-    cell a_idx * len(xis) + x_idx from its own stream,
-    Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(cell, t)))).
-    Every trial becomes lanes of one integration: one lane per lumped
-    trial, one per module for a segmented trial. A lane does not depend on
-    its batch mates, so each trial equals simulate_roll for that trial and
-    stream bitwise. A trial that fails to integrate reads NaN, as does its cell's
-    P_sr; its error is listed in errors and logged to the "selfright"
-    logger. A trial longer than MAX_RESOLUTION output intervals is a
-    ConfigError, raised before anything is drawn or marched.
+    jitter), and trial t of cell a_idx * len(xis) + x_idx draws from
+    stream (seed, cell, t). All trials run through _run_trials as lanes of
+    one integration: one lane per lumped trial, one per module for a
+    segmented trial. A lane does not depend on its batch mates, so each
+    trial equals simulate_roll on the same stream bitwise. A trial that
+    fails to integrate reads NaN, as does its cell's P_sr; its error is
+    listed in errors and logged to the "selfright" logger. A trial span
+    or a lane count over MAX_RESOLUTION is a ConfigError, raised before
+    anything is drawn or marched.
     """
-    sw, roll, omega = cfg.sweep, cfg.roll, cfg.gait.temporal_frequency
-    n_intervals = sw.cycles_per_trial * roll.steps_per_cycle
-    if n_intervals > MAX_RESOLUTION:
-        raise ConfigError(f"cycles_per_trial * steps_per_cycle must be <= "
-                          f"{MAX_RESOLUTION}")
+    sw, roll = cfg.sweep, cfg.roll
     n_a, n_x, n_t = len(sw.amplitudes), len(sw.xis), sw.trials_per_cell
-    jitter, gain_factor = sw.perturbation().draw_trials(cfg.seed, n_a * n_x,
-                                                        n_t)
-    cells = []
-    for a_idx, amp in enumerate(sw.amplitudes):
-        for x_idx, xi in enumerate(sw.xis):
-            cell_idx = a_idx * n_x + x_idx
-            *lanes, chain = _trial_lanes(
-                cell_gait(cfg, amp, xi), cfg.morphology, cfg.mode,
-                math.pi + jitter[cell_idx], gain_factor[cell_idx])
-            cells.append(lanes)
-    gamma0, gains, offsets = map(np.concatenate, zip(*cells))
-
-    dt = (TWO_PI / omega) / roll.steps_per_cycle
-    (start, end), failures = _integrate(
-        support_pieces(cfg.morphology), gains, gamma0, omega, dt,
-        n_intervals, roll.mu, phase_offsets=offsets, kappa=roll.kappa,
-        chain=chain, stride=n_intervals)
-    rolls = ((end - start).reshape(-1, chain).mean(axis=1)
-             / (TWO_PI * sw.cycles_per_trial))
+    gaits = [cell_gait(cfg, amp, xi) for amp in sw.amplitudes
+             for xi in sw.xis]
+    _, rolls, failures, _ = _run_trials(
+        gaits, cfg.morphology, cfg.mode, sw.cycles_per_trial,
+        roll.steps_per_cycle, sw.perturbation(),
+        (cfg.seed, range(n_a * n_x), range(n_t)), math.pi, roll.mu,
+        roll.kappa)
     trial_rolls = rolls.reshape(n_a, n_x, n_t)
 
     errors: list[str] = []

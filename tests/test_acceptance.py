@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from selfright import (GaitParams, Morphology, RunConfig, binariness,
-                       classify_trial, config_to_dict, drive_gain,
-                       energy_landscape,
+                       config_to_dict, drive_gain, energy_landscape,
                        lateral_angle, lateral_displacement, run_sweep,
                        simulate_roll, vertical_angle)
 from selfright.cli import main as cli_main
@@ -117,10 +116,10 @@ def test_criterion_4_one_shot_roll():
     """Half-cycle righting succeeds at A=pi/4 and fails at A=pi/12 with
     zero perturbation at the shipped calibration."""
     strong = simulate_roll(quasi_static_gait(math.pi / 4), MORPH, cycles=0.5)
-    assert classify_trial(strong).self_righted
+    assert strong.self_righted
 
     weak = simulate_roll(quasi_static_gait(math.pi / 12), MORPH, cycles=0.5)
-    assert not classify_trial(weak).self_righted
+    assert not weak.self_righted
 
 
 def test_criterion_5_sequential_propagation():

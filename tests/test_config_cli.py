@@ -261,21 +261,24 @@ def test_cli_rejects_non_finite_roll_calibration(tmp_path, capsys, doc,
     assert not (tmp_path / "out").exists()
 
 
+SPAN = "cycles must span at least one and at most 1048576 output intervals"
+
+
 @pytest.mark.parametrize("argv, roll, message", [
     (["simulate", "--cycles", (MAX_RESOLUTION + 1) / STEPS_PER_CYCLE], {},
-     "cycles must span at most"),
-    (["simulate"], {"steps_per_cycle": MAX_RESOLUTION + 1},
-     "cycles must span at most"),
+     SPAN),
+    (["simulate"], {"steps_per_cycle": MAX_RESOLUTION + 1}, SPAN),
     (["sidewind", "--samples", MAX_RESOLUTION + 1], {},
      "cycles * samples_per_cycle must be <="),
     (["gait", "--samples", MAX_RESOLUTION + 1], {}, "--samples must be"),
     (["sweep", "--trials", 1, "--legs", 0, "--cycles", 1],
-     {"steps_per_cycle": MAX_RESOLUTION + 1},
-     "cycles_per_trial * steps_per_cycle must be <="),
+     {"steps_per_cycle": MAX_RESOLUTION + 1}, SPAN),
     (["sweep", "--trials", 1, "--legs", 0, "--cycles", 100_000_000_000], {},
-     "cycles_per_trial * steps_per_cycle must be <=")],
+     SPAN),
+    (["sweep", "--trials", 100_000_000, "--legs", 0], {},
+     "a batch must have at most 1048576 lanes")],
     ids=["simulate-cycles", "simulate-steps", "sidewind", "gait",
-         "sweep-steps", "sweep-cycles"])
+         "sweep-steps", "sweep-cycles", "sweep-trials"])
 def test_cli_rejects_oversized_sample_counts_unallocated(tmp_path, capsys,
                                                          argv, roll, message):
     """One sample over the cap is an error line, raised before any
@@ -502,6 +505,35 @@ def test_sweep_follows_config_gait_joint_count(tmp_path):
     doc = json.loads((tmp_path / "sweep.json").read_text())
     assert all(p is not None and math.isfinite(p)
                for row in doc["p_sr"] for p in row)
+
+
+@pytest.mark.parametrize("command", [
+    ["gait"], ["simulate", "--half"], ["sweep", "--trials", 1, "--cycles", 1],
+    ["sidewind", "--samples", 16]],
+    ids=["gait", "simulate", "sweep", "sidewind"])
+def test_gait_joint_count_must_fit_the_body(tmp_path, capsys, command):
+    """A 12-module body has 5 lateral and 6 vertical joints: the default
+    4-lateral-joint gait is an error line naming both fields in every
+    command, and a 5-lateral-joint gait runs. An odd module count leaves
+    as many lateral joints as vertical ones, which no gait drives."""
+    for num_modules, num_lateral, fits in ((12, 4, False), (12, 5, True),
+                                           (11, 4, False), (11, 5, False)):
+        doc = {"morphology": {"num_modules": num_modules},
+               "gait": {"num_lateral_joints": num_lateral}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"{num_modules}-{num_lateral}"
+        status = run_cli(command + ["--config", path, "--out", out])
+        err = capsys.readouterr().err
+        assert status == (0 if fits else 1), err
+        if not fits:
+            assert err.startswith("error: gait.num_lateral_joints")
+            assert "morphology.num_modules" in err
+            assert not out.exists()
+    for n in range(1, 9):
+        with pytest.raises(ConfigError, match="morphology.num_modules"):
+            RunConfig(morphology=Morphology(num_modules=11),
+                      gait=GaitParams(num_lateral_joints=n))
 
 
 def test_steps_per_cycle_floor_in_every_path(tmp_path, capsys):

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from selfright import (BehaviorDiagram, ConfigError, GaitParams, Morphology,
-                       PerturbationSpec, RunConfig, binariness,
-                       config_hash, estimate_psr, run_sweep, simulate_roll)
-from selfright.cli import write_diagram_csv, write_diagram_json
+from selfright import (BehaviorDiagram, ConfigError, GaitParams,
+                       IntegrationError, Morphology, PerturbationSpec,
+                       RunConfig, binariness, config_hash, estimate_psr,
+                       run_sweep, save_config, simulate_roll)
+from selfright.cli import main, write_diagram_csv, write_diagram_json
 from selfright.config import (DEFAULT_AMPLITUDES, DEFAULT_XIS, RollSettings,
                               SweepSettings)
-from selfright import sweep
+from selfright import rollmodel
 from selfright.rollmodel import MAX_RESOLUTION
 from selfright.sweep import cell_gait, provenance_config
 
@@ -98,20 +99,42 @@ def test_spec_validation():
         small_config(mode="other")
 
 
+def forbid_drawing_and_marching(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called past the span and lane checks")
+
+    monkeypatch.setattr(PerturbationSpec, "draw_trials", forbidden)
+    monkeypatch.setattr(rollmodel, "_integrate", forbidden)
+
+
 def test_run_sweep_rejects_an_oversized_span_unmarched(monkeypatch):
     """A trial one output interval over the cap is a ConfigError, raised
     before any perturbation is drawn or any lane marched; the cap itself
     passes the check."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("called past the span check")
-
-    monkeypatch.setattr(PerturbationSpec, "draw_trials", forbidden)
-    monkeypatch.setattr(sweep, "_integrate", forbidden)
+    forbid_drawing_and_marching(monkeypatch)
     for steps, allowed in ((MAX_RESOLUTION + 1, False),
                            (MAX_RESOLUTION, True)):
         cfg = small_config(roll=RollSettings(steps_per_cycle=steps))
         with pytest.raises(AssertionError if allowed else ConfigError,
-                           match=None if allowed else "steps_per_cycle"):
+                           match=None if allowed else
+                           "at most 1048576 output intervals"):
+            run_sweep(cfg)
+
+
+@pytest.mark.parametrize("mode", ["lumped", "segmented"])
+def test_run_sweep_rejects_an_oversized_batch_undrawn(monkeypatch, mode):
+    """A one-cell batch of more than MAX_RESOLUTION lanes (trials x lanes
+    per trial: exactly cap + 1 lumped, the next whole trial segmented) is
+    a ConfigError, raised before any perturbation is drawn or any lane
+    built or marched; the largest batch within the cap reaches the draw."""
+    forbid_drawing_and_marching(monkeypatch)
+    most = MAX_RESOLUTION // (1 if mode == "lumped" else 10)
+    for trials, allowed in ((most + 1, False), (most, True)):
+        cfg = small_config(mode=mode, amplitudes=(math.pi / 4,), xis=(0.0,),
+                           trials_per_cell=trials)
+        with pytest.raises(AssertionError if allowed else ConfigError,
+                           match="past the span" if allowed else
+                           f"at most {MAX_RESOLUTION} lanes"):
             run_sweep(cfg)
 
 
@@ -266,23 +289,45 @@ def test_failed_trials_logged(caplog):
                                   2**140 + 11])
 @pytest.mark.parametrize("spec", [
     PerturbationSpec(), PerturbationSpec(gamma_jitter=0.0),
-    PerturbationSpec(gain_noise=0.0), PerturbationSpec.none(),
+    PerturbationSpec(gain_noise=0.0),
+    PerturbationSpec(gamma_jitter=0.0, gain_noise=0.0),
 ], ids=["default", "no-jitter", "no-gain-noise", "none"])
 def test_draw_trials_equals_per_trial_streams(seed, spec):
-    """One-pass draws equal draw on each trial's own stream, bitwise.
+    """One-pass draws equal Generator.uniform on each trial's own stream,
+    bitwise, for a whole grid and for any cell and trial indices.
 
-    SeedSequence pads a seed of up to four 32-bit words and mixes the
-    words past four in later, and a zero width leaves the other draw
-    first in the stream.
+    The jitter is drawn first, then the gain noise; a zero width draws
+    nothing. SeedSequence pads a seed of up to four 32-bit words and
+    mixes the words past four in later.
     """
-    n_cells, n_trials = 3 * 4, 5
-    jitter, gain_factor = spec.draw_trials(seed, n_cells, n_trials)
-    expected = np.array([[spec.draw(np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(cell, trial)))))
-        for trial in range(n_trials)] for cell in range(n_cells)])
-    drawn = np.stack([jitter, gain_factor], axis=-1)
-    assert drawn.dtype == expected.dtype == np.float64
-    assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+    def reference(cell, trial):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            entropy=seed, spawn_key=(cell, trial))))
+        jitter, noise = (rng.uniform(-w, w) if w else 0.0
+                         for w in (spec.gamma_jitter, spec.gain_noise))
+        return jitter, 1.0 + noise
+
+    for cells, trials in ((range(3 * 4), range(5)),
+                          ([7, 0, 2**32 - 1], [4, 2**31])):
+        jitter, gain_factor = spec.draw_trials(seed, cells, trials)
+        expected = np.array([[reference(cell, trial) for trial in trials]
+                             for cell in cells])
+        drawn = np.stack([jitter, gain_factor], axis=-1)
+        assert drawn.dtype == expected.dtype == np.float64
+        assert np.array_equal(drawn.view(np.uint64),
+                              expected.view(np.uint64))
+
+
+def replay(cfg, a_idx, x_idx, trial):
+    """simulate_roll of one sweep trial: its cell's gait, the inverted
+    start, the sweep's span and that trial's stream."""
+    sw, roll = cfg.sweep, cfg.roll
+    return simulate_roll(
+        cell_gait(cfg, sw.amplitudes[a_idx], sw.xis[x_idx]), cfg.morphology,
+        cycles=sw.cycles_per_trial, gamma0=math.pi,
+        perturb=sw.perturbation(), mode=cfg.mode,
+        stream=(cfg.seed, a_idx * len(sw.xis) + x_idx, trial), mu=roll.mu,
+        kappa=roll.kappa, steps_per_cycle=roll.steps_per_cycle)
 
 
 @pytest.mark.parametrize("mode, perturb", [
@@ -291,23 +336,72 @@ def test_draw_trials_equals_per_trial_streams(seed, spec):
     ("lumped", PerturbationSpec(gamma_jitter=0.0, gain_noise=0.1)),
 ], ids=["segmented-default", "segmented-no-jitter", "lumped-no-jitter"])
 def test_batched_trial_equals_simulate_roll(mode, perturb):
-    """A sweep trial is simulate_roll on that trial's stream, bitwise."""
+    """A sweep trial is simulate_roll on that trial's stream: its rolls per
+    cycle bitwise, and its trajectory's start and end."""
     cfg = small_config(morphology=LEGGED, mode=mode,
                        gamma_jitter=perturb.gamma_jitter,
                        gain_noise=perturb.gain_noise,
                        amplitudes=(math.pi / 8, math.pi / 3),
                        xis=(0.0, 0.6))
     diagram = run_sweep(cfg)
-    sw, roll = cfg.sweep, cfg.roll
-    n_x = len(sw.xis)
     for a_idx, x_idx, trial in ((0, 0, 0), (1, 1, 1)):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=cfg.seed, spawn_key=(a_idx * n_x + x_idx, trial)))
-        traj = simulate_roll(
-            cell_gait(cfg, sw.amplitudes[a_idx], sw.xis[x_idx]),
-            cfg.morphology, cycles=float(sw.cycles_per_trial),
-            gamma0=math.pi, perturb=perturb, mode=mode,
-            rng=rng, mu=roll.mu, kappa=roll.kappa,
-            steps_per_cycle=roll.steps_per_cycle)
-        rolls = traj.delta_gamma_total / (2 * math.pi * sw.cycles_per_trial)
+        traj = replay(cfg, a_idx, x_idx, trial)
+        rolls = traj.delta_gamma_total / (2 * math.pi
+                                          * cfg.sweep.cycles_per_trial)
         assert diagram.trial_rolls[a_idx, x_idx, trial] == rolls
+        assert traj.rolls_per_cycle == rolls
+
+
+@pytest.mark.parametrize("cfg", [
+    small_config(morphology=LEGGED, amplitudes=DEFAULT_AMPLITUDES[2:7],
+                 xis=(0.0, 0.3, 0.6, 0.9), trials_per_cell=3),
+    small_config(amplitudes=(math.pi / 12, math.pi / 4),
+                 xis=(0.0, 0.5, 1.0), trials_per_cell=5, seed=3),
+    # Limbless segmented chains at the default kappa: A = pi/24 at
+    # xi = 0.6 rolls a whole turn (ROADMAP item 1), and so do others.
+    small_config(mode="segmented", amplitudes=(math.pi / 24, math.pi / 4),
+                 xis=(0.0, 0.6), trials_per_cell=2, seed=1),
+], ids=["legged", "limbless", "segmented-failing"])
+def test_simulate_replays_every_sweep_trial(cfg):
+    """Every trial of a sweep, replayed by simulate_roll on its stream,
+    gives its rolls per cycle bitwise; a trial the sweep reads NaN raises
+    IntegrationError with the sweep's reason."""
+    diagram = run_sweep(cfg)
+    errors = {}
+    for (a_idx, x_idx, trial), rolls in np.ndenumerate(diagram.trial_rolls):
+        if math.isnan(rolls):
+            with pytest.raises(IntegrationError) as failed:
+                replay(cfg, a_idx, x_idx, trial)
+            errors[a_idx, x_idx, trial] = str(failed.value)
+        else:
+            assert replay(cfg, a_idx, x_idx, trial).rolls_per_cycle == rolls
+    assert [f"cell({a},{x}) trial {t}: {reason}"
+            for (a, x, t), reason in sorted(errors.items())] == list(
+                diagram.errors)
+    if cfg.mode == "segmented":
+        assert errors and len(errors) < diagram.trial_rolls.size
+
+
+@pytest.mark.parametrize("mode, amplitude, xi, seed, cycles", [
+    ("lumped", math.pi / 6, 0.3, 4, 2),
+    ("segmented", math.pi / 4, 0.6, 11, 1)], ids=["lumped", "segmented"])
+def test_cli_simulate_perturb_replays_sweep_trial_0(tmp_path, mode,
+                                                    amplitude, xi, seed,
+                                                    cycles):
+    """simulate --perturb --seed s is trial (0, 0) of seed s: from the
+    inverted start, over the sweep's cycles, with the cell's amplitude and
+    xi, its rolls per cycle is trial 0 of the one-cell sweep's."""
+    cfg = RunConfig(mode=mode, sweep=SweepSettings(
+        amplitudes=(amplitude,), xis=(xi,), trials_per_cell=1,
+        cycles_per_trial=cycles))
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    common = ["--config", str(path), "--seed", str(seed)]
+    assert main(["sweep", *common, "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["simulate", *common, "--perturb", "--gamma0",
+                 repr(math.pi), "--cycles", str(cycles), "--amplitude",
+                 repr(amplitude), "--xi", repr(xi),
+                 "--out", str(tmp_path / "sim")]) == 0
+    swept = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    simulated = json.loads((tmp_path / "sim" / "outcome.json").read_text())
+    assert simulated["rolls_per_cycle"] == swept["trial_rolls"][0][0][0]
