@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -111,12 +112,16 @@ def _provenance(cfg: RunConfig) -> dict:
 
 def _write_csv(path: Path, cfg: RunConfig, header: tuple[str, ...],
                rows) -> None:
-    """cfg's provenance as a comment line, the header, then the rows."""
-    lines = ["# " + " ".join(f"{k}={v}" for k, v in _provenance(cfg).items()),
-             ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    """cfg's provenance as a comment line, the header, then the rows,
+    joined and written 4,096 at a time, so a generator of rows is never
+    held whole."""
+    meta = " ".join(f"{k}={v}" for k, v in _provenance(cfg).items())
+    lines = (",".join(_fmt(v) for v in row) for row in rows)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(f"# {meta}\n{','.join(header)}\n")
+        while block := list(itertools.islice(lines, 4096)):
+            f.write("\n".join(block) + "\n")
     print(path)
 
 
@@ -174,11 +179,11 @@ def cmd_gait(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         raise ConfigError(f"--samples must be >= 1 and <= {MAX_RESOLUTION}")
     times = g.period * np.arange(args.samples + 1) / args.samples
     angles = joint_vector(g, times)
-    rows = []
-    for t, lat, vert in zip(times.tolist(), angles.lateral.tolist(),
-                            angles.vertical.tolist()):
-        rows.extend((t, i, "lateral", a) for i, a in enumerate(lat))
-        rows.extend((t, i, "vertical", a) for i, a in enumerate(vert))
+    rows = ((t, i, axis, a)
+            for t, lat, vert in zip(times.tolist(), angles.lateral.tolist(),
+                                    angles.vertical.tolist())
+            for axis, side in (("lateral", lat), ("vertical", vert))
+            for i, a in enumerate(side))
     _write_csv(out / "gait.csv", cfg,
                ("time_s", "joint", "axis", "angle_rad"), rows)
     return 0

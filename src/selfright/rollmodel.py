@@ -54,6 +54,10 @@ DEFAULT_RESOLUTION = 1024
 # samples. 2**20 samples already make a 60 MB energy.csv; the cap turns a
 # larger request into a ConfigError before numpy tries to allocate it.
 MAX_RESOLUTION = 2**20
+# Largest (output intervals + 1) x lanes a trial records at every interval
+# (simulate_roll): 128 MB of roll states. It admits the span cap on the
+# default 10-module segmented body.
+MAX_RECORDS = 16 * MAX_RESOLUTION
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,7 @@ def support_pieces(morph: Morphology) -> tuple[np.ndarray, np.ndarray]:
     and edges[j + 1], repeating every turn.
     """
     lines = _support_lines(morph)
+    edges = np.array([-np.inf, np.inf])
     if len(lines) > 1:
         # Each tip stands level with the disc at two angles, the two tips
         # with each other at 0 and pi. (sorted(set()), not np.unique, whose
@@ -126,10 +131,11 @@ def support_pieces(morph: Morphology) -> tuple[np.ndarray, np.ndarray]:
         top = _heights(lines, (cuts + np.append(cuts[1:], cuts[0] + TWO_PI))
                        / 2.0).argmax(0)
         kink = top != np.roll(top, 1)
-        edges = np.append(cuts[kink][-1] - TWO_PI, cuts[kink])
-        lines = lines[np.roll(top[kink], 1)]
-    else:
-        edges = np.array([-np.inf, np.inf])
+        if kink.any():
+            edges = np.append(cuts[kink][-1] - TWO_PI, cuts[kink])
+            lines = lines[np.roll(top[kink], 1)]
+        else:  # legs too short to reach below the disc in floats
+            lines = lines[:1]
     weight = morph.total_mass * GRAVITY
     slopes = weight * np.column_stack([lines[:, 1], -lines[:, 0]])
     edges.flags.writeable = slopes.flags.writeable = False  # cached
@@ -363,6 +369,15 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     kink: their indices, their drive G*sin(phi1 - g) and their rates on
     their piece and on the next one.
 
+    A table without kinks (edges (-inf, inf), every limbless body) takes
+    a kink-free pass: j is always 0, so for finite phi1 a lane's heading
+    edge is +-inf and it is capped exactly when it heads up. No finite g
+    sits on an infinite edge, so none settles; a lane heading down can
+    hit only its -inf edge (a drifting lane's whole turn), which fails
+    it, so only capped lanes hit and no lane goes on to a kink pass. That
+    pass skips the edge lookup, the settle test, the gathering of lanes
+    for a kink pass and the piece and turn writes.
+
     tables is (edges, c, s) of the piece table; flat tells whether all of
     its slopes are zero (worked out from the table when None). piece and
     turn hold each lane's piece index and whole turns; they are updated in
@@ -379,37 +394,42 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     g = start = gam
     phi, gain, b, j, t = phi1, gains, bias, piece, turn
     tau = 0.5 * mu * dt_len
+    kinks = math.isfinite(edges[0])
     terms = _angle_terms(g, phi, gain, b, flat)
-    r, slope = _rates(terms, cs[j], ss[j])
+    # Without kinks every lane is on piece 0: no gather of its slopes.
+    r, slope = _rates(terms, *((cs[j], ss[j]) if kinks else (cs[0], ss[0])))
     lanes, failed = None, []
     while True:
         up = r > 0
-        edge = edges[j + up] + TWO_PI * t
-        capped = held = up & (phi < edge)
-        settle = (edge == g) & ~capped if lanes is None else False
-        if np.count_nonzero(settle):
-            # A lane on the kink it heads for meets the next piece at g
-            # itself: it goes on along that piece if its rate keeps its
-            # sign there, and rests otherwise. Going on takes no time.
-            j_next = j + np.where(up, 1, -1)
-            r_next = _rate(terms, cs.take(j_next, mode="wrap"),
-                           ss.take(j_next, mode="wrap"))
-            keeps = r_next * r > 0
-            if rest is not None:
-                on_kink = (settle & ~keeps).nonzero()[0]
-                rest.append((on_kink, terms[2][on_kink], r[on_kink],
-                             r_next[on_kink]))
-            sw = (settle & keeps).nonzero()[0]
-            if sw.size:
-                j_next, up_sw = j_next[sw], up[sw]
-                on = j_next % n
-                piece[sw], turn[sw] = on, t[sw] + j_next // n
-                r[sw], slope[sw] = _rates([v[sw] for v in terms],
-                                          cs[on], ss[on])
-                edge[sw] = edges[on + up_sw] + TWO_PI * turn[sw]
-                capped[sw] = up_sw & (phi[sw] < edge[sw])
-            held = capped | (settle & ~keeps)
-        end = np.where(capped, np.maximum(g, phi), edge)
+        if not kinks:
+            end = np.where(up, np.maximum(g, phi), -np.inf)
+        else:
+            edge = edges[j + up] + TWO_PI * t
+            capped = held = up & (phi < edge)
+            settle = (edge == g) & ~capped if lanes is None else False
+            if np.count_nonzero(settle):
+                # A lane on the kink it heads for meets the next piece at g
+                # itself: it goes on along that piece if its rate keeps its
+                # sign there, and rests otherwise. Going on takes no time.
+                j_next = j + np.where(up, 1, -1)
+                r_next = _rate(terms, cs.take(j_next, mode="wrap"),
+                               ss.take(j_next, mode="wrap"))
+                keeps = r_next * r > 0
+                if rest is not None:
+                    on_kink = (settle & ~keeps).nonzero()[0]
+                    rest.append((on_kink, terms[2][on_kink], r[on_kink],
+                                 r_next[on_kink]))
+                sw = (settle & keeps).nonzero()[0]
+                if sw.size:
+                    j_next, up_sw = j_next[sw], up[sw]
+                    on = j_next % n
+                    piece[sw], turn[sw] = on, t[sw] + j_next // n
+                    r[sw], slope[sw] = _rates([v[sw] for v in terms],
+                                              cs[on], ss[on])
+                    edge[sw] = edges[on + up_sw] + TWO_PI * turn[sw]
+                    capped[sw] = up_sw & (phi[sw] < edge[sw])
+                held = capped | (settle & ~keeps)
+            end = np.where(capped, np.maximum(g, phi), edge)
         if b is None:
             k2 = slope * slope + r * r
             k, drift = np.sqrt(k2), None
@@ -441,6 +461,8 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
             if np.count_nonzero(bad):
                 failed.append(bad.nonzero()[0] if lanes is None
                               else lanes[bad])
+        if not kinks:
+            return out, failed
         go = (hit & ~(held | bad)).nonzero()[0]
         if not go.size:
             return out, failed
@@ -574,6 +596,9 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     parks = not coupled and np.isfinite(edges[0]) and step > 0.0
     reach = float(np.abs(slopes).sum(axis=1).max())  # bounds every |U'|
     wake = np.zeros(len(gam), dtype=np.int64)  # first interval to march
+    # All-zero offsets (every lumped batch) are not subtracted: the phase
+    # before them is never -0.0 (omega*dt > 0), so x - 0.0 is x bitwise.
+    shifted = phase_offsets.any()
     # Zero-padded twists: the Laplacian of a chain is one difference.
     twist = np.zeros((len(gam) // chain, chain + 1)) if coupled else None
     bias = None  # an uncoupled chain carries no bias
@@ -583,12 +608,15 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
             awake = (wake <= first).nonzero()[0]
             # With every lane awake, views (no copies) of the lane arrays.
             at = slice(None) if awake.size == len(gam) else awake
-            g, p, t, gain, ref, off = (v[at] for v in (
-                gam, piece, turn, gains, gamma_ref, phase_offsets))
+            g, p, t, gain, ref = (v[at] for v in (
+                gam, piece, turn, gains, gamma_ref))
+            off = phase_offsets[at] if shifted else None
             rest = None
             for n in range(first, last):
                 if g.size:
-                    phi1 = ref + omega * (n + 1) * dt - off
+                    phi1 = ref + omega * (n + 1) * dt
+                    if off is not None:
+                        phi1 -= off
                     if coupled:
                         by_chain = g.reshape(-1, chain)
                         np.subtract(by_chain[:, 1:], by_chain[:, :-1],
@@ -685,7 +713,8 @@ def _run_trials(gaits, morph: Morphology, mode: str, cycles: float,
     trial starts at gamma0 plus the jitter drawn from its own stream
     (PerturbationSpec.draw_trials) and spans cycles rounded to whole
     output intervals, at least one and at most MAX_RESOLUTION; the batch
-    has at most MAX_RESOLUTION lanes. Both are checked before anything is
+    has at most MAX_RESOLUTION lanes, and records at every interval at
+    most MAX_RECORDS roll states. All are checked before anything is
     drawn or built. All gaits share one drive frequency.
 
     Returns (records, rolls, failures, dt): records as _integrate gives
@@ -711,6 +740,10 @@ def _run_trials(gaits, morph: Morphology, mode: str, cycles: float,
     if n_lanes > MAX_RESOLUTION:
         raise ConfigError(f"a batch must have at most {MAX_RESOLUTION} lanes "
                           f"(cells x trials x lanes per trial), got {n_lanes}")
+    if every_interval and (n_intervals + 1) * n_lanes > MAX_RECORDS:
+        raise ConfigError(f"a trial must record at most {MAX_RECORDS} roll "
+                          f"states ((output intervals + 1) x lanes), got "
+                          f"{(n_intervals + 1) * n_lanes}")
 
     jitter, gain_factor = perturb.draw_trials(seed, cells, trials)
     starts, gains, offsets = map(np.concatenate, zip(*(
@@ -751,10 +784,12 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     roll: phi_cmd(t) = gamma_start + omega*t, with times starting at 0.
     Fractional cycles are allowed (a half cycle is the one-shot righting
     maneuver) and round to whole output intervals (_run_trials' span
-    rule). perturb draws from stream = (seed, cell, t), the stream of
-    trial t of cell `cell` in a sweep of that seed; a nonzero perturbation
-    needs one. So a sweep trial, replayed here with its cell's gait,
-    gamma0 = pi and cycles_per_trial, gives its rolls per cycle bitwise.
+    rule); a run that would record more than MAX_RECORDS roll states
+    (intervals + 1 per lane) is a ConfigError. perturb draws from stream =
+    (seed, cell, t), the stream of trial t of cell `cell` in a sweep of
+    that seed; a nonzero perturbation needs one. So a sweep trial,
+    replayed here with its cell's gait, gamma0 = pi and cycles_per_trial,
+    gives its rolls per cycle bitwise.
 
     Segmented mode evolves one roll angle per module, staggering each
     module's command phase across the body by the gait's total phase span

@@ -59,17 +59,20 @@ class BehaviorDiagram:
     config: RunConfig
 
 
-def estimate_psr(trial_rolls: np.ndarray) -> float:
-    """P_sr of one cell: mean rolls per cycle, clamped to [0, 1]."""
-    rolls = np.asarray(trial_rolls, dtype=float)
-    if rolls.size == 0:
+def estimate_psr(trial_rolls: np.ndarray) -> float | np.ndarray:
+    """P_sr of each cell: mean rolls per cycle over the last (trial) axis,
+    clamped to [0, 1]; NaN where a trial is NaN. One cell's trials (a 1-D
+    array) give a float, a grid of cells an array of their P_sr, each
+    bitwise the value its cell gives alone."""
+    # Contiguous (and at least 1-D), so the mean sums each cell's trials
+    # as one row, pairwise.
+    rolls = np.ascontiguousarray(trial_rolls, dtype=float)
+    if rolls.shape[-1] == 0:
         raise ConfigError("estimate_psr needs at least one trial")
-    p = float(np.clip(rolls.mean(), 0.0, 1.0))
-    if p > 1.0 - ENDPOINT_SNAP:
-        return 1.0
-    if p < ENDPOINT_SNAP:
-        return 0.0
-    return p
+    p = np.clip(rolls.mean(axis=-1), 0.0, 1.0)
+    p = np.where(p > 1.0 - ENDPOINT_SNAP, 1.0,
+                 np.where(p < ENDPOINT_SNAP, 0.0, p))
+    return float(p) if p.ndim == 0 else p
 
 
 def binariness(diagram: BehaviorDiagram) -> float:
@@ -113,10 +116,9 @@ def run_sweep(cfg: RunConfig) -> BehaviorDiagram:
             a_idx, x_idx = divmod(cell_idx, n_x)
             errors.append(f"cell({a_idx},{x_idx}) trial {trial}: {reason}")
             logging.getLogger("selfright").warning("%s", errors[-1])
-    p_sr = np.array([[np.nan if np.isnan(cell).any() else estimate_psr(cell)
-                      for cell in row] for row in trial_rolls])
     return BehaviorDiagram(amplitudes=np.asarray(sw.amplitudes),
                            xis=np.asarray(sw.xis),
-                           trial_rolls=trial_rolls, p_sr=p_sr,
+                           trial_rolls=trial_rolls,
+                           p_sr=estimate_psr(trial_rolls),
                            errors=tuple(errors), config=cfg)
 

@@ -96,6 +96,18 @@ def test_support_pieces_limbless(limbless_morph):
     assert slopes.tolist() == [[0.0, 0.0]]
 
 
+@pytest.mark.parametrize("leg_angle", [0.0, 0.3])
+def test_legs_too_short_to_show_leave_the_limbless_table(limbless_morph,
+                                                         leg_angle):
+    """Legs so short (1e-59 m) that no tip reaches below the disc in
+    floats leave no kink: the piece table is the limbless one, bitwise,
+    and the landscape has no barrier."""
+    morph = replace(MORPH, leg_length=1e-59, leg_angle=leg_angle)
+    got, want = support_pieces(morph), support_pieces(limbless_morph)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    assert energy_landscape(morph).barrier == 0.0
+
+
 def test_landscape_slope_is_exact(default_landscape):
     """denergy is U' of the support pieces, not a difference of samples:
     away from the kinks it matches a fine central difference of the
@@ -798,6 +810,101 @@ def test_march_never_raises_a_kappa0_chain_energy(monkeypatch):
     assert diagram.errors == ()
     assert 0 < len(rises) <= 512
     assert max(rises) <= ENERGY_ROUNDING
+
+
+def locate(gam, edges, n_pieces):
+    """Each lane's piece and whole turns, located as _integrate does."""
+    turn, angle = np.divmod(gam, TWO_PI)
+    piece = np.searchsorted(edges[1:], angle, side="right")
+    return piece % n_pieces, turn + piece // n_pieces
+
+
+@pytest.mark.parametrize("mu", [5.0, 0.05])
+def test_kink_free_march_of_drifting_lanes_matches_relocating_oracle(
+        limbless_morph, mu):
+    """On a table without kinks a coupling torque |b| > |G| leaves a lane
+    no root (k**2 = G**2 - b**2 < 0). At mu = 5 it turns a whole turn in
+    the interval: heading down it hits its -inf edge and fails, heading
+    up it is capped at phi1 (or stays, above it). At mu = 0.05 it drifts
+    less than a turn. The states and failed lanes are the relocating
+    marcher's bitwise, and no piece or turn is written."""
+    edges, slopes = support_pieces(limbless_morph)
+    tables = (edges, *np.ascontiguousarray(slopes.T))
+    gam = np.array([3.0, 3.0, 3.0, 3.0, 1e5, 0.5])
+    phi1 = gam + np.array([0.5, -0.5, 0.5, -0.5, 1.0, 0.2])
+    gains = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 1.0])
+    bias = np.array([3.0, 3.0, -3.0, -3.0, -3.0, 0.5])
+    piece, turn = locate(gam, edges, len(slopes))
+    before = piece.tobytes() + turn.tobytes()
+    dt = TWO_PI / OMEGA / 256
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out, failed = rollmodel._march_interval(gam, piece, turn, phi1,
+                                                gains, bias, tables, mu, dt)
+        want = gam.copy()
+        want_failed = oracle_march(want, np.arange(len(gam)), phi1, gains,
+                                   bias, (edges, slopes), mu, dt)
+    assert out.tobytes() == want.tobytes()
+    got_failed = sorted(np.concatenate(failed or [[]]).tolist())
+    assert got_failed == sorted(want_failed)
+    assert piece.tobytes() + turn.tobytes() == before
+    if mu == 5.0:
+        assert got_failed == [2, 3, 4]
+        assert out[:2].tolist() == [phi1[0], gam[1]]
+
+
+FUZZ_LANE = st.tuples(
+    st.floats(0.0, TWO_PI, exclude_max=True),    # angle in the turn
+    st.booleans(),                               # start on a kink instead
+    st.integers(-100_000, 100_000),              # whole turns added
+    st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),        # phi1 - start
+    st.one_of(st.just(0.0), st.just(math.nan), st.floats(-5.0, 5.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+       leg_angle=st.floats(-math.pi, math.pi),
+       mu=st.floats(0.05, 50.0),
+       lanes=st.lists(FUZZ_LANE, min_size=1, max_size=8))
+def test_fuzzed_unbiased_march_matches_oracle_and_lowers_energy(
+        leg, leg_angle, mu, lanes):
+    """One _march_interval call with no bias, on a random body (leg
+    length 0 takes the kink-free pass), mobility and lanes: starts up to
+    1e5 turns out, some exactly on a kink, commands off the start or on
+    it, gains of 0, negative or NaN. The states and the failed lanes are
+    the relocating marcher's, bitwise, and every lane marched to a
+    finite state lowers chain_energy or keeps it, to rounding. Far out,
+    a kink's position and a lane's end state round to floats
+    spacing(|gamma|) apart (7e-12 rad at 5,780 turns, where a lane that
+    rested on a kink raised E by 2.7e-12 J), so the rounding allowed is
+    ENERGY_ROUNDING plus what a few such steps move E by at the steepest."""
+    morph = replace(MORPH, leg_length=leg, leg_angle=leg_angle)
+    edges, slopes = support_pieces(morph)
+    kinks = edges[1:] if np.isfinite(edges[0]) else np.empty(0)
+    angle, on_kink, turns, lag, gains = map(np.array, zip(*lanes))
+    if kinks.size:
+        angle = np.where(on_kink, kinks[np.arange(len(lanes)) % kinks.size],
+                         angle)
+    gam = angle + TWO_PI * turns
+    phi1 = gam + lag
+    piece, turn = locate(gam, edges, len(slopes))
+    dt = TWO_PI / OMEGA / 256
+    tables = (edges, *np.ascontiguousarray(slopes.T))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out, failed = rollmodel._march_interval(gam, piece, turn, phi1,
+                                                gains, None, tables, mu, dt)
+        want = gam.copy()
+        want_failed = oracle_march(want, np.arange(len(gam)), phi1, gains,
+                                   np.zeros(len(gam)), (edges, slopes), mu,
+                                   dt)
+        rise = (chain_energy(morph, out, phi1, gains)
+                - chain_energy(morph, gam, phi1, gains))
+    assert out.tobytes() == want.tobytes()
+    assert sorted(np.concatenate(failed or [[]]).tolist()) == sorted(
+        want_failed)
+    steepest = np.abs(gains) + np.abs(slopes).sum(axis=1).max()
+    rounding = ENERGY_ROUNDING + 4.0 * steepest * np.spacing(np.abs(gam))
+    marched = np.isfinite(out)
+    assert (rise[marched] <= rounding[marched]).all()
 
 
 def test_lanes_park_and_wake_across_blocks(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from selfright.cli import main, write_diagram_csv, write_diagram_json
 from selfright.config import (DEFAULT_AMPLITUDES, DEFAULT_XIS, RollSettings,
                               SweepSettings)
 from selfright import rollmodel
-from selfright.rollmodel import MAX_RESOLUTION
+from selfright.rollmodel import MAX_RECORDS, MAX_RESOLUTION
 from selfright.sweep import cell_gait, provenance_config
 
 LEGGED = Morphology()
@@ -64,6 +65,38 @@ def test_estimate_psr_clamps():
                       min_size=1, max_size=8))
 def test_estimate_psr_range(rolls):
     assert 0.0 <= estimate_psr(np.array(rolls)) <= 1.0
+
+
+@pytest.mark.parametrize("n_trials", [1, 8, 9, 17, 130])
+def test_grid_psr_reduction_equals_per_cell(n_trials):
+    """estimate_psr of a grid gives every cell the bits it gives alone:
+    NaN cells, means clamped or snapped to an end, and 9 or more trials,
+    where the mean's pairwise sum runs in blocks; on a contiguous grid
+    and on a transposed view of one."""
+    rng = np.random.default_rng(n_trials)
+    rolls = rng.uniform(-0.5, 1.5, (11, 13, n_trials))
+    rolls[2] *= 1e3
+    rolls[3, 4, 0] = rolls[5, :, -1] = math.nan
+    rolls[0, 0], rolls[0, 1] = 1.0 - 1e-13, 1e-13
+    view = np.ascontiguousarray(rolls.transpose(2, 0, 1)).transpose(1, 2, 0)
+    for grid in (rolls, view):
+        want = np.array([[estimate_psr(cell) for cell in row]
+                         for row in grid])
+        assert estimate_psr(grid).tobytes() == want.tobytes()
+    assert (want[0, :2] == [1.0, 0.0]).all()
+    assert np.isnan(want[3, 4]) and np.isnan(want[5]).all()
+
+
+def test_sweep_psr_is_the_per_cell_estimate():
+    """A sweep of 9 trials per cell with a failing cell reports, cell by
+    cell, estimate_psr of the cell's trials, bitwise, NaN included."""
+    diagram = run_sweep(small_config(
+        morphology=LEGGED, mode="segmented", roll=RollSettings(kappa=0.5),
+        amplitudes=(math.pi / 4,), xis=(0.0, 0.6), trials_per_cell=9))
+    want = [[estimate_psr(cell) for cell in row]
+            for row in diagram.trial_rolls]
+    assert diagram.p_sr.tobytes() == np.array(want).tobytes()
+    assert np.isfinite(diagram.p_sr[0, 0]) and np.isnan(diagram.p_sr[0, 1])
 
 
 def make_diagram(p_sr):
@@ -136,6 +169,31 @@ def test_run_sweep_rejects_an_oversized_batch_undrawn(monkeypatch, mode):
                            match="past the span" if allowed else
                            f"at most {MAX_RESOLUTION} lanes"):
             run_sweep(cfg)
+
+
+def test_simulate_roll_rejects_oversized_records_undrawn(monkeypatch):
+    """A segmented run that would record MAX_RECORDS + 1 roll states (257
+    modules over 65,280 intervals, each within its own cap) is a
+    ConfigError, raised before anything is drawn, marched or allocated;
+    MAX_RECORDS itself (256 modules over 65,535 intervals) and the span
+    cap on the default 10-module body reach the draw."""
+    forbid_drawing_and_marching(monkeypatch)
+    gait = GaitParams(temporal_frequency=1e-3)
+    for modules, intervals, allowed in ((257, 65_280, False),
+                                        (256, 65_535, True),
+                                        (10, MAX_RESOLUTION, True)):
+        assert ((intervals + 1) * modules <= MAX_RECORDS) == allowed
+        tracemalloc.start()
+        try:
+            with pytest.raises(AssertionError if allowed else ConfigError,
+                               match="past the span" if allowed else
+                               f"at most {MAX_RECORDS} roll states"):
+                simulate_roll(gait, Morphology(num_modules=modules),
+                              cycles=intervals / 256, mode="segmented")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MAX_RESOLUTION
 
 
 def test_sweep_shapes_and_determinism():
