@@ -137,16 +137,17 @@ def write_diagram_csv(diagram: BehaviorDiagram, path: Path) -> None:
     Trial rows leave p_sr empty; the summary row (trial column 'summary')
     carries the cell's mean rolls per cycle and P_sr.
     """
-    rows = []
-    for amp, trial_row, mean_row, p_row in zip(
-            diagram.amplitudes.tolist(), diagram.trial_rolls.tolist(),
-            diagram.trial_rolls.mean(axis=2).tolist(),
-            diagram.p_sr.tolist()):
-        for xi, cell, mean, p in zip(diagram.xis.tolist(), trial_row,
-                                     mean_row, p_row):
-            rows.extend((amp, xi, trial, rolls, "")
-                        for trial, rolls in enumerate(cell))
-            rows.append((amp, xi, "summary", mean, p))
+    rows = (row
+            for amp, trial_row, mean_row, p_row in zip(
+                diagram.amplitudes.tolist(), diagram.trial_rolls.tolist(),
+                diagram.trial_rolls.mean(axis=2).tolist(),
+                diagram.p_sr.tolist())
+            for xi, cell, mean, p in zip(diagram.xis.tolist(), trial_row,
+                                         mean_row, p_row)
+            for row in itertools.chain(
+                ((amp, xi, trial, rolls, "")
+                 for trial, rolls in enumerate(cell)),
+                ((amp, xi, "summary", mean, p),)))
     _write_csv(path, provenance_config(diagram.config),
                ("A_rad", "xi", "trial", "rolls_per_cycle", "p_sr"), rows)
 

@@ -153,16 +153,8 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    data = dataclasses.asdict(config)
-
-    def detuple(obj):
-        if isinstance(obj, tuple):
-            return [detuple(v) for v in obj]
-        if isinstance(obj, dict):
-            return {k: detuple(v) for k, v in obj.items()}
-        return obj
-
-    return detuple(data)
+    """The config as plain JSON values: sections as dicts, grids as lists."""
+    return json.loads(config_json(config))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -183,8 +175,9 @@ def save_config(config: RunConfig, path: str | Path) -> None:
 
 
 def config_json(config: RunConfig) -> str:
-    """Canonical JSON form: sorted keys, round-trippable floats."""
-    return json.dumps(config_to_dict(config), indent=1, sort_keys=True)
+    """Canonical JSON form: sorted keys, round-trippable floats (json
+    writes the tuple grids as lists)."""
+    return json.dumps(dataclasses.asdict(config), indent=1, sort_keys=True)
 
 
 def config_hash(config: RunConfig) -> str:

@@ -50,9 +50,10 @@ STALL_STEP = 0.1
 
 DEFAULT_RESOLUTION = 1024
 # Largest sample count of any per-sample array a command allocates:
-# landscape samples, a trial's output intervals, gait or sidewinding
-# samples. 2**20 samples already make a 60 MB energy.csv; the cap turns a
-# larger request into a ConfigError before numpy tries to allocate it.
+# landscape samples, a trial's output intervals, gait samples or
+# sidewinding module-samples (samples x modules). 2**20 samples already
+# make a 60 MB energy.csv; the cap turns a larger request into a
+# ConfigError before numpy tries to allocate it.
 MAX_RESOLUTION = 2**20
 # Largest (output intervals + 1) x lanes a trial records at every interval
 # (simulate_roll): 128 MB of roll states. It admits the span cap on the
@@ -311,16 +312,18 @@ class RollTrajectory:
         return self.rolls_per_cycle >= 0.5
 
 
-def _angle_terms(g, phi, gain, bias, flat):
+def _angle_terms(g, phi, gain, bias, kinks):
     """The parts of the rate at g that no piece changes: sin(g), cos(g),
     the drive b + G*sin(phi - g) and its -d/dg, G*cos(phi - g). With no
-    bias (None) the drive is G*sin(phi - g); on a flat table, where
-    U' = 0, sin(g) and cos(g) are not needed and come back None."""
+    bias (None) the drive is G*sin(phi - g). sin(g) and cos(g) are
+    computed only for a table with kinks (None otherwise): a kink-free
+    table is flat, U' = 0, so the drive and its -d/dg are the rate r and
+    -dr/dg themselves."""
     lag = phi - g
     drive = gain * np.sin(lag)
     if bias is not None:
         drive = bias + drive
-    trig = (None, None) if flat else (np.sin(g), np.cos(g))
+    trig = (np.sin(g), np.cos(g)) if kinks else (None, None)
     return (*trig, drive, gain * np.cos(lag))
 
 
@@ -328,20 +331,19 @@ def _rate(terms, c, s):
     """Specific roll rate r = b + G*sin(phi - g) - U'(g) from the angle
     terms, with U'(g) = c*cos(g) + s*sin(g) on each lane's piece."""
     sin_g, cos_g, drive, _ = terms
-    return drive if sin_g is None else drive - c * cos_g - s * sin_g
+    return drive - c * cos_g - s * sin_g
 
 
 def _rates(terms, c, s):
     """The rate r and its -dr/dg on the pieces (c, s)."""
     sin_g, cos_g, _, pull = terms
-    slope = pull if sin_g is None else pull - c * sin_g + s * cos_g
-    return _rate(terms, c, s), slope
+    return _rate(terms, c, s), pull - c * sin_g + s * cos_g
 
 
 def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
                     phi1: np.ndarray, gains: np.ndarray,
                     bias: np.ndarray | None, tables, mu: float, dt_len: float,
-                    *, flat: bool | None = None, rest: list | None = None
+                    *, rest: list | None = None
                     ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Advance every lane through one output interval.
 
@@ -352,11 +354,10 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     (cf, sf) is (1, tanh(k*tau)/k) when locked, (cos(k*tau), sin(k*tau)/k)
     with k = sqrt(-k**2) when drifting, and (1, tau) at k = 0. With no
     bias (None, an uncoupled batch) k**2 = r'**2 + r**2 >= 0: every lane
-    is locked, so the drift terms are skipped. A flat table (U' = 0) needs
-    no sin(g) or cos(g): the rate is the drive. A lane stops
-    where this flow passes phi1 (never passed upward) or a kink; U' jumps
-    up across a kink, so the lane goes on along the next piece if its rate
-    keeps its sign there, and rests otherwise.
+    is locked, so the drift terms are skipped. A lane stops where this
+    flow passes phi1 (never passed upward) or a kink; U' jumps up across a
+    kink, so the lane goes on along the next piece if its rate keeps its
+    sign there, and rests otherwise.
 
     A lane that starts on the kink it heads for (one that rested or
     arrived there before) is settled before the first pass's flow: its
@@ -369,35 +370,34 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     kink: their indices, their drive G*sin(phi1 - g) and their rates on
     their piece and on the next one.
 
-    A table without kinks (edges (-inf, inf), every limbless body) takes
-    a kink-free pass: j is always 0, so for finite phi1 a lane's heading
-    edge is +-inf and it is capped exactly when it heads up. No finite g
-    sits on an infinite edge, so none settles; a lane heading down can
-    hit only its -inf edge (a drifting lane's whole turn), which fails
-    it, so only capped lanes hit and no lane goes on to a kink pass. That
-    pass skips the edge lookup, the settle test, the gathering of lanes
-    for a kink pass and the piece and turn writes.
+    A table without kinks (edges (-inf, inf), every limbless body) is
+    flat: support_pieces gives all-zero slopes exactly when it has no
+    kink. It takes a kink-free pass, whose rate and -dr/dg are the drive
+    terms, U' = 0, with no sin(g) or cos(g): j is always 0, so for finite
+    phi1 a lane's heading edge is +-inf and it is capped exactly when it
+    heads up. No finite g sits on an infinite edge, so none settles; a
+    lane heading down can hit only its -inf edge (a drifting lane's whole
+    turn), which fails it, so only capped lanes hit and no lane goes on to
+    a kink pass. That pass skips the edge lookup, the settle test, the
+    gathering of lanes for a kink pass and the piece and turn writes.
 
-    tables is (edges, c, s) of the piece table; flat tells whether all of
-    its slopes are zero (worked out from the table when None). piece and
-    turn hold each lane's piece index and whole turns; they are updated in
-    place for the lanes that go on to another piece; gam itself is left
-    unchanged. A lane that starts NaN (a failed chain) marches as NaN.
-    Returns the lane states at the interval's end and the indices of the
-    lanes that failed in it (a whole turn rolled, or turned non-finite
-    from a finite start).
+    tables is (edges, c, s) of the piece table; whether edges[0] is
+    finite is the one switch between the two passes. piece and turn hold
+    each lane's piece index and whole turns; they are updated in place for
+    the lanes that go on to another piece; gam itself is left unchanged.
+    A lane that starts NaN (a failed chain) marches as NaN. Returns the
+    lane states at the interval's end and the indices of the lanes that
+    failed in it (a whole turn rolled, or turned non-finite from a finite
+    start).
     """
     edges, cs, ss = tables
     n = len(cs)
-    if flat is None:
-        flat = not (cs.any() or ss.any())
     g = start = gam
     phi, gain, b, j, t = phi1, gains, bias, piece, turn
     tau = 0.5 * mu * dt_len
     kinks = math.isfinite(edges[0])
-    terms = _angle_terms(g, phi, gain, b, flat)
-    # Without kinks every lane is on piece 0: no gather of its slopes.
-    r, slope = _rates(terms, *((cs[j], ss[j]) if kinks else (cs[0], ss[0])))
+    terms = _angle_terms(g, phi, gain, b, kinks)
+    r, slope = _rates(terms, cs[j], ss[j]) if kinks else terms[2:]
     lanes, failed = None, []
     while True:
         up = r > 0
@@ -470,7 +470,7 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
         on = j_next % n
         r_next, slope_next = _rates(
             _angle_terms(end[go], phi[go], gain[go],
-                         None if b is None else b[go], flat), cs[on], ss[on])
+                         None if b is None else b[go], kinks), cs[on], ss[on])
         keep = r_next * r[go] > 0
         if not keep.all():
             go, j_next, on, r_next, slope_next = (
@@ -576,7 +576,6 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     """
     edges, slopes = pieces
     tables = (edges, *np.ascontiguousarray(slopes.T))
-    flat = not slopes.any()
     gam = np.asarray(gamma0, dtype=float).copy()
     records = np.empty((n_intervals // stride + 1, len(gam)))
     records[0] = gam
@@ -626,8 +625,7 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                     if parks and n == last - 1:
                         rest = []
                     g, failed = _march_interval(g, p, t, phi1, gain, bias,
-                                                tables, mu, dt, flat=flat,
-                                                rest=rest)
+                                                tables, mu, dt, rest=rest)
                     if failed:
                         lanes = np.sort(np.concatenate(failed))
                         for i, lane in zip(lanes.tolist(),
@@ -677,19 +675,18 @@ def check_calibration(mu: float, kappa: float, steps_per_cycle: int) -> None:
 
 def _trial_lanes(params: GaitParams, morph: Morphology, mode: str,
                  gamma_starts, gain_factors
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lanes of trials that share one gait, ready for _integrate.
 
     gamma_starts and gain_factors hold one value per trial. Returns the
-    per-lane initial roll, drive gain and command phase offset, and the
-    chain length: one lane per lumped trial, one per module for a
-    segmented trial.
+    per-lane initial roll, drive gain and command phase offset: one lane
+    per lumped trial, one per module for a segmented trial.
     """
     gamma_starts = np.asarray(gamma_starts, dtype=float)
     gain_factors = np.asarray(gain_factors, dtype=float)
     if mode == "lumped":
         return (gamma_starts, drive_gain(params, morph) * gain_factors,
-                np.zeros(len(gamma_starts)), 1)
+                np.zeros(len(gamma_starts)))
     # Each lane runs the body's specific dynamics at its own staggered
     # phase: drive and slope stay whole-body (per-module torque and
     # inertia scale down together, so the specific rate is unchanged),
@@ -699,7 +696,7 @@ def _trial_lanes(params: GaitParams, morph: Morphology, mode: str,
     offsets = TWO_PI * params.spatial_frequency * np.arange(m) / (m - 1)
     return (np.repeat(gamma_starts, m),
             np.repeat(_drive_gain_base(params, morph) * gain_factors, m),
-            np.tile(offsets, len(gamma_starts)), m)
+            np.tile(offsets, len(gamma_starts)))
 
 
 def _run_trials(gaits, morph: Morphology, mode: str, cycles: float,
@@ -747,7 +744,7 @@ def _run_trials(gaits, morph: Morphology, mode: str, cycles: float,
 
     jitter, gain_factor = perturb.draw_trials(seed, cells, trials)
     starts, gains, offsets = map(np.concatenate, zip(*(
-        _trial_lanes(gait, morph, mode, gamma0 + j, f)[:3]
+        _trial_lanes(gait, morph, mode, gamma0 + j, f)
         for gait, j, f in zip(gaits, jitter, gain_factor))))
     omega = gaits[0].temporal_frequency
     dt = (TWO_PI / omega) / steps_per_cycle

@@ -132,9 +132,11 @@ def displacement_trajectory(params: GaitParams, morph: Morphology,
     if samples_per_cycle < 8:
         raise ConfigError("samples_per_cycle must be >= 8")
     n_samples = cycles * samples_per_cycle
-    if n_samples > MAX_RESOLUTION:
-        raise ConfigError(f"cycles * samples_per_cycle must be <= "
-                          f"{MAX_RESOLUTION}")
+    # Kinematics allocates per module-sample: count those against the cap.
+    module_samples = (n_samples + 1) * morph.num_modules
+    if module_samples > MAX_RESOLUTION:
+        raise ConfigError(f"(cycles * samples_per_cycle + 1) * num_modules "
+                          f"must be <= {MAX_RESOLUTION}, got {module_samples}")
 
     period = TWO_PI / params.temporal_frequency
     times = period * np.arange(n_samples + 1) / samples_per_cycle

@@ -10,13 +10,14 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from selfright import (ConfigError, GaitParams, Morphology, RunConfig,
-                       config_from_dict, config_hash, config_json,
+from selfright import (BehaviorDiagram, ConfigError, GaitParams, Morphology,
+                       RunConfig, config_from_dict, config_hash, config_json,
                        config_to_dict, lateral_angle, load_config, run_sweep,
                        save_config)
-from selfright.cli import main
+from selfright.cli import main, write_diagram_csv
 from selfright.config import RollSettings, SidewindSettings, SweepSettings
 from selfright.rollmodel import MAX_RESOLUTION, STEPS_PER_CYCLE
 
@@ -156,6 +157,29 @@ def test_cli_gait_streams_its_rows(tmp_path, capsys):
     assert peak < 16_000_000
 
 
+def test_sweep_csv_streams_its_rows(tmp_path, capsys):
+    """A one-cell diagram of 100,000 trials writes its sweep.csv rows one
+    by one: the writer's traced peak (4.3 MB) stays below 8 MB, where
+    holding every row as a tuple first peaked at 15.9 MB."""
+    trials = 100_000
+    diagram = BehaviorDiagram(
+        amplitudes=np.array([math.pi / 4]), xis=np.array([0.6]),
+        trial_rolls=np.linspace(0.0, 1.0, trials).reshape(1, 1, trials),
+        p_sr=np.array([[0.5]]), errors=(),
+        config=RunConfig(sweep=SweepSettings(
+            amplitudes=(math.pi / 4,), xis=(0.6,), trials_per_cell=trials)))
+    tracemalloc.start()
+    try:
+        write_diagram_csv(diagram, tmp_path / "sweep.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == f"{tmp_path / 'sweep.csv'}\n"
+    with open(tmp_path / "sweep.csv") as f:
+        assert sum(1 for _ in f) == 2 + trials + 1
+    assert peak < 8_000_000
+
+
 def test_cli_gait_spot_value(tmp_path):
     assert run_cli(["gait", "--out", tmp_path, "--samples", 8,
                     "--xi", 0.6]) == 0
@@ -285,8 +309,11 @@ SPAN = "cycles must span at least one and at most 1048576 output intervals"
     (["simulate", "--cycles", (MAX_RESOLUTION + 1) / STEPS_PER_CYCLE], {},
      SPAN),
     (["simulate"], {"steps_per_cycle": MAX_RESOLUTION + 1}, SPAN),
-    (["sidewind", "--samples", MAX_RESOLUTION + 1], {},
-     "cycles * samples_per_cycle must be <="),
+    # The first sample count whose module-samples on the default
+    # 10-module body, (samples + 1) * 10, pass the cap.
+    (["sidewind", "--samples", MAX_RESOLUTION // 10], {},
+     "(cycles * samples_per_cycle + 1) * num_modules must be <= 1048576, "
+     "got 1048580"),
     (["gait", "--samples", MAX_RESOLUTION + 1], {}, "--samples must be"),
     (["sweep", "--trials", 1, "--legs", 0, "--cycles", 1],
      {"steps_per_cycle": MAX_RESOLUTION + 1}, SPAN),

@@ -108,6 +108,23 @@ def test_legs_too_short_to_show_leave_the_limbless_table(limbless_morph,
     assert energy_landscape(morph).barrier == 0.0
 
 
+@settings(max_examples=500, deadline=None)
+@given(leg=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-59]),
+                     st.floats(0.0, 1e-12), st.floats(0.0, 10.0)),
+       leg_angle=st.floats(-1e6, 1e6),
+       radius=st.floats(1e-3, 1.0))
+def test_support_pieces_slopes_are_zero_exactly_without_kinks(leg, leg_angle,
+                                                              radius):
+    """A piece table has all-zero slopes exactly when it has no kink
+    (edges[0] infinite): the one switch _march_interval reads for its
+    kink-free pass, whose rate is the drive alone. Legs from 0 through
+    subnormal and tiny lengths to metres, at any angle, on any disc."""
+    morph = replace(MORPH, leg_length=leg, leg_angle=leg_angle,
+                    body_radius=radius)
+    edges, slopes = support_pieces(morph)
+    assert math.isinf(edges[0]) == (not slopes.any())
+
+
 def test_landscape_slope_is_exact(default_landscape):
     """denergy is U' of the support pieces, not a difference of samples:
     away from the kinks it matches a fine central difference of the
@@ -516,12 +533,11 @@ def lane_batch(morph, mode, grid, seed=0, starts=None):
     for amplitude, xi in grid:
         gamma = (math.pi + rng.uniform(-0.2, 0.2, 2) if starts is None
                  else np.asarray(starts))
-        *lanes, chain = _trial_lanes(
+        cells.append(_trial_lanes(
             quasi_static_gait(amplitude, xi), morph, mode, gamma,
-            1.0 + rng.uniform(-0.1, 0.1, len(gamma)))
-        cells.append(lanes)
+            1.0 + rng.uniform(-0.1, 0.1, len(gamma))))
     gamma0, gains, offsets = map(np.concatenate, zip(*cells))
-    return gamma0, gains, offsets, chain
+    return gamma0, gains, offsets, 1 if mode == "lumped" else morph.num_modules
 
 
 ORACLE_GRID = [(amplitude, xi)

@@ -147,6 +147,19 @@ def test_validation():
         lateral_displacement(sidewinding_gait(), MORPH, samples_per_cycle=4)
 
 
+def test_sample_cap_counts_module_samples(monkeypatch):
+    """The cap bounds (cycles * samples + 1) * modules, what the
+    kinematics allocates: with it set to 2 cycles of 64 samples on the
+    10-module body, those run and one more sample per cycle is an error."""
+    monkeypatch.setattr(sidewinding, "MAX_RESOLUTION", (2 * 64 + 1) * 10)
+    displacement_trajectory(sidewinding_gait(), MORPH, cycles=2,
+                            samples_per_cycle=64)
+    with pytest.raises(ConfigError, match=r"\* num_modules must be <= 1290, "
+                                          r"got 1310"):
+        displacement_trajectory(sidewinding_gait(), MORPH, cycles=2,
+                                samples_per_cycle=65)
+
+
 def test_trajectory_variant_agrees_with_report():
     cycles, samples = 2, 64
     report, path = displacement_trajectory(sidewinding_gait(), MORPH,
