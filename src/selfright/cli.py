@@ -178,9 +178,11 @@ def cmd_gait(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     g = cfg.gait
     if not 1 <= args.samples <= MAX_RESOLUTION:
         raise ConfigError(f"--samples must be >= 1 and <= {MAX_RESOLUTION}")
-    times = g.period * np.arange(args.samples + 1) / args.samples
-    angles = joint_vector(g, times)
+    # Blocks of 1,024 samples bound memory; joint_vector is elementwise.
+    blocks = (g.period * np.arange(k, min(k + 1024, args.samples + 1))
+              / args.samples for k in range(0, args.samples + 1, 1024))
     rows = ((t, i, axis, a)
+            for times in blocks for angles in [joint_vector(g, times)]
             for t, lat, vert in zip(times.tolist(), angles.lateral.tolist(),
                                     angles.vertical.tolist())
             for axis, side in (("lateral", lat), ("vertical", vert))
@@ -225,8 +227,12 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
             zip(traj.times.tolist(), phi_cmd.tolist(), gammas.tolist()))
     _write_csv(out / "trajectory.csv", cfg,
                ("time_s", "phi_cmd_rad", *names), rows)
+    righting = traj.righting_intervals
     _write_json(out / "outcome.json", {
         **_provenance(cfg),
+        "righting_interval": list(righting),
+        "righting_spread_cycles": None if None in righting else
+        (righting[-1] - righting[0]) / cfg.roll.steps_per_cycle,
         "self_righted": traj.self_righted,
         "rolls_per_cycle": traj.rolls_per_cycle,
         "stalled": traj.stalled,

@@ -143,6 +143,18 @@ def support_pieces(morph: Morphology) -> tuple[np.ndarray, np.ndarray]:
     return edges, slopes
 
 
+def _tops(edges: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Local maxima of U on a piece table: each piece's U'' < 0 root of U',
+    if inside the piece. U is a max of sinusoids, so every kink is convex
+    and none is a maximum; a flat piece (every kink-free table) has none."""
+    if np.isinf(edges[0]):
+        return np.empty(0)
+    lo, hi = edges[:-1], edges[1:]
+    c, s = slopes.T
+    top = lo + np.mod(np.arctan2(s, c) + math.pi / 2.0 - lo, TWO_PI)
+    return top[((c != 0.0) | (s != 0.0)) & (top < hi)]
+
+
 def _wells(morph: Morphology) -> tuple[tuple[float, ...], float]:
     """Minima and barrier of U, read off the piece table.
 
@@ -157,11 +169,8 @@ def _wells(morph: Morphology) -> tuple[tuple[float, ...], float]:
     lo, hi = edges[:-1], edges[1:]
     c, s = slopes.T
     flat = (c == 0.0) & (s == 0.0)
-    # U' = c*cos(g) + s*sin(g) has its U'' > 0 root at atan2(s, c) - pi/2
-    # and its U'' < 0 root half a turn on; keep the first one above lo
-    # when it lies inside the piece.
-    bottom, top = (lo + np.mod(np.arctan2(s, c) + d - lo, TWO_PI)
-                   for d in (-math.pi / 2.0, math.pi / 2.0))
+    # U'' > 0 half a turn before the top (_tops), if inside the piece.
+    bottom = lo + np.mod(np.arctan2(s, c) - math.pi / 2.0 - lo, TWO_PI)
     # U' just below and just above each kink lo.
     left = np.roll(c * np.cos(hi) + s * np.sin(hi), 1)
     right = c * np.cos(lo) + s * np.sin(lo)
@@ -175,7 +184,7 @@ def _wells(morph: Morphology) -> tuple[tuple[float, ...], float]:
     minima = np.sort(turn(np.concatenate([
         (lo + hi)[flat] / 2.0, bottom[~flat & (bottom < hi)],
         lo[(left < 0.0) & (right > 0.0)]])))
-    peaks = np.append(turn(np.append(lo, top[~flat & (top < hi)])),
+    peaks = np.append(turn(np.append(lo, _tops(edges, slopes))),
                       [0.0, math.pi])
     u = morph.total_mass * GRAVITY * support_height(morph, peaks)
     down = u[peaks <= math.pi].max()
@@ -291,6 +300,9 @@ class RollTrajectory:
     segmented mode. cycles is the span integrated, in whole output
     intervals, and rolls_per_cycle the trial's roll over it in turns per
     cycle, averaged over modules: the figure a sweep reports per trial.
+    righting_intervals holds per module (one in lumped mode) the first
+    output interval n >= 1 that ends past the first local maximum of U
+    strictly above its start; None if none does, or U has no maximum.
     """
 
     times: np.ndarray
@@ -299,6 +311,7 @@ class RollTrajectory:
     rolls_per_cycle: float
     stalled: bool
     mode: str
+    righting_intervals: tuple[int | None, ...]
 
     @property
     def delta_gamma_total(self) -> float:
@@ -343,7 +356,7 @@ def _rates(terms, c, s):
 def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
                     phi1: np.ndarray, gains: np.ndarray,
                     bias: np.ndarray | None, tables, mu: float, dt_len: float,
-                    *, rest: list | None = None
+                    *, rest: list | None = None, interval: int = 0
                     ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Advance every lane through one output interval.
 
@@ -388,7 +401,9 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     A lane that starts NaN (a failed chain) marches as NaN. Returns the
     lane states at the interval's end and the indices of the lanes that
     failed in it (a whole turn rolled, or turned non-finite from a finite
-    start).
+    start). A march takes at most len(cs) + 1 passes: a lane goes on only
+    along its heading, a piece per kink pass, and fails a whole turn past
+    its start. Needing more than len(cs) + 2 raises IntegrationError.
     """
     edges, cs, ss = tables
     n = len(cs)
@@ -399,7 +414,7 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     terms = _angle_terms(g, phi, gain, b, kinks)
     r, slope = _rates(terms, cs[j], ss[j]) if kinks else terms[2:]
     lanes, failed = None, []
-    while True:
+    for _ in range(n + 2):
         up = r > 0
         if not kinks:
             end = np.where(up, np.maximum(g, phi), -np.inf)
@@ -498,6 +513,8 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
         r, slope = r_next, slope_next
         j, t = on, t[go] + j_next // n
         piece[lanes], turn[lanes] = j, t
+    raise IntegrationError(f"roll march ran out of its {n + 2} passes in "
+                           f"output interval {interval}")
 
 
 # Output intervals per block of an uncoupled batch: lanes park and wake
@@ -625,7 +642,8 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                     if parks and n == last - 1:
                         rest = []
                     g, failed = _march_interval(g, p, t, phi1, gain, bias,
-                                                tables, mu, dt, rest=rest)
+                                                tables, mu, dt, rest=rest,
+                                                interval=n)
                     if failed:
                         lanes = np.sort(np.concatenate(failed))
                         for i, lane in zip(lanes.tolist(),
@@ -812,9 +830,15 @@ def simulate_roll(params: GaitParams, morph: Morphology, cycles: float = 1.0,
     n_intervals = len(records) - 1
     stalled = _stalled(records, STALL_STEP * params.temporal_frequency * dt,
                        max(1, steps_per_cycle // 4))
+    # The first interval ending past the first maximum above each start.
+    top = records[0] + TWO_PI - np.mod(
+        records[0] - _tops(*support_pieces(morph))[:, None], TWO_PI)
+    past = records[1:] > top.min(axis=0, initial=np.inf)
+    righting = tuple(np.where(past.any(0), past.argmax(0) + 1, None).tolist())
     # A segmented body counts as stalled only when every module went quiet.
     return RollTrajectory(times=dt * np.arange(n_intervals + 1),
                           gammas=records[:, 0] if mode == "lumped" else records,
                           cycles=n_intervals / steps_per_cycle,
                           rolls_per_cycle=float(rolls[0]),
-                          stalled=bool(stalled.all()), mode=mode)
+                          stalled=bool(stalled.all()), mode=mode,
+                          righting_intervals=righting)

@@ -225,16 +225,24 @@ def oracle_rates(g, phi, gain, bias, slopes):
             gain * np.cos(lag) - c * sin_g + s * cos_g)
 
 
-def chain_energy(morph, gamma, phi, gains):
-    """Energy E = M*m*g*support_height(gamma) - G*cos(phi - gamma) of each
-    lumped lane (a chain of one module, so no coupling term).
+def chain_energy(morph, gamma, phi, gains, kappa=0.0, chain=1):
+    """Energy E of each chain of `chain` consecutive lanes (by default
+    each lane alone): the sum over its lanes of
+    M*m*g*support_height(gamma) - G*cos(phi - gamma), plus the coupling
+    (kappa*M/2) * sum_k (gamma_{k+1} - gamma_k)**2 with M = chain.
 
-    With the command phase phi held fixed, the lane's specific roll rate
-    G*sin(phi - gamma) - U'(gamma) is -dE/dgamma: the exact flow over an
-    output interval can only lower E, whatever the body, gain or start.
+    With the command phases phi held fixed, lane k's specific roll rate
+    b_k + G*sin(phi_k - gamma_k) - U'(gamma_k), with the coupling torque
+    b_k = kappa*M*(gamma_{k+1} - 2*gamma_k + gamma_{k-1}) (a chain's end
+    has one neighbour), is -dE/dgamma_k: the exact flow over an output
+    interval can only lower E, whatever the body, gains or start. A chain
+    of one lane has no coupling term, and its E is the lane's, bitwise.
     """
-    return (morph.total_mass * GRAVITY * support_height(morph, gamma)
-            - gains * np.cos(phi - gamma))
+    lanes = (morph.total_mass * GRAVITY * support_height(morph, gamma)
+             - gains * np.cos(phi - gamma)).reshape(-1, chain)
+    twist = np.diff(np.reshape(gamma, (-1, chain)), axis=1)
+    return lanes.sum(axis=1) + (kappa * chain / 2.0) * (twist * twist).sum(
+        axis=1)
 
 
 def oracle_march(gam: np.ndarray, lanes: np.ndarray, phi1: np.ndarray,

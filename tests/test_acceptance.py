@@ -19,6 +19,7 @@ from selfright import (GaitParams, Morphology, RunConfig, binariness,
                        lateral_angle, lateral_displacement, run_sweep,
                        simulate_roll, vertical_angle)
 from selfright.cli import main as cli_main
+from selfright.config import RollSettings
 
 from conftest import oracle_barrier
 
@@ -196,6 +197,32 @@ def test_lumped_diagram_matches_gain_oracle(legs):
                 f = 1.0 + rng.uniform(-0.1, 0.1)
                 righted = diagram.trial_rolls[a_idx, x_idx, trial] >= 0.5
                 assert righted == (gain * f > u_star), (amp, xi, trial)
+
+
+@pytest.mark.parametrize("kappa", [
+    0.0,
+    pytest.param(0.05, marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 1: the coupling torque, held fixed over an "
+               "output interval, fails 249 of the 715 trials (52 NaN "
+               "cells)"))])
+def test_limbless_segmented_diagram_matches_closed_form(kappa):
+    """Every cell of the default limbless segmented diagram reads
+    1 - xi/(2*cycles). A flat body's lane relaxes fully in each interval
+    (mu*G*dt is about 40 or more on this grid) and stops on its command
+    phase, so module k ends 2*pi*(cycles - xi*k/(M-1)) past its start, and
+    the mean over k is 2*pi*(cycles - xi/2). Bound, fixed before the run: a
+    command phase is a few roundings of numbers below 32 rad, the cap lands
+    on it, and the difference with the start rounds once more; allow 8 ulp
+    of 32 rad per lane, over 2*pi*cycles. At kappa = 0.05 the chains are
+    coupled and the frozen coupling torque fails trials."""
+    cfg = RunConfig(morphology=MORPH.limbless(), mode="segmented", seed=0,
+                    roll=RollSettings(kappa=kappa))
+    diagram = run_sweep(cfg)
+    cycles = cfg.sweep.cycles_per_trial
+    bound = 8 * np.spacing(32.0) / (TWO_PI * cycles)
+    want = 1.0 - diagram.xis / (2.0 * cycles)
+    assert (np.abs(diagram.p_sr - want) <= bound).all()
 
 
 def test_criterion_7a_sidewinding_band():

@@ -19,7 +19,7 @@ from selfright import (BehaviorDiagram, ConfigError, GaitParams, Morphology,
                        save_config)
 from selfright.cli import main, write_diagram_csv
 from selfright.config import RollSettings, SidewindSettings, SweepSettings
-from selfright.rollmodel import MAX_RESOLUTION, STEPS_PER_CYCLE
+from selfright.rollmodel import KAPPA_DEFAULT, MAX_RESOLUTION, STEPS_PER_CYCLE
 
 from conftest import GRAVITY
 
@@ -157,6 +157,30 @@ def test_cli_gait_streams_its_rows(tmp_path, capsys):
     assert peak < 16_000_000
 
 
+def test_cli_gait_memory_does_not_grow_with_samples(tmp_path, capsys):
+    """gait computes and formats its rows 1,024 samples at a time, so its
+    traced peak does not grow with --samples. Bound, fixed before the run:
+    a block's lists and arrays take about 0.6 MB and the writer's 4,096
+    lines about 0.5 MB, so 8,192 samples stay below 2.5 MB and within
+    0.25 MB of the peak at 1,024. Holding whole-array lists peaked at
+    5.2 MB at 8,192 samples (35 MB at 65,536)."""
+    peaks = []
+    for samples in (1024, 8192):
+        tracemalloc.start()
+        try:
+            status = run_cli(["gait", "--out", tmp_path, "--samples",
+                              samples])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+    capsys.readouterr()
+    with open(tmp_path / "gait.csv") as f:
+        assert sum(1 for _ in f) == 2 + 8193 * 9
+    assert peaks[1] < 2_500_000
+    assert peaks[1] - peaks[0] < 250_000
+
+
 def test_sweep_csv_streams_its_rows(tmp_path, capsys):
     """A one-cell diagram of 100,000 trials writes its sweep.csv rows one
     by one: the writer's traced peak (4.3 MB) stays below 8 MB, where
@@ -248,12 +272,59 @@ def test_cli_simulate_one_shot(tmp_path):
 
 
 def test_cli_simulate_segmented_columns(tmp_path):
+    """One roll column per module, and the interval in which each module
+    rights, head to tail: the default body's intervals at xi = 0.6 over one
+    cycle, and their spread, last minus first, in cycles."""
     assert run_cli(["simulate", "--out", tmp_path, "--mode", "segmented",
                     "--xi", 0.6, "--cycles", 1]) == 0
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[1]
     cols = header.split(",")
     assert cols[:2] == ["time_s", "phi_cmd_rad"]
     assert cols[2:] == [f"gamma_{i}_rad" for i in range(10)]
+    outcome = json.loads((tmp_path / "outcome.json").read_text())
+    assert outcome["righting_interval"] == [70, 83, 100, 117, 134, 151, 168,
+                                            185, 202, 218]
+    assert outcome["righting_spread_cycles"] == (218 - 70) / STEPS_PER_CYCLE
+
+
+def simulate_righting(tmp_path, *argv, kappa=KAPPA_DEFAULT):
+    """outcome.json of `simulate --cycles 1` at kappa, with argv."""
+    save_config(RunConfig(roll=RollSettings(kappa=kappa)), tmp_path / "k.json")
+    assert run_cli(["simulate", "--out", tmp_path, "--cycles", 1,
+                    "--config", tmp_path / "k.json", *argv]) == 0
+    return json.loads((tmp_path / "outcome.json").read_text())
+
+
+def test_cli_simulate_righting_interval_follows_the_stagger(tmp_path):
+    """In phase (xi = 0) every module rights in the lumped body's interval.
+    Uncoupled (kappa = 0), module k rights the command stagger,
+    256*xi*k/(M - 1) intervals, after module 0, to within one interval."""
+    lumped = simulate_righting(tmp_path)
+    assert lumped["righting_interval"] == [65]
+    assert lumped["righting_spread_cycles"] == 0.0
+    in_phase = simulate_righting(tmp_path, "--mode", "segmented", "--xi", 0)
+    assert in_phase["righting_interval"] == [65] * 10
+    for xi in (0.2, 0.4, 0.6):
+        first, *rest = simulate_righting(
+            tmp_path, "--mode", "segmented", "--xi", xi,
+            kappa=0.0)["righting_interval"]
+        lag = np.array(rest) - first - STEPS_PER_CYCLE * xi * np.arange(
+            1, 10) / 9
+        assert (np.abs(lag) <= 1.0).all(), xi
+
+
+def test_cli_simulate_righting_interval_null(tmp_path):
+    """A module that never passes the next maximum of U reads null, as does
+    the spread; a limbless body has no maximum, so every module does."""
+    limbless = simulate_righting(tmp_path, "--mode", "segmented", "--xi",
+                                 0.6, "--legs", 0)
+    assert limbless["righting_interval"] == [None] * 10
+    assert limbless["righting_spread_cycles"] is None
+    assert limbless["self_righted"] is True
+    tail_behind = simulate_righting(tmp_path, "--mode", "segmented", "--xi",
+                                    1.2)["righting_interval"]
+    assert None not in tail_behind[:6]
+    assert tail_behind[6:] == [None] * 4
 
 
 @pytest.mark.parametrize("cycles", ["nan", "inf"])

@@ -226,6 +226,27 @@ def test_angled_wells_match_dense_samples(leg_angle, leg):
         assert abs(gap) <= 1e-5
 
 
+@pytest.mark.parametrize("leg, leg_angle", [(0.11, 0.0), (0.11, 0.3),
+                                            (0.03, 0.0), (0.05, -1.0)])
+def test_tops_are_the_maxima_of_the_sampled_landscape(leg, leg_angle):
+    """_tops gives every local maximum of U and nothing else. On the
+    brute-force outline at 4,096 angles, every sample that tops both
+    neighbours and stands above the disc (the disc's polygon ripples by
+    about 1e-9 m on its flat well) lies within one sample of a top, and
+    every top has such a sample within one sample of it."""
+    morph = replace(MORPH, leg_length=leg, leg_angle=leg_angle)
+    tops = np.mod(rollmodel._tops(*support_pieces(morph)), TWO_PI)
+    step = TWO_PI / 4096
+    h = oracle_support_heights(morph, np.arange(4096) * step)
+    peaks = np.flatnonzero((h >= np.roll(h, 1)) & (h >= np.roll(h, -1))
+                           & (h > morph.body_radius + 1e-6)) * step
+    gaps = np.abs(np.remainder(peaks[:, None] - tops + math.pi, TWO_PI)
+                  - math.pi)
+    assert tops.size == 2 and peaks.size >= 2
+    assert (gaps.min(axis=0) <= step).all()
+    assert (gaps.min(axis=1) <= step).all()
+
+
 def test_drive_gain_zero_without_lift():
     p = GaitParams(amplitude_lateral=math.pi / 4, amplitude_vertical=0.0,
                    temporal_frequency=OMEGA)
@@ -336,10 +357,18 @@ def first_crossing_times(traj, level):
 
 @pytest.mark.parametrize("kappa", [0.0, 0.05])
 def test_head_to_tail_propagation(kappa):
+    """Modules reach pi/2, the default body's first maximum of U above the
+    start, head before tail. Each module's righting interval is the first
+    that ends strictly above pi/2: at kappa = 0 module 0 rests exactly on
+    pi/2, its command phase, at the end of interval 64 and rights in 65."""
     traj = simulate_roll(quasi_static_gait(xi=0.6), MORPH, cycles=1.0,
                          mode="segmented", kappa=kappa)
     crossings = first_crossing_times(traj, math.pi / 2)
     assert all(b > a for a, b in zip(crossings, crossings[1:]))
+    above = traj.gammas[1:] > math.pi / 2
+    assert above.any(axis=0).all()
+    assert traj.righting_intervals == tuple(
+        (above.argmax(axis=0) + 1).tolist())
 
 
 def test_quasi_static_limit_converged():
@@ -828,6 +857,67 @@ def test_march_never_raises_a_kappa0_chain_energy(monkeypatch):
     assert max(rises) <= ENERGY_ROUNDING
 
 
+def test_chain_energy_gradient_is_minus_the_coupled_rate():
+    """chain_energy's coupling term is the one the marcher's coupling
+    torque comes from. For chains of 10 lanes off the kinks, at kappa 0.5,
+    a central difference of E in each lane's roll is minus that lane's
+    rate b + G*sin(phi - g) - U'(g), with b = kappa*M*(twist difference)
+    and a chain's ends twisted against one neighbour only."""
+    rng = np.random.default_rng(5)
+    edges, slopes = support_pieces(MORPH)
+    gam = rng.uniform(-10.0, 10.0, 30)
+    gam = gam[np.abs(np.remainder(gam[:, None] - edges + math.pi, TWO_PI)
+                     - math.pi).min(axis=1) > 1e-3][:20]
+    phi1 = gam + rng.uniform(-2.0, 2.0, gam.size)
+    gains = rng.uniform(0.0, 3.0, gam.size)
+    kappa, m, h = 0.5, 10, 1e-6
+    twist = np.pad(np.diff(gam.reshape(-1, m), axis=1), ((0, 0), (1, 1)))
+    bias = (kappa * m) * np.diff(twist, axis=1).ravel()
+    piece = locate(gam, edges, len(slopes))[0]
+    rate = oracle_rates(gam, phi1, gains, bias, slopes[piece])[0]
+    for k in range(gam.size):
+        up, down = gam.copy(), gam.copy()
+        up[k] += h
+        down[k] -= h
+        de = (chain_energy(MORPH, up, phi1, gains, kappa, m)
+              - chain_energy(MORPH, down, phi1, gains, kappa, m)) / (2 * h)
+        assert de[k // m] == pytest.approx(-rate[k], abs=1e-6)
+        assert np.delete(de, k // m).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("xi", [
+    0.0,
+    pytest.param(0.6, marks=pytest.mark.xfail(
+        raises=AssertionError, strict=True,
+        reason="ROADMAP item 1: the coupling torque, held fixed over an "
+               "output interval, raises a twisted chain's energy (up to "
+               "0.108 J in 66 of 256 intervals here)"))])
+def test_march_never_raises_a_coupled_chain_energy(monkeypatch, xi):
+    """One default-kappa segmented trial of the default body, A = pi/4 from
+    the inverted pose over one cycle: the exact flow of the coupled chain
+    energy would lower it or keep it, to rounding, in every interval. In
+    phase (xi = 0) the chain never twists, so it does; staggered
+    (xi = 0.6) the frozen coupling torque raises it."""
+    march = rollmodel._march_interval
+    rises = []
+
+    def checked(gam, piece, turn, phi1, gains, bias, *args, **kwargs):
+        assert bias is not None  # a coupled chain is always biased
+        out, failed = march(gam, piece, turn, phi1, gains, bias, *args,
+                            **kwargs)
+        m = MORPH.num_modules
+        rises.append((chain_energy(MORPH, out, phi1, gains, KAPPA_DEFAULT, m)
+                      - chain_energy(MORPH, gam, phi1, gains, KAPPA_DEFAULT,
+                                     m)).max())
+        return out, failed
+
+    monkeypatch.setattr(rollmodel, "_march_interval", checked)
+    simulate_roll(quasi_static_gait(xi=xi), MORPH, cycles=1.0,
+                  gamma0=math.pi, mode="segmented")
+    assert len(rises) == STEPS_PER_CYCLE
+    assert max(rises) <= ENERGY_ROUNDING
+
+
 def locate(gam, edges, n_pieces):
     """Each lane's piece and whole turns, located as _integrate does."""
     turn, angle = np.divmod(gam, TWO_PI)
@@ -921,6 +1011,26 @@ def test_fuzzed_unbiased_march_matches_oracle_and_lowers_energy(
     rounding = ENERGY_ROUNDING + 4.0 * steepest * np.spacing(np.abs(gam))
     marched = np.isfinite(out)
     assert (rise[marched] <= rounding[marched]).all()
+
+
+def test_march_out_of_passes_raises_naming_the_interval():
+    """The marcher's pass bound fires instead of marching on. A forged
+    two-piece table whose edges run backwards (0, -3, -6 rad) sends a lane
+    heading up, at a constant rate of 1 (no drive, unit coupling torque),
+    across a kink on every pass while it stays within a turn of its start:
+    it ends at -3, -6, 3.28 and 0.28 rad and would need a fifth pass. The
+    bound, len(slopes) + 2 = 4 passes, raises an IntegrationError naming
+    the output interval the caller gave. A real table's edges rise, so a
+    lane that goes on moves a piece per pass and fails within a turn."""
+    tables = (np.array([0.0, -3.0, -6.0]), np.zeros(2), np.zeros(2))
+    dt = TWO_PI / OMEGA / STEPS_PER_CYCLE
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with pytest.raises(IntegrationError, match="out of its 4 passes in "
+                                                   "output interval 7$"):
+            rollmodel._march_interval(
+                np.array([0.0]), np.array([0]), np.array([0.0]),
+                np.array([10.0]), np.array([0.0]), np.array([1.0]), tables,
+                MU_DEFAULT, dt, interval=7)
 
 
 def test_lanes_park_and_wake_across_blocks(monkeypatch):
@@ -1060,7 +1170,8 @@ def test_rest_span_in_closed_form():
 def make_trajectory(rolls_per_cycle):
     return RollTrajectory(times=np.arange(2.0), gammas=np.zeros(2),
                           cycles=1.0, rolls_per_cycle=rolls_per_cycle,
-                          stalled=False, mode="lumped")
+                          stalled=False, mode="lumped",
+                          righting_intervals=(None,))
 
 
 def test_trial_outcome_definitions():

@@ -1,18 +1,16 @@
-"""Smoke tests of the behavior-diagram front end and the runnable scripts."""
+"""Smoke test of the behavior-diagram front end, `selfright sweep`.
+
+The command-line interface is the package's only front end: every former
+walkthrough demo is one `selfright` command (README, quick start).
+"""
 
 import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from selfright.cli import main
 from selfright.config import DEFAULT_AMPLITUDES
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_behavior_diagrams_from_sweep(tmp_path, capsys):
@@ -33,17 +31,3 @@ def test_behavior_diagrams_from_sweep(tmp_path, capsys):
         assert [float(r.split()[0]) for r in rows] == pytest.approx(
             sorted(DEFAULT_AMPLITUDES, reverse=True), abs=5e-5)
 
-
-def test_selfright_demos_script():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_selfright_demos.py")],
-        env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    headers = [line for line in done.stdout.splitlines()
-               if line.startswith("== ")]
-    assert headers == [
-        "== energy landscape vs leg length ==",
-        "== one-shot righting, half cycle, inverted start ==",
-        "== segmented roll propagation, xi=0.6, one cycle ==",
-        "== sidewinding, A_lat=pi/3, A_vert=pi/9 =="]
