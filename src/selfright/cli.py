@@ -126,8 +126,14 @@ def _write_csv(path: Path, cfg: RunConfig, header: tuple[str, ...],
 
 
 def _write_json(path: Path, doc: dict) -> None:
+    """doc as indented JSON, its encoded chunks joined and written 4,096
+    at a time, so the whole text is never held."""
+    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(doc)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    with path.open("w") as f:
+        while block := list(itertools.islice(chunks, 4096)):
+            f.write("".join(block))
+        f.write("\n")
     print(path)
 
 

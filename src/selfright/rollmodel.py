@@ -51,9 +51,10 @@ STALL_STEP = 0.1
 DEFAULT_RESOLUTION = 1024
 # Largest sample count of any per-sample array a command allocates:
 # landscape samples, a trial's output intervals, gait samples or
-# sidewinding module-samples (samples x modules). 2**20 samples already
-# make a 60 MB energy.csv; the cap turns a larger request into a
-# ConfigError before numpy tries to allocate it.
+# sidewinding module-samples ((cycles x samples + 1) x modules, which
+# bounds both the one traced cycle's kinematics and the composed path).
+# 2**20 samples already make a 60 MB energy.csv; the cap turns a larger
+# request into a ConfigError before numpy tries to allocate it.
 MAX_RESOLUTION = 2**20
 # Largest (output intervals + 1) x lanes a trial records at every interval
 # (simulate_roll): 128 MB of roll states. It admits the span cap on the

@@ -5,8 +5,11 @@ part of the body while the lateral wave reshapes it, and the grounded
 segments act as anchors. This module samples the gait, treats the contact
 set as anchored between consecutive samples (no slip), fits the planar
 rigid motion that keeps the anchors still, and accumulates the body's net
-lateral displacement per cycle. All steps are fitted in one batch and
-composed by cumulative sums of their angles and rotated translations.
+lateral displacement per cycle. The gait is periodic, so only one cycle is
+sampled: its steps are fitted in one batch and composed by cumulative sums
+of their angles and rotated translations into the cycle's rigid motion
+g_cycle, and N cycles are its powers (the holonomy of the closed shape
+loop; Hatton & Choset, IJRR 2011).
 """
 
 from __future__ import annotations
@@ -108,6 +111,13 @@ def _rotate(theta: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
 
+def _every_cycle(rows: np.ndarray) -> np.ndarray:
+    """The trace's N*S + 1 samples from (N, S + 1, 2) rows, one block of
+    the cycle's samples 0..S per cycle: cycle c's rows 0..S-1 at samples
+    c*S.., then the last cycle's row S."""
+    return np.concatenate([rows[:, :-1].reshape(-1, 2), rows[-1, -1:]])
+
+
 def displacement_trajectory(params: GaitParams, morph: Morphology,
                             cycles: int = 1,
                             samples_per_cycle: int = DEFAULT_SAMPLES_PER_CYCLE,
@@ -116,30 +126,35 @@ def displacement_trajectory(params: GaitParams, morph: Morphology,
     """Net lateral translation of the body under the anchored-contact
     model, and the world path of the body-frame origin.
 
-    Samples the gait over whole cycles; between consecutive samples the
-    shared contact modules (falling back to the union of both samples'
-    contacts when the sets are disjoint) are held fixed in the world, and
-    the planar rigid motion of the body accumulates. The anchor choice is
-    the same in both directions of a step, so a gait that retraces its
-    shapes (a reciprocal standing wave) returns to its start. The report
-    holds the magnitude of the center-of-mass displacement perpendicular
-    to the mean body axis, normalized by body length and cycle count. The
-    path has one (x, y) row per sample, starting at the origin's initial
-    position.
+    Samples one cycle of the gait, S = samples_per_cycle steps from t = 0
+    to one period; between consecutive samples the shared contact modules
+    (falling back to the union of both samples' contacts when the sets
+    are disjoint) are held fixed in the world, and the planar rigid motion
+    of the body accumulates into the cycle's rigid motion g_cycle. The
+    anchor choice is the same in both directions of a step, so a gait that
+    retraces its shapes (a reciprocal standing wave) returns to its start.
+    Every cycle repeats those shapes and steps: sample c*S + k of cycle c
+    takes shape k, posed by g_cycle^c, and the trace ends on shape S at
+    c = cycles - 1. The report holds the magnitude of the center-of-mass displacement
+    perpendicular to the mean body axis over all cycles * S + 1 samples,
+    normalized by body length and cycle count, and g_cycle's turn as the
+    heading per cycle. The path has one (x, y) row per sample, starting at
+    the origin's initial position.
     """
     if cycles < 1:
         raise ConfigError("cycles must be >= 1")
     if samples_per_cycle < 8:
         raise ConfigError("samples_per_cycle must be >= 8")
     n_samples = cycles * samples_per_cycle
-    # Kinematics allocates per module-sample: count those against the cap.
+    # Bounds the composed path's N*S + 1 samples and, with N = 1, the
+    # one cycle's kinematics, which allocates per module-sample.
     module_samples = (n_samples + 1) * morph.num_modules
     if module_samples > MAX_RESOLUTION:
         raise ConfigError(f"(cycles * samples_per_cycle + 1) * num_modules "
                           f"must be <= {MAX_RESOLUTION}, got {module_samples}")
 
     period = TWO_PI / params.temporal_frequency
-    times = period * np.arange(n_samples + 1) / samples_per_cycle
+    times = period * np.arange(samples_per_cycle + 1) / samples_per_cycle
     frames = forward_kinematics(morph, joint_vector(params, times))
     origins = frames.position[..., :2]
     coms = center_of_mass(frames, morph)[:, :2]
@@ -156,28 +171,41 @@ def displacement_trajectory(params: GaitParams, morph: Morphology,
     heading = np.cumsum(np.concatenate([[0.0], theta]))
     trans = np.cumsum(
         np.vstack([np.zeros(2), _rotate(heading[:-1], step_trans)]), axis=0)
+    # The cycle's rigid motion g_cycle turns the body by H and moves it by
+    # T, so cycle c starts at g_cycle^c: turned by c*H, and shifted by
+    # T_c = sum over i < c of R(i*H) T.
+    turn, shift = heading[-1], trans[-1]
+    turns = turn * np.arange(cycles)
+    shifts = np.cumsum(
+        np.vstack([np.zeros(2), _rotate(turns[:-1], shift)]), axis=0)
+
     com_world = _rotate(heading, coms) + trans
-    base_world = _rotate(heading, origins[:, 0]) + trans
+    base_world = _every_cycle(_rotate(turns[:, None],
+                                      _rotate(heading, origins[:, 0]) + trans)
+                              + shifts[:, None])
     ax = origins[:, -1] - origins[:, 0]
-    axes = _rotate(heading, ax / np.linalg.norm(ax, axis=1, keepdims=True))
+    axes = _every_cycle(_rotate(turns[:, None], _rotate(
+        heading, ax / np.linalg.norm(ax, axis=1, keepdims=True))))
 
     mean_axis = np.mean(axes, axis=0)
     mean_axis = mean_axis / np.linalg.norm(mean_axis)
-    net = com_world[-1] - com_world[0]
+    net = _rotate(turns[-1], com_world[-1]) + shifts[-1] - com_world[0]
     axial = float(net @ mean_axis)
     perp_vec = net - axial * mean_axis
     # Scalar lateral component, signed by the axis-left direction.
     signed = float(mean_axis[0] * net[1] - mean_axis[1] * net[0])
 
     scale = morph.body_length * cycles
-    frac = float(np.mean(contacts.sum(axis=1))) / morph.num_modules
+    counts = contacts.sum(axis=1)
+    in_contact = cycles * int(counts[:-1].sum()) + int(counts[-1])
+    frac = in_contact / (n_samples + 1) / morph.num_modules
     report = DisplacementReport(
         lateral_displacement=float(np.linalg.norm(perp_vec)) / scale,
         contact_fraction=frac,
         signed_lateral=signed / scale,
         axial_drift=axial / scale,
         net_xy=(float(net[0]), float(net[1])),
-        heading_per_cycle_rad=float(heading[-1]) / cycles,
+        heading_per_cycle_rad=float(turn),
         cycles=cycles,
         samples_per_cycle=samples_per_cycle)
     return report, base_world

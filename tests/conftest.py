@@ -163,25 +163,31 @@ def oracle_trace(params, morph, cycles, samples_per_cycle, contact_tol):
 
     The reference for the batched trace: it shares the package's frames
     and contact masks, fits each step's anchors on their own and chains
-    the rotation matrices. Returns the report's fields as a dict and the
-    world path of the body-frame origin.
+    the rotation matrices over every step of every cycle. The shapes are
+    the first cycle's S + 1 (t = 0 .. one period): sample c*S + k of
+    cycle c has shape k, the trace's last sample shape S, and step k of
+    every cycle maps shape k + 1 onto shape k. Returns the report's fields
+    as a dict and the world path of the body-frame origin.
     """
     n_samples = cycles * samples_per_cycle
     times = (2.0 * math.pi / params.temporal_frequency
-             * np.arange(n_samples + 1) / samples_per_cycle)
+             * np.arange(samples_per_cycle + 1) / samples_per_cycle)
     frames = forward_kinematics(morph, joint_vector(params, times))
     origins = frames.position[..., :2]
     coms = center_of_mass(frames, morph)[:, :2]
     contacts = contact_set(frames, morph, contact_tol)
+    shape = [n % samples_per_cycle for n in range(n_samples)]
+    shape.append(samples_per_cycle)
     rot, trans, heading = np.eye(2), np.zeros(2), 0.0
     com_world, base_world, axes = [coms[0]], [origins[0][0]], []
     ax0 = origins[0][-1] - origins[0][0]
     axes.append(ax0 / np.linalg.norm(ax0))
     for n in range(n_samples):
-        anchors = contacts[n] & contacts[n + 1]
+        k = shape[n]
+        anchors = contacts[k] & contacts[k + 1]
         if not anchors.any():
-            anchors = contacts[n] | contacts[n + 1]
-        moved, still = origins[n + 1][anchors], origins[n][anchors]
+            anchors = contacts[k] | contacts[k + 1]
+        moved, still = origins[k + 1][anchors], origins[k][anchors]
         mb, sb = moved.mean(axis=0), still.mean(axis=0)
         theta = 0.0
         if len(moved) > 1:
@@ -194,9 +200,10 @@ def oracle_trace(params, morph, cycles, samples_per_cycle, contact_tol):
         trans = rot @ (sb - step_rot @ mb) + trans
         rot = rot @ step_rot
         heading += theta
-        com_world.append(rot @ coms[n + 1] + trans)
-        base_world.append(rot @ origins[n + 1][0] + trans)
-        ax = origins[n + 1][-1] - origins[n + 1][0]
+        j = shape[n + 1]
+        com_world.append(rot @ coms[j] + trans)
+        base_world.append(rot @ origins[j][0] + trans)
+        ax = origins[j][-1] - origins[j][0]
         axes.append(rot @ (ax / np.linalg.norm(ax)))
     mean_axis = np.mean(axes, axis=0)
     mean_axis = mean_axis / np.linalg.norm(mean_axis)
@@ -207,7 +214,7 @@ def oracle_trace(params, morph, cycles, samples_per_cycle, contact_tol):
         "lateral_displacement":
             float(np.linalg.norm(net - axial * mean_axis)) / scale,
         "contact_fraction":
-            float(np.mean(contacts.sum(axis=1))) / morph.num_modules,
+            float(np.mean(contacts[shape].sum(axis=1))) / morph.num_modules,
         "signed_lateral":
             float(mean_axis[0] * net[1] - mean_axis[1] * net[0]) / scale,
         "axial_drift": axial / scale,

@@ -199,6 +199,36 @@ def test_lumped_diagram_matches_gain_oracle(legs):
                 assert righted == (gain * f > u_star), (amp, xi, trial)
 
 
+def test_segmented_legged_diagram_matches_base_gain_oracle():
+    """At kappa = 0 every trial of the default segmented legged sweep
+    rights exactly when G_base*f beats U*, whatever xi.
+
+    Each module is then a lumped lane with the whole body's gain, without
+    the coherence factor: G_base is the in-phase (xi = 0) drive gain, where
+    C = 1 exactly. Its staggered command offset does not move the
+    threshold, so xi changes only how far a righted trial reads below 1
+    (ROADMAP item 14). f and U* are the lumped oracle's.
+    """
+    cfg = RunConfig(mode="segmented", seed=0, roll=RollSettings(kappa=0.0))
+    diagram = run_sweep(cfg)
+    tip = MORPH.body_radius + MORPH.leg_length
+    weight = MORPH.total_mass * 9.80665
+    u_star = weight * tip * math.sqrt(1.0 - (MORPH.body_radius / tip) ** 2)
+    n_x, n_t = len(diagram.xis), diagram.trial_rolls.shape[2]
+    for a_idx, amp in enumerate(diagram.amplitudes):
+        gain = drive_gain(replace(cfg.gait, amplitude_lateral=amp,
+                                  amplitude_vertical=amp,
+                                  spatial_frequency=0.0), MORPH)
+        for x_idx, xi in enumerate(diagram.xis):
+            for trial in range(n_t):
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    entropy=0, spawn_key=(a_idx * n_x + x_idx, trial)))
+                rng.uniform(-0.2, 0.2)  # initial-roll jitter
+                f = 1.0 + rng.uniform(-0.1, 0.1)
+                righted = diagram.trial_rolls[a_idx, x_idx, trial] >= 0.5
+                assert righted == (gain * f > u_star), (amp, xi, trial)
+
+
 @pytest.mark.parametrize("kappa", [
     0.0,
     pytest.param(0.05, marks=pytest.mark.xfail(

@@ -17,7 +17,7 @@ from selfright import (BehaviorDiagram, ConfigError, GaitParams, Morphology,
                        RunConfig, config_from_dict, config_hash, config_json,
                        config_to_dict, lateral_angle, load_config, run_sweep,
                        save_config)
-from selfright.cli import main, write_diagram_csv
+from selfright.cli import main, write_diagram_csv, write_diagram_json
 from selfright.config import RollSettings, SidewindSettings, SweepSettings
 from selfright.rollmodel import KAPPA_DEFAULT, MAX_RESOLUTION, STEPS_PER_CYCLE
 
@@ -201,6 +201,34 @@ def test_sweep_csv_streams_its_rows(tmp_path, capsys):
     assert capsys.readouterr().out == f"{tmp_path / 'sweep.csv'}\n"
     with open(tmp_path / "sweep.csv") as f:
         assert sum(1 for _ in f) == 2 + trials + 1
+    assert peak < 8_000_000
+
+
+def test_sweep_json_streams_its_text(tmp_path, capsys):
+    """The same 100,000-trial diagram writes sweep.json as its encoder's
+    chunks, joined 4,096 at a time: the writer's traced peak stays below
+    8 MB (the document's lists of floats take about 3.2 MB), where
+    encoding the whole text first peaked at 13.1 MB. The bytes are
+    json.dumps' with indent 1 and sorted keys."""
+    trials = 100_000
+    rolls = np.linspace(0.0, 1.0, trials)
+    diagram = BehaviorDiagram(
+        amplitudes=np.array([math.pi / 4]), xis=np.array([0.6]),
+        trial_rolls=rolls.reshape(1, 1, trials),
+        p_sr=np.array([[0.5]]), errors=(),
+        config=RunConfig(sweep=SweepSettings(
+            amplitudes=(math.pi / 4,), xis=(0.6,), trials_per_cell=trials)))
+    tracemalloc.start()
+    try:
+        write_diagram_json(diagram, tmp_path / "sweep.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == f"{tmp_path / 'sweep.json'}\n"
+    text = (tmp_path / "sweep.json").read_text()
+    doc = json.loads(text)
+    assert doc["trial_rolls"] == [[rolls.tolist()]]
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
     assert peak < 8_000_000
 
 

@@ -148,8 +148,8 @@ def test_validation():
 
 
 def test_sample_cap_counts_module_samples(monkeypatch):
-    """The cap bounds (cycles * samples + 1) * modules, what the
-    kinematics allocates: with it set to 2 cycles of 64 samples on the
+    """The cap bounds (cycles * samples + 1) * modules, the module-samples
+    of the whole trace: with it set to 2 cycles of 64 samples on the
     10-module body, those run and one more sample per cycle is an error."""
     monkeypatch.setattr(sidewinding, "MAX_RESOLUTION", (2 * 64 + 1) * 10)
     displacement_trajectory(sidewinding_gait(), MORPH, cycles=2,
@@ -178,23 +178,28 @@ def test_cycles_repeat_the_same_hop():
     """Each cycle repeats one maneuver, rotated by the accumulated turn.
 
     The hop distance between consecutive cycle marks is therefore a
-    per-cycle constant even though the world path arcs.
+    per-cycle constant even though the world path arcs. Each mark is the
+    one cycle's motion turned and shifted by a few roundings, and the last
+    one ends on the shape at t = one period, which rounds apart from the
+    shape at t = 0 by a few ulp; 1e-12 of the hop allows far more than
+    that.
     """
     _, path = displacement_trajectory(sidewinding_gait(), MORPH, cycles=3,
                                       samples_per_cycle=128)
     marks = path[::128]
     hops = np.linalg.norm(np.diff(marks, axis=0), axis=1)
-    assert hops.max() - hops.min() <= 1e-9 * hops.mean()
+    assert hops.max() - hops.min() <= 1e-12 * hops.mean()
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.6, 1.2])
 @pytest.mark.parametrize("morph", [MORPH, MORPH.limbless(),
                                    replace(MORPH, leg_angle=0.3)])
 def test_batched_trace_matches_oracle(morph, xi):
-    """The batched fit and cumulative-sum composition against the per-step
-    loop. Sums run in another order, so the bounds are absolute: the
-    reciprocal wave's report fields are near 0, where a relative bound
-    means nothing."""
+    """The one-cycle batched fit, composed over the cycles as powers of
+    its rigid motion, against the per-step loop over every step of every
+    cycle, both on the first cycle's shapes. Sums run in another order, so
+    the bounds are absolute: the reciprocal wave's report fields are near
+    0, where a relative bound means nothing."""
     for phase in (0.0, math.pi / 2):
         for tol in (0.01, 0.0, 0.002, 0.03):
             gait = sidewinding_gait(xi=xi, lateral_phase=phase)
@@ -236,8 +241,8 @@ def test_fit_planar_recovers_rigid_motion():
 
 
 def test_trace_fits_every_step_in_one_call(monkeypatch):
-    """One trace makes one _fit_planar call, so a timer wrapped around that
-    module attribute times the whole fit."""
+    """One trace makes one _fit_planar call, over the steps of one cycle,
+    so a timer wrapped around that module attribute times the whole fit."""
     calls = []
     fit = sidewinding._fit_planar
 
@@ -246,10 +251,52 @@ def test_trace_fits_every_step_in_one_call(monkeypatch):
         return fit(*args)
 
     monkeypatch.setattr(sidewinding, "_fit_planar", counting)
-    _, path = displacement_trajectory(sidewinding_gait(), MORPH, cycles=2,
-                                      samples_per_cycle=64)
+    displacement_trajectory(sidewinding_gait(), MORPH, cycles=2,
+                            samples_per_cycle=64)
     assert len(calls) == 1
-    assert calls[0][2].shape == (len(path) - 1, MORPH.num_modules)
+    assert calls[0][2].shape == (64, MORPH.num_modules)
+
+
+@pytest.mark.parametrize("cycles", [1, 2, 4])
+def test_one_cycle_of_kinematics_per_trace(monkeypatch, cycles):
+    """A trace resolves the body's frames once, for one cycle's S + 1
+    samples, however many cycles it composes."""
+    calls = []
+    fk = sidewinding.forward_kinematics
+
+    def counting(morph, angles):
+        calls.append(angles.lateral.shape[0])
+        return fk(morph, angles)
+
+    monkeypatch.setattr(sidewinding, "forward_kinematics", counting)
+    _, path = displacement_trajectory(sidewinding_gait(), MORPH,
+                                      cycles=cycles, samples_per_cycle=64)
+    assert calls == [64 + 1]
+    assert len(path) == cycles * 64 + 1
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.6, 1.2])
+def test_cycle_marks_are_powers_of_one_cycle_motion(xi):
+    """The path at each cycle mark is g_cycle^c applied to the start:
+    g_cycle's turn H is the one-cycle report's heading and its shift T
+    the one-cycle path's end (the body-frame origin starts at 0), and the
+    powers are built here by 2x2 products. Absolute bound, as in the
+    oracle test."""
+    samples, cycles = 128, 4
+    one, one_path = displacement_trajectory(
+        sidewinding_gait(xi=xi), MORPH, cycles=1, samples_per_cycle=samples)
+    _, path = displacement_trajectory(
+        sidewinding_gait(xi=xi), MORPH, cycles=cycles,
+        samples_per_cycle=samples)
+    h, shift = one.heading_per_cycle_rad, one_path[-1]
+    step_rot = np.array([[math.cos(h), -math.sin(h)],
+                         [math.sin(h), math.cos(h)]])
+    rot, trans, marks = np.eye(2), np.zeros(2), []
+    for _ in range(cycles + 1):
+        marks.append(trans)
+        trans = rot @ shift + trans
+        rot = rot @ step_rot
+    assert np.abs(path[::samples] - np.array(marks)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("xi, degrees", [(0.0, -116.05), (0.6, -118.78),
