@@ -39,12 +39,6 @@ from .sweep import BehaviorDiagram, binariness, provenance_config, run_sweep
 ENV_PREFIX = "SRSIM_"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
@@ -110,13 +104,18 @@ def _provenance(cfg: RunConfig) -> dict:
     return {"config_sha256": config_hash(cfg), "seed": cfg.seed}
 
 
-def _write_csv(path: Path, cfg: RunConfig, header: tuple[str, ...],
-               rows) -> None:
-    """cfg's provenance as a comment line, the header, then the rows,
-    joined and written 4,096 at a time, so a generator of rows is never
-    held whole."""
-    meta = " ".join(f"{k}={v}" for k, v in _provenance(cfg).items())
-    lines = (",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: Path, provenance: dict, header: tuple[str, ...],
+               lines) -> None:
+    """The provenance as a comment line, the header, then the lines,
+    joined and written 4,096 at a time, so a generator of lines is never
+    held whole.
+
+    Each file formats its rows with one printf template: %.17g for a
+    float column (it renders a float as format(x, ".17g") does, nan, inf
+    and -0 included), %d only for a column of true ints.
+    """
+    meta = " ".join(f"{k}={v}" for k, v in provenance.items())
+    lines = iter(lines)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
         f.write(f"# {meta}\n{','.join(header)}\n")
@@ -143,19 +142,20 @@ def write_diagram_csv(diagram: BehaviorDiagram, path: Path) -> None:
     Trial rows leave p_sr empty; the summary row (trial column 'summary')
     carries the cell's mean rolls per cycle and P_sr.
     """
-    rows = (row
-            for amp, trial_row, mean_row, p_row in zip(
-                diagram.amplitudes.tolist(), diagram.trial_rolls.tolist(),
-                diagram.trial_rolls.mean(axis=2).tolist(),
-                diagram.p_sr.tolist())
-            for xi, cell, mean, p in zip(diagram.xis.tolist(), trial_row,
-                                         mean_row, p_row)
-            for row in itertools.chain(
-                ((amp, xi, trial, rolls, "")
-                 for trial, rolls in enumerate(cell)),
-                ((amp, xi, "summary", mean, p),)))
-    _write_csv(path, provenance_config(diagram.config),
-               ("A_rad", "xi", "trial", "rolls_per_cycle", "p_sr"), rows)
+    # A cell's "A_rad,xi," prefix is formatted once for all its rows.
+    lines = (line
+             for amp, trial_row, mean_row, p_row in zip(
+                 diagram.amplitudes.tolist(), diagram.trial_rolls.tolist(),
+                 diagram.trial_rolls.mean(axis=2).tolist(),
+                 diagram.p_sr.tolist())
+             for xi, cell, mean, p in zip(diagram.xis.tolist(), trial_row,
+                                          mean_row, p_row)
+             for cell_head in ["%.17g,%.17g," % (amp, xi)]
+             for line in itertools.chain(
+                 (cell_head + "%d,%.17g," % row for row in enumerate(cell)),
+                 (cell_head + "summary,%.17g,%.17g" % (mean, p),)))
+    _write_csv(path, _provenance(provenance_config(diagram.config)),
+               ("A_rad", "xi", "trial", "rolls_per_cycle", "p_sr"), lines)
 
 
 def write_diagram_json(diagram: BehaviorDiagram, path: Path) -> None:
@@ -187,25 +187,29 @@ def cmd_gait(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     # Blocks of 1,024 samples bound memory; joint_vector is elementwise.
     blocks = (g.period * np.arange(k, min(k + 1024, args.samples + 1))
               / args.samples for k in range(0, args.samples + 1, 1024))
-    rows = ((t, i, axis, a)
-            for times in blocks for angles in [joint_vector(g, times)]
-            for t, lat, vert in zip(times.tolist(), angles.lateral.tolist(),
-                                    angles.vertical.tolist())
-            for axis, side in (("lateral", lat), ("vertical", vert))
-            for i, a in enumerate(side))
-    _write_csv(out / "gait.csv", cfg,
-               ("time_s", "joint", "axis", "angle_rad"), rows)
+    # A sample's time is formatted once for all its joint rows.
+    lines = (head + "%d,%s,%.17g" % (i, axis, a)
+             for times in blocks for angles in [joint_vector(g, times)]
+             for t, lat, vert in zip(times.tolist(), angles.lateral.tolist(),
+                                     angles.vertical.tolist())
+             for head in ["%.17g," % t]
+             for axis, side in (("lateral", lat), ("vertical", vert))
+             for i, a in enumerate(side))
+    _write_csv(out / "gait.csv", _provenance(cfg),
+               ("time_s", "joint", "axis", "angle_rad"), lines)
     return 0
 
 
 def cmd_energy(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     land = energy_landscape(cfg.morphology, cfg.roll.resolution)
-    _write_csv(out / "energy.csv", cfg,
+    provenance = _provenance(cfg)
+    _write_csv(out / "energy.csv", provenance,
                ("gamma_rad", "energy_J", "denergy_J_per_rad"),
-               zip(land.gamma_samples.tolist(), land.energy.tolist(),
-                   land.denergy.tolist()))
+               ("%.17g,%.17g,%.17g" % row
+                for row in zip(land.gamma_samples.tolist(),
+                               land.energy.tolist(), land.denergy.tolist())))
     _write_json(out / "energy.json", {
-        **_provenance(cfg),
+        **provenance,
         "minima_rad": list(land.minima),
         "barrier_J": land.barrier,
         "resolution": land.resolution,
@@ -229,13 +233,15 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     phi_cmd = start + omega * (traj.times - traj.times[0])
     names = (["gamma_rad"] if traj.mode == "lumped" else
              [f"gamma_{i}_rad" for i in range(gammas.shape[1])])
-    rows = ((t, p, *gs) for t, p, gs in
-            zip(traj.times.tolist(), phi_cmd.tolist(), gammas.tolist()))
-    _write_csv(out / "trajectory.csv", cfg,
-               ("time_s", "phi_cmd_rad", *names), rows)
+    template = ",".join(["%.17g"] * (2 + len(names)))
+    lines = (template % (t, p, *gs) for t, p, gs in
+             zip(traj.times.tolist(), phi_cmd.tolist(), gammas.tolist()))
+    provenance = _provenance(cfg)
+    _write_csv(out / "trajectory.csv", provenance,
+               ("time_s", "phi_cmd_rad", *names), lines)
     righting = traj.righting_intervals
     _write_json(out / "outcome.json", {
-        **_provenance(cfg),
+        **provenance,
         "righting_interval": list(righting),
         "righting_spread_cycles": None if None in righting else
         (righting[-1] - righting[0]) / cfg.roll.steps_per_cycle,
@@ -271,14 +277,19 @@ def cmd_sidewind(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
         cfg.gait, cfg.morphology, cycles=sw.cycles,
         samples_per_cycle=sw.samples_per_cycle, contact_tol=sw.contact_tol)
 
-    period = cfg.gait.period
-    rows = ((k, period * k / sw.samples_per_cycle, x, y)
-            for k, (x, y) in enumerate(path_xy.tolist()))
-    _write_csv(out / "sidewind.csv", cfg, ("sample", "time_s", "x_m", "y_m"),
-               rows)
+    n = len(path_xy)
+    # Bitwise the per-row product period * k / samples_per_cycle.
+    times = cfg.gait.period * np.arange(n) / sw.samples_per_cycle
+    provenance = _provenance(cfg)
+    _write_csv(out / "sidewind.csv", provenance,
+               ("sample", "time_s", "x_m", "y_m"),
+               ("%d,%.17g,%.17g,%.17g" % row
+                for row in zip(range(n), times.tolist(),
+                               path_xy[:, 0].tolist(),
+                               path_xy[:, 1].tolist())))
     payload = dataclasses.asdict(report)
     payload["net_xy"] = list(payload["net_xy"])
-    _write_json(out / "sidewind.json", {**_provenance(cfg), **payload})
+    _write_json(out / "sidewind.json", {**provenance, **payload})
     print(f"lateral_displacement={report.lateral_displacement:.4f} "
           f"contact_fraction={report.contact_fraction:.4f}")
     return 0

@@ -73,8 +73,11 @@ class SidewindSettings:
     cycles: int = 1
 
     def __post_init__(self) -> None:
-        if not self.contact_tol >= 0:
-            raise ConfigError("contact_tol must be >= 0")
+        # A non-finite tolerance would put Infinity, which is not JSON,
+        # into the config text every output hashes.
+        if not 0 <= self.contact_tol < math.inf:
+            raise ConfigError(
+                f"contact_tol must be finite and >= 0, got {self.contact_tol}")
         if self.cycles < 1:
             raise ConfigError("cycles must be >= 1")
 

@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from selfright import (BehaviorDiagram, ConfigError, GaitParams, Morphology,
-                       RunConfig, config_from_dict, config_hash, config_json,
-                       config_to_dict, lateral_angle, load_config, run_sweep,
-                       save_config)
+import selfright.cli
+from selfright import (BehaviorDiagram, ConfigError, DisplacementReport,
+                       EnergyLandscape, GaitParams, JointAngles, Morphology,
+                       RollTrajectory, RunConfig, config_from_dict,
+                       config_hash, config_json, config_to_dict,
+                       lateral_angle, load_config, run_sweep, save_config)
 from selfright.cli import main, write_diagram_csv, write_diagram_json
 from selfright.config import RollSettings, SidewindSettings, SweepSettings
 from selfright.rollmodel import KAPPA_DEFAULT, MAX_RESOLUTION, STEPS_PER_CYCLE
@@ -85,6 +87,7 @@ def test_nested_validation_surfaces():
     (RollSettings, "mu", math.inf),
     (RollSettings, "kappa", math.inf),
     (SidewindSettings, "contact_tol", math.nan),
+    (SidewindSettings, "contact_tol", math.inf),
     (GaitParams, "spatial_frequency", math.nan),
     (SweepSettings, "gamma_jitter", math.nan),
     (SweepSettings, "gain_noise", math.nan),
@@ -230,6 +233,137 @@ def test_sweep_json_streams_its_text(tmp_path, capsys):
     assert doc["trial_rolls"] == [[rolls.tolist()]]
     assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
     assert peak < 8_000_000
+
+
+# Floats whose rendering is easy to get wrong: nan, both infinities,
+# negative zero, the smallest subnormal, a large power of ten, a value with
+# no short binary form and an integer past 2**53.
+ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1,
+              float(2**53 + 1))
+
+
+def old_line(row):
+    """A CSV row as the writer rendered it before its row templates."""
+    return ",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                    for v in row)
+
+
+def odd_array(shape, shift=0):
+    """ODD_FLOATS, rotated by shift, repeated to fill shape."""
+    return np.resize(np.roll(np.array(ODD_FLOATS), shift), shape)
+
+
+def odd_gait(monkeypatch):
+    rows = []  # filled block by block as the command runs
+
+    def fake(params, t):
+        angles = JointAngles(odd_array((len(t), 9)), odd_array((len(t), 8), 3))
+        rows.extend((time, i, axis, a)
+                    for time, lat, vert in zip(t.tolist(),
+                                               angles.lateral.tolist(),
+                                               angles.vertical.tolist())
+                    for axis, side in (("lateral", lat), ("vertical", vert))
+                    for i, a in enumerate(side))
+        return angles
+
+    monkeypatch.setattr(selfright.cli, "joint_vector", fake)
+    return ["gait", "--samples", 8], "gait.csv", rows
+
+
+def odd_energy(monkeypatch):
+    columns = [odd_array(16, shift).tolist() for shift in (0, 1, 2)]
+    land = EnergyLandscape(*(np.array(c) for c in columns),
+                           minima=(0.0, math.pi), barrier=1.0)
+    monkeypatch.setattr(selfright.cli, "energy_landscape",
+                        lambda morph, resolution: land)
+    return ["energy"], "energy.csv", list(zip(*columns))
+
+
+def odd_simulate(monkeypatch):
+    # Row 0 is finite, so the commanded phase is too.
+    times = np.array([0.0, *ODD_FLOATS])
+    gammas = np.vstack([np.full(10, 0.25), odd_array((8, 10))])
+    traj = RollTrajectory(times, gammas, cycles=1.0, rolls_per_cycle=0.0,
+                          stalled=False, mode="segmented",
+                          righting_intervals=(None,) * 10)
+    monkeypatch.setattr(selfright.cli, "simulate_roll",
+                        lambda *args, **kwargs: traj)
+    phi = 0.25 + RunConfig().gait.temporal_frequency * (times - times[0])
+    return (["simulate", "--mode", "segmented"], "trajectory.csv",
+            [(t, p, *gs) for t, p, gs in
+             zip(times.tolist(), phi.tolist(), gammas.tolist())])
+
+
+def odd_sidewind(monkeypatch):
+    path_xy = odd_array((11, 2))
+    report = DisplacementReport(0.5, 0.5, 0.5, 0.0, (0.5, 0.0), 0.0, 1, 10)
+    monkeypatch.setattr(selfright.cli, "displacement_trajectory",
+                        lambda *args, **kwargs: (report, path_xy))
+    cfg = RunConfig()
+    return (["sidewind"], "sidewind.csv",
+            [(k, cfg.gait.period * k / cfg.sidewinding.samples_per_cycle,
+              x, y) for k, (x, y) in enumerate(path_xy.tolist())])
+
+
+@pytest.mark.parametrize("case", [odd_gait, odd_energy, odd_simulate,
+                                  odd_sidewind])
+def test_csv_rows_render_as_before(tmp_path, monkeypatch, capsys, case):
+    """Each command's row template writes a row as the per-value
+    format(v, ".17g") (or str(v) for an int or a label) did. The command's
+    computed columns are replaced by fixed odd floats."""
+    argv, name, rows = case(monkeypatch)
+    assert run_cli([*argv, "--out", tmp_path]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / name).read_text().splitlines()
+    assert lines[2:] == [old_line(row) for row in rows]
+
+
+def test_sweep_csv_rows_render_as_before(tmp_path, capsys):
+    """sweep.csv's trial and summary templates, on a diagram of odd floats
+    with NaN cells, write each row as the per-value rendering did."""
+    amplitudes, xis = np.array([0.1, -0.0]), np.array([5e-324, 1e22, 3.0])
+    trial_rolls = odd_array((2, 3, 4))
+    p_sr = odd_array((2, 3), 5)
+    assert np.isnan(p_sr).any()
+    diagram = BehaviorDiagram(amplitudes, xis, trial_rolls, p_sr, errors=(),
+                              config=RunConfig())
+    write_diagram_csv(diagram, tmp_path / "sweep.csv")
+    capsys.readouterr()
+    expected = [
+        old_line(row)
+        for amp, rolls_row, mean_row, p_row in zip(
+            amplitudes.tolist(), trial_rolls.tolist(),
+            trial_rolls.mean(axis=2).tolist(), p_sr.tolist())
+        for xi, cell, mean, p in zip(xis.tolist(), rolls_row, mean_row,
+                                     p_row)
+        for row in [*((amp, xi, trial, rolls, "")
+                      for trial, rolls in enumerate(cell)),
+                    (amp, xi, "summary", mean, p)]]
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[2:] == expected
+
+
+@pytest.mark.parametrize("argv, hashes", [
+    (["gait", "--samples", 8], 1),
+    (["energy"], 1),
+    (["simulate", "--cycles", 0.25], 1),
+    (["sidewind", "--samples", 16], 1),
+    (["sweep", "--trials", 1, "--cycles", 1, "--legs", 0], 2),
+], ids=["gait", "energy", "simulate", "sidewind", "sweep"])
+def test_each_command_hashes_its_config_once(tmp_path, monkeypatch, capsys,
+                                             argv, hashes):
+    """A command hashes its config once for all its files; a sweep once in
+    each of write_diagram_csv and write_diagram_json."""
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return config_hash(cfg)
+
+    monkeypatch.setattr(selfright.cli, "config_hash", counted)
+    assert run_cli([*argv, "--out", tmp_path]) == 0
+    capsys.readouterr()
+    assert len(calls) == hashes
 
 
 def test_cli_gait_spot_value(tmp_path):
