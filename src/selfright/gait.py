@@ -51,8 +51,16 @@ class GaitParams:
                 f"amplitude_vertical {self.amplitude_vertical} outside [0, pi/2]")
         if not 0.0 < self.temporal_frequency < math.inf:
             raise ConfigError("temporal_frequency must be positive and finite")
-        if not 0.0 <= self.spatial_frequency < math.inf:
-            raise ConfigError("spatial_frequency must be finite and >= 0")
+        # Every phase built from xi is 2*pi*xi*i / n with i <= n: i <= N + 1
+        # for the joints, N for coherence and 2N + 1 for the last module's
+        # offset on a body that fits the gait (rollmodel._trial_lanes).
+        if not (0.0 <= self.spatial_frequency and math.isfinite(
+                TWO_PI * self.spatial_frequency
+                * (2 * self.num_lateral_joints + 1))):
+            raise ConfigError(
+                f"spatial_frequency must be finite and >= 0, with "
+                f"2*pi*xi*(2*num_lateral_joints + 1) finite, got "
+                f"{self.spatial_frequency}")
         if not math.isfinite(self.lateral_phase):
             raise ConfigError("lateral_phase must be finite")
         if self.num_lateral_joints < 1:

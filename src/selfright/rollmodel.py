@@ -326,19 +326,15 @@ class RollTrajectory:
         return self.rolls_per_cycle >= 0.5
 
 
-def _angle_terms(g, phi, gain, bias, kinks):
+def _angle_terms(g, phi, gain, bias):
     """The parts of the rate at g that no piece changes: sin(g), cos(g),
     the drive b + G*sin(phi - g) and its -d/dg, G*cos(phi - g). With no
-    bias (None) the drive is G*sin(phi - g). sin(g) and cos(g) are
-    computed only for a table with kinks (None otherwise): a kink-free
-    table is flat, U' = 0, so the drive and its -d/dg are the rate r and
-    -dr/dg themselves."""
+    bias (None) the drive is G*sin(phi - g)."""
     lag = phi - g
     drive = gain * np.sin(lag)
     if bias is not None:
         drive = bias + drive
-    trig = (np.sin(g), np.cos(g)) if kinks else (None, None)
-    return (*trig, drive, gain * np.cos(lag))
+    return np.sin(g), np.cos(g), drive, gain * np.cos(lag)
 
 
 def _rate(terms, c, s):
@@ -354,10 +350,55 @@ def _rates(terms, c, s):
     return _rate(terms, c, s), pull - c * sin_g + s * cos_g
 
 
+def _flat_factors(gain, bias, tau: float):
+    """The factors of the flat solve that depend on the gain G, the bias b
+    and tau alone: (cf + a, cf - a, sf, 2*G, whole) with a = sf*G, from
+    k**2 = G**2 - b**2 (_march_interval). a is tanh(k*tau)*(G/k) for a
+    locked lane, so that without bias (None, computed as b = 0) G/k is
+    +-1 and a is +-1 wherever tanh(k*tau) is: the repeller's cf - a is
+    then exactly 0. whole marks the drifting lanes with k*tau >= pi (None
+    if there are none)."""
+    k2 = gain * gain if bias is None else gain * gain - bias * bias
+    k = np.sqrt(np.abs(k2))
+    kt = k * tau
+    sf, cf, whole = np.tanh(kt), 1.0, None
+    if bias is not None:
+        drift = k2 < 0
+        if np.count_nonzero(drift):
+            sf = np.where(drift, np.sin(kt), sf)
+            cf = np.where(drift, np.cos(kt), 1.0)
+            whole = drift & (kt >= math.pi)
+    zero = k2 == 0
+    a = np.where(zero, tau * gain, sf * (gain / k))
+    return cf + a, cf - a, np.where(zero, tau, sf / k), gain + gain, whole
+
+
+def _flat_solve(g, phi, bias, factors):
+    """End states of lanes on a flat table over one output interval, in
+    half-angle form (_march_interval)."""
+    p, q, sf, g2, whole = factors
+    u = np.tan(0.5 * (phi - g))
+    uu = u * u
+    num = sf * (g2 * u if bias is None else bias * uu + g2 * u + bias)
+    out = np.minimum(g + 2.0 * np.arctan2(num, p + q * uu),
+                     np.maximum(g, phi))
+    if bias is None:
+        return out
+    # A lane at rest (num 0) stays, whatever the sign of the denominator;
+    # a drifting lane with k*tau >= pi has turned a whole turn: capped
+    # heading up (b > 0), failed heading down.
+    out = np.where(num != 0, out, g)
+    if whole is None:
+        return out
+    return np.where(whole, np.where(bias > 0, np.maximum(g, phi), -np.inf),
+                    out)
+
+
 def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
                     phi1: np.ndarray, gains: np.ndarray,
                     bias: np.ndarray | None, tables, mu: float, dt_len: float,
-                    *, rest: list | None = None, interval: int = 0
+                    *, rest: list | None = None, interval: int = 0,
+                    flat: tuple | None = None
                     ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Advance every lane through one output interval.
 
@@ -386,17 +427,21 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
 
     A table without kinks (edges (-inf, inf), every limbless body) is
     flat: support_pieces gives all-zero slopes exactly when it has no
-    kink. It takes a kink-free pass, whose rate and -dr/dg are the drive
-    terms, U' = 0, with no sin(g) or cos(g): j is always 0, so for finite
-    phi1 a lane's heading edge is +-inf and it is capped exactly when it
-    heads up. No finite g sits on an infinite edge, so none settles; a
-    lane heading down can hit only its -inf edge (a drifting lane's whole
-    turn), which fails it, so only capped lanes hit and no lane goes on to
-    a kink pass. That pass skips the edge lookup, the settle test, the
-    gathering of lanes for a kink pass and the piece and turn writes.
+    kink, so r = b + G*sin(lag), r' = G*cos(lag), k**2 = G**2 - b**2, and
+    no lane reaches a kink. Such a table is solved in one closed form per
+    lane (_flat_solve), in the half angle u = tan(lag/2), lag = phi1 - g:
+    the flow above multiplied through by 1 + u**2, the lane turns by
+    2*atan2(sf*(b*u**2 + 2*G*u + b), (cf + a) + (cf - a)*u**2), a = sf*G,
+    and ends at min(g + turned, max(g, phi1)). It needs no sine or cosine
+    of the lag, and at the repeller (lag = pi without bias, where
+    cf + sf*r' cancels) it is exact: cf - a is 0 wherever tanh(k*tau)
+    rounds to 1. The factors that depend only on gains and bias
+    (_flat_factors) can be passed as flat; a drifting lane with
+    k*tau >= pi has turned a whole turn and is capped heading up or fails
+    heading down. Piece and turn are not written.
 
     tables is (edges, c, s) of the piece table; whether edges[0] is
-    finite is the one switch between the two passes. piece and turn hold
+    finite is the one switch between the two solves. piece and turn hold
     each lane's piece index and whole turns; they are updated in place for
     the lanes that go on to another piece; gam itself is left unchanged.
     A lane that starts NaN (a failed chain) marches as NaN. Returns the
@@ -411,41 +456,45 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
     g = start = gam
     phi, gain, b, j, t = phi1, gains, bias, piece, turn
     tau = 0.5 * mu * dt_len
-    kinks = math.isfinite(edges[0])
-    terms = _angle_terms(g, phi, gain, b, kinks)
-    r, slope = _rates(terms, cs[j], ss[j]) if kinks else terms[2:]
     lanes, failed = None, []
+    if math.isinf(edges[0]):
+        out = _flat_solve(g, phi, b, flat or _flat_factors(gain, b, tau))
+        bad = ~(np.abs(out - start) <= TWO_PI)
+        if np.count_nonzero(bad):
+            bad &= ~np.isnan(start)
+            if np.count_nonzero(bad):
+                failed.append(bad.nonzero()[0])
+        return out, failed
+    terms = _angle_terms(g, phi, gain, b)
+    r, slope = _rates(terms, cs[j], ss[j])
     for _ in range(n + 2):
         up = r > 0
-        if not kinks:
-            end = np.where(up, np.maximum(g, phi), -np.inf)
-        else:
-            edge = edges[j + up] + TWO_PI * t
-            capped = held = up & (phi < edge)
-            settle = (edge == g) & ~capped if lanes is None else False
-            if np.count_nonzero(settle):
-                # A lane on the kink it heads for meets the next piece at g
-                # itself: it goes on along that piece if its rate keeps its
-                # sign there, and rests otherwise. Going on takes no time.
-                j_next = j + np.where(up, 1, -1)
-                r_next = _rate(terms, cs.take(j_next, mode="wrap"),
-                               ss.take(j_next, mode="wrap"))
-                keeps = r_next * r > 0
-                if rest is not None:
-                    on_kink = (settle & ~keeps).nonzero()[0]
-                    rest.append((on_kink, terms[2][on_kink], r[on_kink],
-                                 r_next[on_kink]))
-                sw = (settle & keeps).nonzero()[0]
-                if sw.size:
-                    j_next, up_sw = j_next[sw], up[sw]
-                    on = j_next % n
-                    piece[sw], turn[sw] = on, t[sw] + j_next // n
-                    r[sw], slope[sw] = _rates([v[sw] for v in terms],
-                                              cs[on], ss[on])
-                    edge[sw] = edges[on + up_sw] + TWO_PI * turn[sw]
-                    capped[sw] = up_sw & (phi[sw] < edge[sw])
-                held = capped | (settle & ~keeps)
-            end = np.where(capped, np.maximum(g, phi), edge)
+        edge = edges[j + up] + TWO_PI * t
+        capped = held = up & (phi < edge)
+        settle = (edge == g) & ~capped if lanes is None else False
+        if np.count_nonzero(settle):
+            # A lane on the kink it heads for meets the next piece at g
+            # itself: it goes on along that piece if its rate keeps its
+            # sign there, and rests otherwise. Going on takes no time.
+            j_next = j + np.where(up, 1, -1)
+            r_next = _rate(terms, cs.take(j_next, mode="wrap"),
+                           ss.take(j_next, mode="wrap"))
+            keeps = r_next * r > 0
+            if rest is not None:
+                on_kink = (settle & ~keeps).nonzero()[0]
+                rest.append((on_kink, terms[2][on_kink], r[on_kink],
+                             r_next[on_kink]))
+            sw = (settle & keeps).nonzero()[0]
+            if sw.size:
+                j_next, up_sw = j_next[sw], up[sw]
+                on = j_next % n
+                piece[sw], turn[sw] = on, t[sw] + j_next // n
+                r[sw], slope[sw] = _rates([v[sw] for v in terms],
+                                          cs[on], ss[on])
+                edge[sw] = edges[on + up_sw] + TWO_PI * turn[sw]
+                capped[sw] = up_sw & (phi[sw] < edge[sw])
+            held = capped | (settle & ~keeps)
+        end = np.where(capped, np.maximum(g, phi), edge)
         if b is None:
             k2 = slope * slope + r * r
             k, drift = np.sqrt(k2), None
@@ -477,8 +526,6 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
             if np.count_nonzero(bad):
                 failed.append(bad.nonzero()[0] if lanes is None
                               else lanes[bad])
-        if not kinks:
-            return out, failed
         go = (hit & ~(held | bad)).nonzero()[0]
         if not go.size:
             return out, failed
@@ -486,7 +533,7 @@ def _march_interval(gam: np.ndarray, piece: np.ndarray, turn: np.ndarray,
         on = j_next % n
         r_next, slope_next = _rates(
             _angle_terms(end[go], phi[go], gain[go],
-                         None if b is None else b[go], kinks), cs[on], ss[on])
+                         None if b is None else b[go]), cs[on], ss[on])
         keep = r_next * r[go] > 0
         if not keep.all():
             go, j_next, on, r_next, slope_next = (
@@ -620,6 +667,10 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     twist = np.zeros((len(gam) // chain, chain + 1)) if coupled else None
     bias = None  # an uncoupled chain carries no bias
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # A flat table never parks, so its lanes stay in place: without
+        # bias its solve's gain-only factors are computed once, here.
+        flat = (_flat_factors(gains, None, 0.5 * mu * dt)
+                if np.isinf(edges[0]) and not coupled else None)
         for first in range(0, n_intervals, BLOCK):
             last = min(first + BLOCK, n_intervals)
             awake = (wake <= first).nonzero()[0]
@@ -644,7 +695,7 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                         rest = []
                     g, failed = _march_interval(g, p, t, phi1, gain, bias,
                                                 tables, mu, dt, rest=rest,
-                                                interval=n)
+                                                interval=n, flat=flat)
                     if failed:
                         lanes = np.sort(np.concatenate(failed))
                         for i, lane in zip(lanes.tolist(),

@@ -252,6 +252,37 @@ def chain_energy(morph, gamma, phi, gains, kappa=0.0, chain=1):
         axis=1)
 
 
+def oracle_flat_march(g, phi, gain, b, tau):
+    """End states of lanes on a flat table (U' = 0) after a time 2*tau/mu
+    of the Adler flow with phi, the gain G and the bias b fixed.
+
+    In the half angle u = tan((phi - g)/2) the rate is
+    (b*u**2 + 2*G*u + b) / (1 + u**2), and a lane turns by
+    2*atan2(sf*(b*u**2 + 2*G*u + b), (cf + a) + (cf - a)*u**2) with
+    a = sf*G, taken as tanh(k*tau)*(G/k) when locked, k**2 = G**2 - b**2:
+    (cf, sf) is (1, tanh(k*tau)/k) locked, (cos(k*tau), sin(k*tau)/k)
+    drifting (k = sqrt(b**2 - G**2)) and (1, tau) at k = 0. A lane at rest
+    stays; heading up it never passes phi; a drifting lane with
+    k*tau >= pi has turned a whole turn (capped heading up, -inf down).
+    """
+    k2 = gain * gain - b * b
+    drift = k2 < 0
+    k = np.sqrt(np.abs(k2))
+    kt = k * tau
+    tk = np.where(drift, np.sin(kt), np.tanh(kt))
+    cf = np.where(drift, np.cos(kt), 1.0)
+    a = np.where(k2 == 0, tau * gain, tk * (gain / k))
+    sf = np.where(k2 == 0, tau, tk / k)
+    u = np.tan(0.5 * (phi - g))
+    uu = u * u
+    num = sf * (b * uu + (gain + gain) * u + b)
+    turned = 2.0 * np.arctan2(num, (cf + a) + (cf - a) * uu)
+    top = np.maximum(g, phi)
+    g_end = np.where(num != 0, np.minimum(g + turned, top), g)
+    return np.where(drift & (kt >= math.pi),
+                    np.where(b > 0, top, -np.inf), g_end)
+
+
 def oracle_march(gam: np.ndarray, lanes: np.ndarray, phi1: np.ndarray,
                  gains: np.ndarray, bias: np.ndarray, pieces, mu: float,
                  dt_len: float) -> dict[int, str]:
@@ -269,11 +300,23 @@ def oracle_march(gam: np.ndarray, lanes: np.ndarray, phi1: np.ndarray,
     up across a kink, so the lane goes on along the next piece if its rate
     keeps its sign there, and rests otherwise. gam is updated in place.
     Returns the failed lanes (a whole turn rolled, or non-finite).
+
+    A table without kinks is flat (U' = 0): there the flow is solved in
+    the half angle u = tan((phi1 - g)/2), multiplied through by 1 + u**2,
+    with k**2 = G**2 - b**2 and a = tanh(k*tau)*(G/k) when locked.
     """
     edges, slopes = pieces
     n = len(slopes)
     failures: dict[int, str] = {}
     g, phi, gain, b = (v[lanes] for v in (gam, phi1, gains, bias))
+    if np.isinf(edges[0]):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g_end = oracle_flat_march(g, phi, gain, b, 0.5 * mu * dt_len)
+        gam[lanes] = g_end
+        bad = ~(np.abs(g_end - g) <= TWO_PI) & ~np.isnan(g)
+        return {lane: ("non-finite roll state" if math.isnan(x)
+                       else "rolled more than a whole turn")
+                for lane, x in zip(lanes[bad].tolist(), g_end[bad].tolist())}
     turn, angle = np.divmod(g, TWO_PI)
     j = np.searchsorted(edges[1:], angle, side="right")
     turn, j = turn + j // n, j % n

@@ -593,6 +593,27 @@ def test_cli_rejects_out_of_range_inputs(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["gait", "simulate", "sidewind", "sweep"])
+def test_cli_rejects_a_spatial_frequency_whose_phases_overflow(tmp_path,
+                                                               capsys,
+                                                               command):
+    """xi = 1e308 is finite, but 2*pi*xi is not: each command names the
+    input in an error line, with no numpy warning and nothing written,
+    instead of writing NaN angles or failing later in the roll or the
+    contact set."""
+    argv = [command, "--xi", "1e308"]
+    if command == "sweep":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sweep": {"xis": [1e308]}}))
+        argv = ["sweep", "--config", path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv + ["--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: spatial_frequency must be finite")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_simulate_half_excludes_cycles(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         run_cli(["simulate", "--half", "--cycles", 3,

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from selfright import (ConfigError, GaitParams, coherence, joint_vector,
-                       lateral_angle, vertical_angle)
+from selfright import (ConfigError, GaitParams, Morphology, coherence,
+                       joint_vector, lateral_angle, vertical_angle)
+from selfright.rollmodel import _trial_lanes
 
 from conftest import FROZEN, oracle_coherence, oracle_lateral, oracle_vertical
 
@@ -170,6 +171,31 @@ def test_param_validation():
                 GaitParams(**{name: value})
     with pytest.raises(ConfigError):
         GaitParams(num_lateral_joints=0)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_largest_spatial_frequency_builds_finite_phases(n):
+    """GaitParams takes xi only while 2*pi*xi*(2N + 1), the largest phase
+    multiplier, is finite: at the largest such xi every joint angle, the
+    coherence and the module offsets of a body that fits the gait are
+    finite, and the next float up is rejected."""
+    xi = math.nextafter(math.inf, 0.0) / (2.0 * math.pi * (2 * n + 1))
+    while not math.isfinite(2.0 * math.pi * xi * (2 * n + 1)):
+        xi = math.nextafter(xi, 0.0)
+    while math.isfinite(2.0 * math.pi * math.nextafter(xi, math.inf)
+                        * (2 * n + 1)):
+        xi = math.nextafter(xi, math.inf)
+    params = GaitParams(spatial_frequency=xi, num_lateral_joints=n)
+    with pytest.raises(ConfigError, match="spatial_frequency"):
+        GaitParams(spatial_frequency=math.nextafter(xi, math.inf),
+                   num_lateral_joints=n)
+    angles = joint_vector(params, np.array([0.0, 1.0]))
+    assert np.isfinite(angles.lateral).all()
+    assert np.isfinite(angles.vertical).all()
+    assert math.isfinite(coherence(xi, n))
+    morph = Morphology(num_modules=2 * n + 2)
+    _, _, offsets = _trial_lanes(params, morph, "segmented", [0.0], [1.0])
+    assert np.isfinite(offsets).all()
 
 
 def test_joint_index_range():

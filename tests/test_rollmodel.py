@@ -651,32 +651,75 @@ def test_lanes_starting_on_kinks_match_relocating_oracle(leg_angle, mode,
                              KAPPA_DEFAULT)
 
 
+def limbless_spread_batch(mode):
+    """Lanes of the limbless body from starts spread over two turns, with
+    the lumped batch run a second time with its command phase spread over
+    a turn, so that some lanes start near the repeller (lag = pi)."""
+    morph = MORPH.limbless()
+    starts = np.linspace(-TWO_PI, TWO_PI, 7)
+    gamma0, gains, offsets, chain = lane_batch(morph, mode, ORACLE_GRID,
+                                               starts=starts)
+    if mode == "lumped":
+        gamma0, gains = np.tile(gamma0, 2), np.tile(gains, 2)
+        offsets = np.append(offsets, np.linspace(0.0, TWO_PI, len(offsets),
+                                                 endpoint=False))
+    return morph, (gamma0, gains, offsets, chain)
+
+
 @pytest.mark.parametrize("mu", [5.0, 0.05])
 @pytest.mark.parametrize("mode", ["lumped", "segmented"])
-@pytest.mark.parametrize("leg_angle", [0.0, 0.3])
+@pytest.mark.parametrize("leg_angle", [0.0, 0.3,
+                                       pytest.param(None, id="limbless")])
 def test_march_without_bias_equals_zero_bias(leg_angle, mode, mu):
     """No bias (None) and a zero bias array march the kink-start lanes to
     the same bits: states, pieces, turns and failed lanes, interval after
     interval. The two differ only in the sign of a zero rate, which moves
-    no lane."""
-    morph, (gamma0, gains, offsets, _) = kink_start_batch(leg_angle, mode)
+    no lane. On the limbless body (leg_angle None) the flat solve takes
+    None as b = 0 in one formula, so spread lanes keep the same bits too,
+    with the bias-free factors computed per call or once (flat), as
+    _integrate computes them."""
+    morph, (gamma0, gains, offsets, _) = (
+        limbless_spread_batch(mode) if leg_angle is None
+        else kink_start_batch(leg_angle, mode))
     edges, slopes = support_pieces(morph)
     tables = (edges, *np.ascontiguousarray(slopes.T))
     turn, angle = np.divmod(gamma0, TWO_PI)
     piece = np.searchsorted(edges[1:], angle, side="right")
     turn, piece = turn + piece // len(slopes), piece % len(slopes)
     dt = TWO_PI / OMEGA / 256
-    lanes = [[gamma0, piece.copy(), turn.copy()] for _ in range(2)]
+    lanes = [[gamma0, piece.copy(), turn.copy()] for _ in range(3)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        flat = rollmodel._flat_factors(gains, None, 0.5 * mu * dt)
         for n in range(64):
             phi1 = gamma0 + OMEGA * (n + 1) * dt - offsets
             marched = []
-            for state, bias in zip(lanes, (None, np.zeros(len(gamma0)))):
+            for state, bias, factors in zip(
+                    lanes, (None, np.zeros(len(gamma0)), None),
+                    (None, None, flat)):
                 gam, piece, turn = state
                 state[0], failed = rollmodel._march_interval(
-                    gam, piece, turn, phi1, gains, bias, tables, mu, dt)
+                    gam, piece, turn, phi1, gains, bias, tables, mu, dt,
+                    flat=factors)
                 marched.append([v.tobytes() for v in state + failed])
-            assert marched[0] == marched[1]
+            assert marched[0] == marched[1] == marched[2]
+
+
+def test_limbless_in_phase_chain_equals_lumped(limbless_morph):
+    """xi = 0 on the flat table: a coupled chain (kappa = 0.5) marches its
+    lanes with a zero bias array, the lumped trial with no bias and the
+    factors computed once; the chain's every module equals the lumped
+    trajectory bitwise over a grid of amplitudes, starts and mobilities."""
+    for amplitude in (math.pi / 24, math.pi / 8, math.pi / 4, math.pi / 2):
+        gait = quasi_static_gait(amplitude)
+        for gamma0 in (-7.3, 0.0, 1.0, math.pi, 12.0):
+            for mu in (0.05, 0.5, 5.0, 50.0, 500.0):
+                lumped = simulate_roll(gait, limbless_morph, gamma0=gamma0,
+                                       mu=mu)
+                seg = simulate_roll(gait, limbless_morph, gamma0=gamma0,
+                                    mu=mu, mode="segmented", kappa=0.5)
+                assert np.array_equal(seg.gammas, np.repeat(
+                    lumped.gammas[:, None], limbless_morph.num_modules,
+                    axis=1)), (amplitude, gamma0, mu)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 0.0])
@@ -700,22 +743,26 @@ def test_failing_chains_match_relocating_oracle(kappa):
 @pytest.fixture
 def rate_sizes(monkeypatch):
     """The lane count of every rate evaluation: each pass of the marcher
-    computes the rate's angle terms once, for all its lanes."""
+    computes the rate's angle terms once, for all its lanes, and on a flat
+    table one closed-form solve moves all of them."""
     sizes = []
-    terms = rollmodel._angle_terms
 
-    def counting(g, *args):
-        sizes.append(len(g))
-        return terms(g, *args)
+    def counting(evaluate):
+        def counted(g, *args):
+            sizes.append(len(g))
+            return evaluate(g, *args)
+        return counted
 
-    monkeypatch.setattr(rollmodel, "_angle_terms", counting)
+    for name in ("_angle_terms", "_flat_solve"):
+        monkeypatch.setattr(rollmodel, name,
+                            counting(getattr(rollmodel, name)))
     return sizes
 
 
 def test_rates_evaluated_once_per_interval_on_one_piece(rate_sizes,
                                                          limbless_morph):
     """A flat body's lanes never reach a kink, so each output interval
-    evaluates the rate once; on a legged sweep no evaluation is empty."""
+    takes one flat solve; on a legged sweep no evaluation is empty."""
     simulate_roll(quasi_static_gait(xi=0.6), limbless_morph, cycles=1.5)
     assert len(rate_sizes) == 384
     rate_sizes.clear()
@@ -956,6 +1003,87 @@ def test_kink_free_march_of_drifting_lanes_matches_relocating_oracle(
     if mu == 5.0:
         assert got_failed == [2, 3, 4]
         assert out[:2].tolist() == [phi1[0], gam[1]]
+
+
+def longdouble_flat_end(g, phi, gain, bias, tau):
+    """End states of locked lanes on a flat table, from the half-angle
+    closed form evaluated in np.longdouble (64-bit significand on x86).
+
+    k**2 = G**2 - b**2 > 0, a = tanh(k*tau)*(G/k), sf = tanh(k*tau)/k, and
+    with u = tan((phi - g)/2) the lane turns by
+    2*atan2(sf*(b*u**2 + 2*G*u + b), (1 + a) + (1 - a)*u**2), capped at
+    max(g, phi) heading up. The denominator is grouped so that without
+    bias 1 - a is exactly 0 where tanh(k*tau) rounds to 1: the literal
+    (1 + u**2) + a*(1 - u**2) cancels at the repeller in any precision.
+    """
+    g, phi, gain, bias = (np.asarray(v, dtype=np.longdouble)
+                          for v in (g, phi, gain, bias))
+    tau = np.longdouble(tau)
+    k = np.sqrt(gain * gain - bias * bias)
+    t = np.tanh(k * tau)
+    a, sf = t * (gain / k), t / k
+    u = np.tan((phi - g) / 2)
+    turned = 2 * np.arctan2(sf * (bias * u * u + 2 * gain * u + bias),
+                            (1 + a) + (1 - a) * u * u)
+    return np.minimum(g + turned, np.maximum(g, phi))
+
+
+@pytest.mark.parametrize("mu", [5.0, 0.05])
+def test_flat_solve_matches_longdouble_closed_form(limbless_morph, mu):
+    """The flat solve against the same closed form in np.longdouble
+    (longdouble_flat_end), lane by lane, within a bound fixed beforehand:
+    4 ulp of max(|g|, |phi1|, 2*pi).
+
+    Rationale of the bound: the lag phi1 - g is exact here (starts on a
+    1/4 grid, lags on a 2**-44 grid, |phi1| < 64), so what is left is the
+    rounding of tan, of the factors and of atan2, each a few units in the
+    last place of a turn of at most 2*pi, and of g + turned, half an ulp of
+    the larger of |g| and |phi1|; the flow map of a locked lane is well
+    conditioned away from its repeller's e**(-2*k*tau) neighbourhood.
+
+    Lanes: bias-free ones (as an uncoupled batch marches them, bias None)
+    and biased locked ones (|b| < G), starts spread over several turns and
+    lags spread over several turns, among them bias-free lanes within
+    1e-12 rad of the repeller (lag = pi) on both sides. At mu = 5
+    tanh(k*tau) rounds to 1 in both precisions for every bias-free lane;
+    there the old form 2*atan2(sf*r, cf + sf*r') divided two rounding
+    residues near the repeller and missed this bound on 646 of the 2,208
+    bias-free lanes, by up to 1e-9 rad. Biased lanes are kept 0.2 rad off their own repeller,
+    lag = pi + asin(b/G): there numerator and denominator both vanish,
+    and the closed form, old or new, loses accuracy as eps over the
+    distance.
+    """
+    edges, slopes = support_pieces(limbless_morph)
+    tables = (edges, *np.ascontiguousarray(slopes.T))
+    dt = TWO_PI / OMEGA / 256
+    starts = np.array([-12.5, -3.0, 0.5, 3.0, 7.25, 20.0])
+    turns = TWO_PI * np.array([-2.0, 0.0, 1.0, 3.0])
+    gains = np.array([0.5, 0.7, 1.3, 2.9])
+    near = math.pi - np.array([1e-12, 3e-13, 1e-9, 1e-6, 0.0])
+    bases = {0.0: np.concatenate([near, -near, np.linspace(-3.0, 3.0, 13)])}
+    for rho in (-0.8, -0.3, 0.3, 0.8):
+        spread = np.linspace(-math.pi, math.pi, 19)
+        repeller = math.pi + math.asin(rho)
+        off = np.abs(np.mod(spread - repeller + math.pi, TWO_PI) - math.pi)
+        bases[rho] = spread[off > 0.2]
+    for rho, base in bases.items():
+        g, lag, gain = (v.ravel() for v in np.meshgrid(
+            starts, (base[:, None] + turns).ravel(), gains))
+        lag = np.round(lag * 2.0**44) / 2.0**44
+        phi1 = g + lag
+        assert np.array_equal(phi1 - g, lag)  # the lag is exact
+        bias = None if rho == 0.0 else rho * gain
+        piece, turn = locate(g, edges, len(slopes))
+        out, failed = rollmodel._march_interval(g, piece, turn, phi1, gain,
+                                                bias, tables, mu, dt)
+        want = longdouble_flat_end(g, phi1, gain, rho * gain,
+                                   0.5 * mu * dt).astype(float)
+        bound = 4.0 * np.spacing(np.maximum(np.maximum(np.abs(g),
+                                                       np.abs(phi1)), TWO_PI))
+        assert not failed
+        assert (np.abs(out - want) <= bound).all(), (
+            rho, np.abs(out - want).max(), g[np.argmax(np.abs(out - want)
+                                                        - bound)])
 
 
 FUZZ_LANE = st.tuples(
