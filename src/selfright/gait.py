@@ -22,6 +22,14 @@ from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
+# Largest sample count of any per-sample array a command allocates:
+# landscape samples, a trial's output intervals, gait samples or
+# sidewinding module-samples ((cycles x samples + 1) x modules, which
+# bounds both the one traced cycle's kinematics and the composed path).
+# 2**20 samples already make a 60 MB energy.csv; the cap turns a larger
+# request into a ConfigError before numpy tries to allocate it.
+MAX_RESOLUTION = 2**20
+
 # Servo-realistic joint limit; also keeps the kinematic chain from
 # self-intersecting at full curl.
 MAX_AMPLITUDE = math.pi / 2
@@ -51,6 +59,13 @@ class GaitParams:
                 f"amplitude_vertical {self.amplitude_vertical} outside [0, pi/2]")
         if not 0.0 < self.temporal_frequency < math.inf:
             raise ConfigError("temporal_frequency must be positive and finite")
+        # Sample times are period * k before any division, with
+        # k <= MAX_RESOLUTION (gait rows, sidewinding rows).
+        if not math.isfinite(self.period * MAX_RESOLUTION):
+            raise ConfigError(
+                f"temporal_frequency must give a finite period "
+                f"2*pi/temporal_frequency times {MAX_RESOLUTION} samples, "
+                f"got {self.temporal_frequency}")
         # Every phase built from xi is 2*pi*xi*i / n with i <= n: i <= N + 1
         # for the joints, N for coherence and 2N + 1 for the last module's
         # offset on a body that fits the gait (rollmodel._trial_lanes).

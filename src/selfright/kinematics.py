@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DimensionError, GeometryError
 from .gait import GaitParams, JointAngles, joint_vector
 
+# Standard gravity, m/s^2.
+GRAVITY = 9.80665
+
 
 @dataclass(frozen=True)
 class Morphology:
@@ -37,8 +40,32 @@ class Morphology:
             raise GeometryError("lengths must be finite and >= 0")
         if not math.isfinite(self.leg_angle):
             raise GeometryError("leg_angle must be finite")
+        if self.body_radius <= 0:
+            raise GeometryError("body_radius must be positive")
         if not 0 < self.module_mass < math.inf:
             raise GeometryError("module_mass must be positive and finite")
+        # Each field is finite, but the scales built from them must be too:
+        # the body's length, and its weight times its farthest reach, which
+        # bounds the barrier and every slope of the roll landscape. A module
+        # count past the float range overflows as they are built.
+        try:
+            length = self.body_length
+            weight_reach = self.total_mass * GRAVITY * (
+                length + self.body_radius + self.leg_length)
+        except OverflowError:
+            length = weight_reach = math.inf
+        if not math.isfinite(length):
+            raise GeometryError(
+                f"num_modules * link_length must be finite, got "
+                f"num_modules={self.num_modules}, "
+                f"link_length={self.link_length}")
+        if not math.isfinite(weight_reach):
+            raise GeometryError(
+                f"total_mass * g * (body_length + body_radius + leg_length) "
+                f"must be finite, got module_mass={self.module_mass}, "
+                f"link_length={self.link_length}, "
+                f"body_radius={self.body_radius}, "
+                f"leg_length={self.leg_length}")
 
     @property
     def num_joints(self) -> int:
@@ -155,8 +182,6 @@ def cross_section(morph: Morphology) -> tuple[float, np.ndarray]:
     row per tip; a limbless body has none.
     """
     r = morph.body_radius
-    if r <= 0:
-        raise GeometryError("body_radius must be positive")
     if morph.leg_length <= 0:
         return r, np.empty((0, 2))
     tip, a = r + morph.leg_length, morph.leg_angle

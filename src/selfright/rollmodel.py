@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IntegrationError
-from .gait import TWO_PI, GaitParams, coherence
-from .kinematics import Morphology, cross_section, wave_height_slope
-
-GRAVITY = 9.80665
+from .gait import MAX_RESOLUTION, TWO_PI, GaitParams, coherence
+from .kinematics import GRAVITY, Morphology, cross_section, wave_height_slope
 
 # Mobility of the quasi-static roll dynamics, rad/s per N*m.
 MU_DEFAULT = 5.0
@@ -49,13 +47,6 @@ MIN_STEPS_PER_CYCLE = 200
 STALL_STEP = 0.1
 
 DEFAULT_RESOLUTION = 1024
-# Largest sample count of any per-sample array a command allocates:
-# landscape samples, a trial's output intervals, gait samples or
-# sidewinding module-samples ((cycles x samples + 1) x modules, which
-# bounds both the one traced cycle's kinematics and the composed path).
-# 2**20 samples already make a 60 MB energy.csv; the cap turns a larger
-# request into a ConfigError before numpy tries to allocate it.
-MAX_RESOLUTION = 2**20
 # Largest (output intervals + 1) x lanes a trial records at every interval
 # (simulate_roll): 128 MB of roll states. It admits the span cap on the
 # default 10-module segmented body.

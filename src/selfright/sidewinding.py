@@ -6,10 +6,10 @@ segments act as anchors. This module samples the gait, treats the contact
 set as anchored between consecutive samples (no slip), fits the planar
 rigid motion that keeps the anchors still, and accumulates the body's net
 lateral displacement per cycle. The gait is periodic, so only one cycle is
-sampled: its steps are fitted in one batch and composed by cumulative sums
-of their angles and rotated translations into the cycle's rigid motion
-g_cycle, and N cycles are its powers (the holonomy of the closed shape
-loop; Hatton & Choset, IJRR 2011).
+sampled: its steps are fitted in one batch and composed into the cycle's
+rigid motion g_cycle, and N cycles are its powers (the holonomy of the
+closed shape loop; Hatton & Choset, IJRR 2011). Planar points, turns and
+shifts are complex numbers x + iy, so a turn is one product.
 """
 
 from __future__ import annotations
@@ -87,35 +87,22 @@ def _fit_planar(moved: np.ndarray, still: np.ndarray,
                 anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares planar rotation+translation mapping moved onto still.
 
-    Fits every step of the (steps, modules, 2) stacks at once, on the
-    points its row of the (steps, modules) anchor mask selects, and returns
-    each step's theta and t with still = R(theta) @ moved + t. One anchor
-    cannot determine a rotation, so a single anchor fits with theta = 0.
+    Fits every step of the (steps, modules) stacks of complex points
+    x + iy at once, on the points its row of the (steps, modules) anchor
+    mask selects, and returns each step's theta and complex shift t with
+    still = e^(i*theta) * moved + t. One anchor cannot determine a
+    rotation, so a single anchor fits with theta = 0.
     """
     w = anchors.astype(float)
     count = w.sum(axis=1)
-    mb = np.einsum("sm,smk->sk", w, moved) / count[:, None]
-    sb = np.einsum("sm,smk->sk", w, still) / count[:, None]
-    mc = moved - mb[:, None]
-    sc = still - sb[:, None]
-    sxx = (w * (mc[..., 0] * sc[..., 0] + mc[..., 1] * sc[..., 1])).sum(axis=1)
-    sxy = (w * (mc[..., 0] * sc[..., 1] - mc[..., 1] * sc[..., 0])).sum(axis=1)
-    theta = np.where(count > 1, np.arctan2(sxy, sxx), 0.0)
-    return theta, sb - _rotate(theta, mb)
-
-
-def _rotate(theta: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Rotate each row of xy (..., 2) by the matching angle of theta."""
-    c, s = np.cos(theta), np.sin(theta)
-    x, y = xy[..., 0], xy[..., 1]
-    return np.stack([c * x - s * y, s * x + c * y], axis=-1)
-
-
-def _every_cycle(rows: np.ndarray) -> np.ndarray:
-    """The trace's N*S + 1 samples from (N, S + 1, 2) rows, one block of
-    the cycle's samples 0..S per cycle: cycle c's rows 0..S-1 at samples
-    c*S.., then the last cycle's row S."""
-    return np.concatenate([rows[:, :-1].reshape(-1, 2), rows[-1, -1:]])
+    mb = (w * moved).sum(axis=1) / count
+    sb = (w * still).sum(axis=1) / count
+    # conj(a) * b holds a . b as its real part and a x b as its imaginary,
+    # so the summed products point at the best-fit turn.
+    corr = (w * np.conj(moved - mb[:, None])
+            * (still - sb[:, None])).sum(axis=1)
+    theta = np.where(count > 1, np.angle(corr), 0.0)
+    return theta, sb - np.exp(1j * theta) * mb
 
 
 def displacement_trajectory(params: GaitParams, morph: Morphology,
@@ -156,8 +143,11 @@ def displacement_trajectory(params: GaitParams, morph: Morphology,
     period = TWO_PI / params.temporal_frequency
     times = period * np.arange(samples_per_cycle + 1) / samples_per_cycle
     frames = forward_kinematics(morph, joint_vector(params, times))
-    origins = frames.position[..., :2]
-    coms = center_of_mass(frames, morph)[:, :2]
+    # Planar points as complex numbers x + iy: a turn by theta is a
+    # product with e^(i*theta).
+    origins = frames.position[..., 0] + 1j * frames.position[..., 1]
+    com = center_of_mass(frames, morph)
+    coms = com[:, 0] + 1j * com[:, 1]
     contacts = contact_set(frames, morph, contact_tol)
     # Disjoint sets fall back to their union, so the step n -> n+1 and its
     # reverse use the same anchors and their fits are inverses.
@@ -166,49 +156,42 @@ def displacement_trajectory(params: GaitParams, morph: Morphology,
                        contacts[:-1] | contacts[1:])
 
     # Step n maps sample n+1's body frame onto sample n's, so the body's
-    # world pose at sample n composes steps 0..n-1.
-    theta, step_trans = _fit_planar(origins[1:], origins[:-1], anchors)
+    # world pose (turn, shift) at sample n composes steps 0..n-1.
+    theta, step = _fit_planar(origins[1:], origins[:-1], anchors)
     heading = np.cumsum(np.concatenate([[0.0], theta]))
-    trans = np.cumsum(
-        np.vstack([np.zeros(2), _rotate(heading[:-1], step_trans)]), axis=0)
-    # The cycle's rigid motion g_cycle turns the body by H and moves it by
-    # T, so cycle c starts at g_cycle^c: turned by c*H, and shifted by
-    # T_c = sum over i < c of R(i*H) T.
-    turn, shift = heading[-1], trans[-1]
-    turns = turn * np.arange(cycles)
-    shifts = np.cumsum(
-        np.vstack([np.zeros(2), _rotate(turns[:-1], shift)]), axis=0)
+    turn = np.exp(1j * heading)
+    shift = np.concatenate([[0j], np.cumsum(turn[:-1] * step)])
+    # g_cycle = (e^(iH), T), so cycle c starts at g_cycle^c: turned by
+    # e^(icH) and shifted by the sum over j < c of e^(ijH) * T.
+    turns = np.exp(1j * heading[-1] * np.arange(cycles))
+    shifts = np.concatenate([[0j], np.cumsum(turns[:-1] * shift[-1])])
 
-    com_world = _rotate(heading, coms) + trans
-    base_world = _every_cycle(_rotate(turns[:, None],
-                                      _rotate(heading, origins[:, 0]) + trans)
-                              + shifts[:, None])
+    # Cycle c's rows 0..S-1 are samples c*S.., then the last cycle's row S.
+    base = turns[:, None] * (turn * origins[:, 0] + shift) + shifts[:, None]
+    base = np.append(base[:, :-1], base[-1, -1])
     ax = origins[:, -1] - origins[:, 0]
-    axes = _every_cycle(_rotate(turns[:, None], _rotate(
-        heading, ax / np.linalg.norm(ax, axis=1, keepdims=True))))
-
-    mean_axis = np.mean(axes, axis=0)
-    mean_axis = mean_axis / np.linalg.norm(mean_axis)
-    net = _rotate(turns[-1], com_world[-1]) + shifts[-1] - com_world[0]
-    axial = float(net @ mean_axis)
-    perp_vec = net - axial * mean_axis
-    # Scalar lateral component, signed by the axis-left direction.
-    signed = float(mean_axis[0] * net[1] - mean_axis[1] * net[0])
+    axes = turns[:, None] * (turn * (ax / np.abs(ax)))
+    mean_axis = np.append(axes[:, :-1], axes[-1, -1]).mean()
+    mean_axis /= np.abs(mean_axis)
+    net = turns[-1] * (turn[-1] * coms[-1] + shift[-1]) + shifts[-1] - coms[0]
+    # Axial drift and the lateral part signed by the axis-left direction.
+    along = np.conj(mean_axis) * net
 
     scale = morph.body_length * cycles
+    lateral = float(along.imag) / scale
     counts = contacts.sum(axis=1)
     in_contact = cycles * int(counts[:-1].sum()) + int(counts[-1])
     frac = in_contact / (n_samples + 1) / morph.num_modules
     report = DisplacementReport(
-        lateral_displacement=float(np.linalg.norm(perp_vec)) / scale,
+        lateral_displacement=abs(lateral),
         contact_fraction=frac,
-        signed_lateral=signed / scale,
-        axial_drift=axial / scale,
-        net_xy=(float(net[0]), float(net[1])),
-        heading_per_cycle_rad=float(turn),
+        signed_lateral=lateral,
+        axial_drift=float(along.real) / scale,
+        net_xy=(float(net.real), float(net.imag)),
+        heading_per_cycle_rad=float(heading[-1]),
         cycles=cycles,
         samples_per_cycle=samples_per_cycle)
-    return report, base_world
+    return report, np.column_stack([base.real, base.imag])
 
 
 def lateral_displacement(params: GaitParams, morph: Morphology,

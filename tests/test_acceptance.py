@@ -166,6 +166,13 @@ def test_criterion_6_behavior_diagram_claims():
     assert elapsed < 60.0, f"default sweeps took {elapsed:.2f}s"
 
 
+def legged_barrier_slope(morph):
+    """U*, the steepest slope of the leg arc, W*(r+L)*cos(asin(r/(r+L)))."""
+    tip = morph.body_radius + morph.leg_length
+    weight = morph.total_mass * 9.80665
+    return weight * tip * math.sqrt(1.0 - (morph.body_radius / tip) ** 2)
+
+
 @pytest.mark.parametrize("legs", [True, False])
 def test_lumped_diagram_matches_gain_oracle(legs):
     """Every lumped trial of the default sweep rights exactly when its
@@ -179,9 +186,7 @@ def test_lumped_diagram_matches_gain_oracle(legs):
     cfg = RunConfig(morphology=morph, seed=0)
     diagram = run_sweep(cfg)
     if legs:
-        tip = morph.body_radius + morph.leg_length
-        weight = morph.total_mass * 9.80665
-        u_star = weight * tip * math.sqrt(1.0 - (morph.body_radius / tip) ** 2)
+        u_star = legged_barrier_slope(morph)
     else:
         u_star = cfg.gait.temporal_frequency / cfg.roll.mu
     n_x, n_t = len(diagram.xis), diagram.trial_rolls.shape[2]
@@ -199,6 +204,40 @@ def test_lumped_diagram_matches_gain_oracle(legs):
                 assert righted == (gain * f > u_star), (amp, xi, trial)
 
 
+def test_lumped_legged_diagram_matches_its_closed_form():
+    """A trial rights exactly when G*C*f > U*, with f uniform in 1 +- w,
+    so a default lumped legged cell's expected righted fraction is
+    clip((1 + w - U*/(G*C)) / (2w), 0, 1), whatever the seed.
+
+    The default grid has six cells strictly inside (0, 1). Each runs as
+    its own one-cell sweep of 400 trials at the default seed, and its
+    fraction of trials with rolls >= 0.5 must lie within 4 binomial
+    standard errors, 4*sqrt(p(1 - p)/400), of p. Six one-cell sweeps
+    take 0.3-0.45 s on a 2-vCPU VM.
+    """
+    cfg = RunConfig(seed=0)
+    w, trials = cfg.sweep.gain_noise, 400
+    u_star = legged_barrier_slope(MORPH)
+    cells = []
+    for amp in cfg.sweep.amplitudes:
+        for xi in cfg.sweep.xis:
+            gain = drive_gain(replace(cfg.gait, amplitude_lateral=amp,
+                                      amplitude_vertical=amp,
+                                      spatial_frequency=xi), MORPH)
+            p = min(max((1.0 + w - u_star / gain) / (2.0 * w), 0.0), 1.0)
+            if 0.0 < p < 1.0:
+                cells.append((amp, xi, p))
+    assert [p for _, _, p in cells] == pytest.approx(
+        [0.866, 0.476, 0.974, 0.170, 0.751, 0.502], abs=5e-4)
+    for amp, xi, p in cells:
+        sweep = replace(cfg.sweep, amplitudes=(amp,), xis=(xi,),
+                        trials_per_cell=trials)
+        rolls = run_sweep(replace(cfg, sweep=sweep)).trial_rolls[0, 0]
+        fraction = float(np.mean(rolls >= 0.5))
+        bound = 4.0 * math.sqrt(p * (1.0 - p) / trials)
+        assert abs(fraction - p) <= bound, (amp, xi, fraction, p)
+
+
 def test_segmented_legged_diagram_matches_base_gain_oracle():
     """At kappa = 0 every trial of the default segmented legged sweep
     rights exactly when G_base*f beats U*, whatever xi.
@@ -211,9 +250,7 @@ def test_segmented_legged_diagram_matches_base_gain_oracle():
     """
     cfg = RunConfig(mode="segmented", seed=0, roll=RollSettings(kappa=0.0))
     diagram = run_sweep(cfg)
-    tip = MORPH.body_radius + MORPH.leg_length
-    weight = MORPH.total_mass * 9.80665
-    u_star = weight * tip * math.sqrt(1.0 - (MORPH.body_radius / tip) ** 2)
+    u_star = legged_barrier_slope(MORPH)
     n_x, n_t = len(diagram.xis), diagram.trial_rolls.shape[2]
     for a_idx, amp in enumerate(diagram.amplitudes):
         gain = drive_gain(replace(cfg.gait, amplitude_lateral=amp,

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +21,8 @@ from selfright import (BehaviorDiagram, ConfigError, DisplacementReport,
                        config_hash, config_json, config_to_dict,
                        lateral_angle, load_config, run_sweep, save_config)
 from selfright.cli import main, write_diagram_csv, write_diagram_json
-from selfright.config import RollSettings, SidewindSettings, SweepSettings
+from selfright.config import (DEFAULT_AMPLITUDES, RollSettings,
+                              SidewindSettings, SweepSettings)
 from selfright.rollmodel import KAPPA_DEFAULT, MAX_RESOLUTION, STEPS_PER_CYCLE
 
 from conftest import GRAVITY
@@ -614,6 +616,44 @@ def test_cli_rejects_a_spatial_frequency_whose_phases_overflow(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, doc, field", [
+    (["energy"], {"morphology": {"module_mass": 1e308}}, "module_mass"),
+    (["sweep", "--trials", 1, "--cycles", 1],
+     {"morphology": {"module_mass": 1e308}}, "module_mass"),
+    (["simulate"], {"morphology": {"module_mass": 1e308}}, "module_mass"),
+    (["energy", "--legs", 1.7e308], {}, "leg_length"),
+    (["energy", "--legs", 1e308], {}, "leg_length"),
+    (["gait"], {"gait": {"temporal_frequency": 5e-324}},
+     "temporal_frequency"),
+    (["sidewind"], {"gait": {"temporal_frequency": 5e-324}},
+     "temporal_frequency"),
+    (["gait"], {"gait": {"temporal_frequency": 6.3e-308}},
+     "temporal_frequency"),
+    (["sidewind"], {"gait": {"temporal_frequency": 6.3e-308}},
+     "temporal_frequency"),
+    (["sidewind"], {"morphology": {"link_length": 1e308}}, "link_length")],
+    ids=["energy-mass", "sweep-mass", "simulate-mass", "energy-legs-1.7e308",
+         "energy-legs-1e308", "gait-omega", "sidewind-omega",
+         "gait-omega-times", "sidewind-omega-times", "sidewind-link"])
+def test_cli_rejects_inputs_whose_derived_scales_overflow(tmp_path, capsys,
+                                                          argv, doc, field):
+    """Each value is finite, but a scale built from it is not (the weight
+    times the reach, the body length, the period): each command names the
+    field in one error line, with no numpy warning and nothing written,
+    instead of writing NaN or Infinity or failing later in the roll or the
+    contact set."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv + ["--config", path,
+                               "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_simulate_half_excludes_cycles(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         run_cli(["simulate", "--half", "--cycles", 3,
@@ -893,3 +933,23 @@ def test_cli_legs_flag_changes_hash(tmp_path):
     ha = read_meta(tmp_path / "a" / "energy.csv")["config_sha256"]
     hb = read_meta(tmp_path / "b" / "energy.csv")["config_sha256"]
     assert ha != hb
+
+
+def test_behavior_diagrams_from_sweep(tmp_path, capsys):
+    """`sweep` writes each body's diagram and prints its P_sr map, one row
+    per amplitude with the largest on top, above the summary line."""
+    for body, legs in (("legged", []), ("limbless", ["--legs", "0"])):
+        out = tmp_path / body
+        assert main(["sweep", "--trials", "1", "--out", str(out)] + legs) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "sweep.csv", "sweep.json"]
+        meta = json.loads((out / "sweep.json").read_text())["meta"]
+        assert re.fullmatch("[0-9a-f]{64}", meta["config_sha256"])
+
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith("  A_rad \\ xi ")
+        assert lines[-1].startswith("binariness=")
+        rows = lines[3:-1]
+        assert [float(r.split()[0]) for r in rows] == pytest.approx(
+            sorted(DEFAULT_AMPLITUDES, reverse=True), abs=5e-5)
+

@@ -1,6 +1,7 @@
 """Wave-equation unit tests: spot values, identities, and invariants."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from selfright import (ConfigError, GaitParams, Morphology, coherence,
                        joint_vector, lateral_angle, vertical_angle)
-from selfright.rollmodel import _trial_lanes
+from selfright.rollmodel import MAX_RESOLUTION, _trial_lanes
 
 from conftest import FROZEN, oracle_coherence, oracle_lateral, oracle_vertical
 
@@ -171,6 +172,32 @@ def test_param_validation():
                 GaitParams(**{name: value})
     with pytest.raises(ConfigError):
         GaitParams(num_lateral_joints=0)
+
+
+def test_temporal_frequency_needs_finite_sample_times():
+    """omega = 5e-324 and 6.3e-308 are positive and finite, but the period
+    2*pi/omega (the first) or the last sample time period * MAX_RESOLUTION
+    (the second) is not, and GaitParams names omega; at the smallest omega
+    it takes, every sample time period * k, k <= MAX_RESOLUTION, is
+    finite."""
+    for omega in (5e-324, 6.3e-308):
+        with pytest.raises(
+                ConfigError,
+                match="temporal_frequency must give a finite period"):
+            GaitParams(temporal_frequency=omega)
+
+    def last_time(omega):
+        return 2.0 * math.pi / omega * MAX_RESOLUTION
+
+    omega = 2.0 * math.pi * MAX_RESOLUTION / sys.float_info.max
+    while math.isfinite(last_time(omega)):
+        omega = math.nextafter(omega, 0.0)
+    while not math.isfinite(last_time(omega)):
+        omega = math.nextafter(omega, math.inf)
+    with pytest.raises(ConfigError, match="temporal_frequency"):
+        GaitParams(temporal_frequency=math.nextafter(omega, 0.0))
+    period = GaitParams(temporal_frequency=omega).period
+    assert np.isfinite(period * np.arange(MAX_RESOLUTION + 1)).all()
 
 
 @pytest.mark.parametrize("n", [1, 4])

@@ -156,6 +156,25 @@ def test_morphology_rejects_non_finite(name, message, value):
         Morphology(**{name: value})
 
 
+LENGTH = r"num_modules \* link_length must be finite"
+WEIGHT_REACH = (r"total_mass \* g \* \(body_length \+ body_radius "
+                r"\+ leg_length\) must be finite")
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("link_length", 1e308, LENGTH), ("num_modules", 10**400, LENGTH),
+    ("module_mass", 1e308, WEIGHT_REACH),
+    ("leg_length", 1.7e308, WEIGHT_REACH),
+    ("leg_length", 1e308, WEIGHT_REACH),
+    ("body_radius", 1e308, WEIGHT_REACH),
+    ("link_length", 1e307, WEIGHT_REACH)])
+def test_morphology_rejects_scales_that_overflow(name, value, message):
+    """Each field is finite, but the body's length or its weight times its
+    reach is not, so the roll landscape's barrier and slopes would be."""
+    with pytest.raises(GeometryError, match=message):
+        Morphology(**{name: value})
+
+
 def test_limbless_cross_section_is_circle():
     r, tips = cross_section(MORPH.limbless())
     assert r == MORPH.body_radius
@@ -188,8 +207,12 @@ def test_cross_section_half_turn_mirrors(leg_angle):
 
 
 def test_cross_section_needs_radius():
-    with pytest.raises(GeometryError):
-        cross_section(replace(MORPH, body_radius=0.0))
+    """A body without a radius has no cross-section; Morphology rejects
+    it, so every body that constructs has one."""
+    for radius in (0.0, -0.0):
+        with pytest.raises(GeometryError,
+                           match="body_radius must be positive"):
+            cross_section(replace(MORPH, body_radius=radius))
 
 
 def test_wave_height_zero_without_vertical_wave():

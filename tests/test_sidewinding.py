@@ -215,17 +215,17 @@ def test_batched_trace_matches_oracle(morph, xi):
 
 
 def test_fit_planar_recovers_rigid_motion():
-    """Points moved by a known rotation and translation fit back to it; a
-    step with one anchor fits as a pure translation with theta exactly 0."""
+    """Points x + iy moved by a known rotation and translation fit back to
+    it; a step with one anchor fits as a pure translation with theta
+    exactly 0."""
     rng = np.random.default_rng(7)
     steps, modules = 200, 9
-    moved = rng.normal(size=(steps, modules, 2))
+    x, y = rng.normal(size=(2, steps, modules))
     theta = rng.uniform(-3.0, 3.0, steps)
-    trans = rng.normal(size=(steps, 2))
+    trans = rng.normal(size=steps) + 1j * rng.normal(size=steps)
     c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    still = np.stack([c * moved[..., 0] - s * moved[..., 1],
-                      s * moved[..., 0] + c * moved[..., 1]], axis=-1)
-    still += trans[:, None]
+    moved = x + 1j * y
+    still = (c * x - s * y) + 1j * (s * x + c * y) + trans[:, None]
     anchors = rng.random((steps, modules)) < 0.5
     anchors[:, :2] = True
     fit_theta, fit_trans = sidewinding._fit_planar(moved, still, anchors)
