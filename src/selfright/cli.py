@@ -24,12 +24,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_hash, load_config
+from .config import RunConfig, config_hash, load_config, merge_config
 from .errors import ConfigError, SelfRightError
 from .gait import joint_vector
 from .rollmodel import MAX_RESOLUTION, energy_landscape, simulate_roll
@@ -53,16 +52,9 @@ _ENV_SETTINGS = {
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
-def _set(obj, path: str, value):
-    """obj with the field at dotted path set to value."""
-    head, _, rest = path.partition(".")
-    if rest:
-        value = _set(getattr(obj, head), rest, value)
-    return replace(obj, **{head: value})
-
-
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    """The --config file, then the SRSIM_* fallbacks, then the flags.
+    """The --config file, then the SRSIM_* fallbacks, then the flags, each
+    setting merged onto the layers below it as a one-key nested dict.
 
     A flag that sets a config field has the field's dotted path as its
     argparse dest; unset flags are None.
@@ -81,7 +73,9 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
                     if value is not None
                     and path.partition(".")[0] in _CONFIG_FIELDS)
     for path, value in settings.items():
-        cfg = _set(cfg, path, value)
+        for key in reversed(path.split(".")):
+            value = {key: value}
+        cfg = merge_config(cfg, value)
     return cfg
 
 

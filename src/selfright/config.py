@@ -11,7 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -115,28 +115,32 @@ class RunConfig:
                 f"{body.num_lateral_joints} and {body.num_vertical_joints}")
 
 
-def _build(cls, data, path: str):
-    """Strict build of the dataclass cls from data, sections included.
+def merge_config(config, data: dict, path: str = "config"):
+    """config with the fields data names replaced; the one way settings
+    reach a RunConfig.
 
     Every key must name a field, and every value must have its field's
-    default type: an int field takes no float and no bool, a float field
-    also takes an int (kept as given). A list becomes a tuple; nothing is
-    coerced.
+    type: an int field takes no float and no bool, a float field also
+    takes an int (kept as given). A list becomes a tuple; nothing is
+    coerced. A section merges onto config's own, so the fields it leaves
+    unnamed keep their values.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
-                else f.default_factory() for f in fields(cls)}
-    unknown = set(data) - set(defaults)
+    # A leaf is typed by its class default: a lower layer may have left an
+    # int in a float field.
+    like = {f.name: getattr(config, f.name) if f.default is dataclasses.MISSING
+            else f.default for f in fields(config)}
+    unknown = set(data) - set(like)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    return cls(**{name: _typed(value, defaults[name], f"{path}.{name}")
-                  for name, value in data.items()})
+    return replace(config, **{name: _typed(value, like[name], f"{path}.{name}")
+                              for name, value in data.items()})
 
 
 def _typed(value, default, path: str):
     if dataclasses.is_dataclass(default):
-        return _build(type(default), value, path)
+        return merge_config(default, value, path)
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list")
@@ -150,9 +154,9 @@ def _typed(value, default, path: str):
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Strict parse of a config dictionary; unknown keys and values of the
-    wrong type are errors."""
-    return _build(RunConfig, data, "config")
+    """Strict parse of a config dictionary onto the defaults; unknown keys
+    and values of the wrong type are errors."""
+    return merge_config(RunConfig(), data)
 
 
 def config_to_dict(config: RunConfig) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RollSettings, RunConfig
+from .config import RollSettings, RunConfig, SidewindSettings
 from .errors import ConfigError
 from .gait import GaitParams
 from .rollmodel import _run_trials
@@ -34,13 +34,17 @@ def cell_gait(cfg: RunConfig, amplitude: float, xi: float) -> GaitParams:
 def provenance_config(cfg: RunConfig) -> RunConfig:
     """cfg with the settings no sweep reads at their defaults.
 
-    Every cell sets both gait amplitudes and xi, and the roll solver reads
-    no landscape resolution; a sweep's outputs hash this config.
+    Every cell sets both gait amplitudes and xi; the roll solver reads no
+    landscape resolution, and no sweep the lateral wave's phase or the
+    sidewinding section. A sweep's outputs hash this config.
     """
-    return replace(cfg, gait=cell_gait(cfg, GaitParams().amplitude_lateral,
-                                       GaitParams().spatial_frequency),
+    gait = GaitParams()
+    return replace(cfg, gait=replace(cell_gait(cfg, gait.amplitude_lateral,
+                                               gait.spatial_frequency),
+                                     lateral_phase=gait.lateral_phase),
                    roll=replace(cfg.roll,
-                                resolution=RollSettings().resolution))
+                                resolution=RollSettings().resolution),
+                   sidewinding=SidewindSettings())
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ series code: closed-form trigonometry for the wave equations, a
 Dirichlet-kernel form for phase coherence, a brute-force polygon-vertex
 sampler for support heights, a 2D polyline walk for the planar chain,
 a per-pose loop for the module frames, a per-step loop for the
-sidewinding trace, and a roll marcher that relocates every lane's piece
-in each output interval and compacts its working set. Frozen constants were
-produced by these oracles and pinned so regressions surface as value
-changes, not just property violations.
+sidewinding trace, a roll marcher that relocates every lane's piece in
+each output interval and compacts its working set, and fine RK4 steps of
+the coupled chain's flow, its coupling never frozen. Frozen constants
+were produced by these oracles and pinned so regressions surface as
+value changes, not just property violations.
 """
 
 import math
@@ -442,6 +443,58 @@ def oracle_integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
         if (n + 1) % stride == 0:
             records[(n + 1) // stride] = gam
     return records, stalled, failures
+
+
+def reference_flow(gains: np.ndarray, gamma0: np.ndarray, omega: float,
+                   dt: float, n_intervals: int, mu: float,
+                   phase_offsets: np.ndarray, kappa, chain: int,
+                   steps: int):
+    """End states of coupled chains of a flat body (U' = 0) under the flow
+    itself, the model _integrate approximates by freezing the coupling
+    torque b over each output interval.
+
+    Lanes come in consecutive chains of `chain` lanes, with kappa one value
+    or one per chain, and command phases as _integrate's. Each interval
+    takes `steps` classical RK4 steps of dg/dt = mu*(b(g) + G*sin(phi1 - g)),
+    with b = kappa*chain*(g_{k+1} - 2*g_k + g_{k-1}) (a chain's end has one
+    neighbour) re-evaluated at every stage, phi1 held at the interval's
+    end, and the cap g <- min(g, max(g_start, phi1)) after every step. A
+    step that maps the state onto itself bitwise ends the interval, since
+    every later step would too. A chain with a lane that rolls more than a
+    whole turn in one interval, or turns non-finite, fails: it reads NaN
+    from then on. Returns (end states, failed-chain mask).
+    """
+    gam = np.array(gamma0, dtype=float).reshape(-1, chain)
+    offsets = np.reshape(phase_offsets, gam.shape)
+    drive = mu * np.reshape(gains, gam.shape)
+    lap = np.eye(chain, k=1) + np.eye(chain, k=-1) - 2.0 * np.eye(chain)
+    lap[0, 0] = lap[-1, -1] = -1.0
+    spring = (mu * chain) * np.broadcast_to(kappa, len(gam))[:, None]
+    h = dt / steps
+    failed = np.zeros(len(gam), dtype=bool)
+    gamma_ref = gam.copy()
+    with np.errstate(invalid="ignore"):
+        for n in range(n_intervals):
+            phi1 = gamma_ref + omega * (n + 1) * dt - offsets
+            start = gam.copy()
+            top = np.maximum(start, phi1)
+
+            def rate(x):
+                return drive * np.sin(phi1 - x) + spring * (x @ lap)
+
+            for _ in range(steps):
+                k1 = rate(gam)
+                k2 = rate(gam + (0.5 * h) * k1)
+                k3 = rate(gam + (0.5 * h) * k2)
+                k4 = rate(gam + h * k3)
+                new = np.minimum(
+                    gam + (h / 6.0) * (k1 + k4 + 2.0 * (k2 + k3)), top)
+                if np.array_equal(new, gam, equal_nan=True):
+                    break
+                gam = new
+            failed |= ~(np.abs(gam - start) <= TWO_PI).all(axis=1)
+            gam[failed] = np.nan
+    return gam.ravel(), failed
 
 
 @pytest.fixture(scope="session")

@@ -79,6 +79,17 @@ MUTANTS = (
            "(moved - mb[:, None])",
            ("tests/test_sidewinding.py::"
             "test_fit_planar_recovers_rigid_motion",)),
+    Mutant("config sections filled from class defaults",
+           "src/selfright/config.py",
+           "replace(config, **{",
+           "type(config)(**{",
+           ("tests/test_config_cli.py::"
+            "test_one_key_section_replaces_only_that_field",)),
+    Mutant("reference flow freezes b over each interval", "tests/conftest.py",
+           "+ spring * (x @ lap)",
+           "+ spring * (start @ lap)",
+           ("tests/test_reference_flow.py::"
+            "test_reference_reads_the_closed_form_without_coupling",)),
 )
 
 

@@ -22,8 +22,9 @@ from selfright import (BehaviorDiagram, ConfigError, DisplacementReport,
                        lateral_angle, load_config, run_sweep, save_config)
 from selfright.cli import main, write_diagram_csv, write_diagram_json
 from selfright.config import (DEFAULT_AMPLITUDES, RollSettings,
-                              SidewindSettings, SweepSettings)
-from selfright.rollmodel import KAPPA_DEFAULT, MAX_RESOLUTION, STEPS_PER_CYCLE
+                              SidewindSettings, SweepSettings, merge_config)
+from selfright.rollmodel import (KAPPA_DEFAULT, MAX_RESOLUTION,
+                                QUASI_STATIC_OMEGA, STEPS_PER_CYCLE)
 
 from conftest import GRAVITY
 
@@ -107,6 +108,45 @@ def test_float_field_keeps_an_int():
     doc["roll"]["mu"] = 5
     mu = config_from_dict(doc).roll.mu
     assert mu == 5 and type(mu) is int
+
+
+# One field of each section, set to a value unlike RunConfig's.
+ONE_KEY = (("morphology", "leg_length", 0.05),
+           ("gait", "spatial_frequency", 0.6), ("roll", "kappa", 0.1),
+           ("sweep", "trials_per_cell", 2), ("sidewinding", "cycles", 3))
+
+
+def test_one_key_section_replaces_only_that_field():
+    """A section that names one field keeps RunConfig's other fields, not
+    its class's: {"gait": {"spatial_frequency": 0.6}} keeps the
+    quasi-static drive frequency, not GaitParams' 1 rad/s."""
+    base = RunConfig()
+    for section, name, value in ONE_KEY:
+        want = replace(base, **{section: replace(getattr(base, section),
+                                                 **{name: value})})
+        assert config_from_dict({section: {name: value}}) == want, section
+    gait = config_from_dict({"gait": {"spatial_frequency": 0.6}}).gait
+    assert gait.temporal_frequency == QUASI_STATIC_OMEGA
+
+
+def test_merge_config_merges_onto_the_running_config():
+    """Each section merges onto the running config's own, whatever it
+    holds; a float field given an int by a lower layer still takes a
+    float, and the file layer's error messages keep their text."""
+    base = custom_config()
+    for section, name, value in ONE_KEY:
+        want = replace(base, **{section: replace(getattr(base, section),
+                                                 **{name: value})})
+        assert merge_config(base, {section: {name: value}}) == want, section
+    ints = config_from_dict({"morphology": {"leg_length": 0}})
+    legs = merge_config(ints, {"morphology": {"leg_length": 0.05}})
+    assert legs.morphology.leg_length == 0.05
+    with pytest.raises(ConfigError, match=r"^config\.gait\.spatial_frequency: "
+                       r"expected float, got '0\.3'$"):
+        merge_config(base, {"gait": {"spatial_frequency": "0.3"}})
+    with pytest.raises(ConfigError,
+                       match=r"^config\.roll: unknown keys \['warp'\]$"):
+        merge_config(base, {"roll": {"warp": 1}})
 
 
 def test_hash_tracks_content():
@@ -799,23 +839,27 @@ def test_cli_rejects_wrongly_typed_config(tmp_path, capsys, section, key,
 
 def test_sweep_hash_ignores_unread_settings(tmp_path):
     """The gait amplitudes and spatial frequency, which every cell sets,
-    and the landscape resolution, which no sweep reads, leave the sweep's
-    outputs byte-identical; the drive frequency changes the hash."""
+    the landscape resolution, which no sweep reads, and the lateral wave's
+    phase and the sidewinding section, which no sweep reads either, leave
+    the sweep's outputs byte-identical; the drive frequency changes the
+    hash. Each case is a partial config file, so that its sections merge
+    through the file layer."""
+    common = {"morphology": {"leg_length": 0.0},
+              "sweep": {"amplitudes": [math.pi / 4], "xis": [0.0, 0.3],
+                        "trials_per_cell": 2, "cycles_per_trial": 1}}
     outputs = {}
-    for name, gait, roll in (
-            ("base", {}, {}),
-            ("unread", {"amplitude_lateral": 0.5, "amplitude_vertical": 0.7,
-                        "spatial_frequency": 0.9}, {"resolution": 256}),
-            ("omega", {"temporal_frequency": 2e-3}, {})):
-        cfg = RunConfig(morphology=Morphology(leg_length=0.0),
-                        gait=replace(RunConfig().gait, **gait),
-                        roll=RollSettings(**roll),
-                        sweep=SweepSettings(amplitudes=(math.pi / 4,),
-                                            xis=(0.0, 0.3),
-                                            trials_per_cell=2,
-                                            cycles_per_trial=1))
-        save_config(cfg, tmp_path / f"{name}.json")
-        assert run_cli(["sweep", "--config", tmp_path / f"{name}.json",
+    for name, doc in (
+            ("base", {}),
+            ("unread", {"gait": {"amplitude_lateral": 0.5,
+                                 "amplitude_vertical": 0.7,
+                                 "spatial_frequency": 0.9,
+                                 "lateral_phase": 1.5},
+                        "roll": {"resolution": 256},
+                        "sidewinding": {"cycles": 3, "contact_tol": 0.02}}),
+            ("omega", {"gait": {"temporal_frequency": 2e-3}})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**common, **doc}))
+        assert run_cli(["sweep", "--config", path,
                         "--out", tmp_path / name]) == 0
         outputs[name] = [(tmp_path / name / f).read_bytes()
                          for f in ("sweep.json", "sweep.csv")]
@@ -825,6 +869,20 @@ def test_sweep_hash_ignores_unread_settings(tmp_path):
         return json.loads(outputs[name][0])["meta"]["config_sha256"]
 
     assert sha("omega") != sha("base")
+
+
+def test_partial_gait_section_keeps_the_quasi_static_drive(tmp_path):
+    """A config file whose gait section names only xi, which every sweep
+    cell overwrites, writes the same bytes as no config file: its drive
+    frequency stays RunConfig's."""
+    path = tmp_path / "xi.json"
+    path.write_text(json.dumps({"gait": {"spatial_frequency": 0.6}}))
+    argv = ["sweep", "--legs", 0, "--trials", 1, "--cycles", 1]
+    assert run_cli([*argv, "--out", tmp_path / "plain"]) == 0
+    assert run_cli([*argv, "--config", path, "--out", tmp_path / "xi"]) == 0
+    for name in ("sweep.json", "sweep.csv"):
+        assert ((tmp_path / "xi" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes()), name
 
 
 def test_sweep_follows_config_gait_joint_count(tmp_path):
