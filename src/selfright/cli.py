@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -289,6 +290,7 @@ def cmd_sidewind(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .gait import GaitParams
+from .gait import MAX_AMPLITUDE, GaitParams
 from .kinematics import Morphology
 from .rollmodel import (DEFAULT_RESOLUTION, KAPPA_DEFAULT, MU_DEFAULT,
-                        QUASI_STATIC_OMEGA, STEPS_PER_CYCLE, PerturbationSpec,
-                        check_calibration)
+                        STEPS_PER_CYCLE, PerturbationSpec, check_calibration)
 from .sidewinding import DEFAULT_CONTACT_TOL, DEFAULT_SAMPLES_PER_CYCLE
 
 DEFAULT_AMPLITUDES = tuple(k * math.pi / 24 for k in range(1, 12))
@@ -55,6 +54,15 @@ class SweepSettings:
         object.__setattr__(self, "xis", tuple(self.xis))
         if not self.amplitudes or not self.xis:
             raise ConfigError("sweep grids must be nonempty")
+        # Checked here, not only by each cell's GaitParams, so that no
+        # command hashes a grid holding NaN or Infinity, which are not JSON.
+        for a in self.amplitudes:
+            if not 0.0 <= a <= MAX_AMPLITUDE:
+                raise ConfigError(f"sweep amplitudes: {a} outside [0, pi/2]")
+        for xi in self.xis:
+            if not 0.0 <= xi < math.inf:
+                raise ConfigError(
+                    f"sweep xis must be finite and >= 0, got {xi}")
         if self.trials_per_cell < 1 or self.cycles_per_trial < 1:
             raise ConfigError("trials and cycles must be >= 1")
         self.perturbation()  # checks the widths
@@ -82,17 +90,12 @@ class SidewindSettings:
             raise ConfigError("cycles must be >= 1")
 
 
-def _default_gait() -> GaitParams:
-    # Simulation default: quasi-static drive frequency.
-    return GaitParams(temporal_frequency=QUASI_STATIC_OMEGA)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs; serializes to one JSON document."""
 
     morphology: Morphology = field(default_factory=Morphology)
-    gait: GaitParams = field(default_factory=_default_gait)
+    gait: GaitParams = field(default_factory=GaitParams)
     roll: RollSettings = field(default_factory=RollSettings)
     sweep: SweepSettings = field(default_factory=SweepSettings)
     sidewinding: SidewindSettings = field(default_factory=SidewindSettings)
@@ -113,6 +116,8 @@ class RunConfig:
                 f"drives {gait.num_lateral_joints} lateral and "
                 f"{gait.num_vertical_joints} vertical joints, the body has "
                 f"{body.num_lateral_joints} and {body.num_vertical_joints}")
+        # The largest xi must give finite phases on this gait's joints.
+        replace(gait, spatial_frequency=max(self.sweep.xis))
 
 
 def merge_config(config, data: dict, path: str = "config"):

@@ -34,6 +34,13 @@ MAX_RESOLUTION = 2**20
 # self-intersecting at full curl.
 MAX_AMPLITUDE = math.pi / 2
 
+# Default drive frequency, rad/s. The roll model is quasi-static: a lane
+# relaxes toward its command at the rate mu*G (about 10 /s at the default
+# gait), so its results depend on gait phase alone only while the drive is
+# far slower. At a tenth of this frequency the default sweep grids move by
+# at most 1.2e-5; at 1 rad/s, by up to 0.98.
+QUASI_STATIC_OMEGA = 1e-3
+
 
 @dataclass(frozen=True)
 class GaitParams:
@@ -45,7 +52,7 @@ class GaitParams:
 
     amplitude_lateral: float = math.pi / 4
     amplitude_vertical: float = math.pi / 4
-    temporal_frequency: float = 1.0
+    temporal_frequency: float = QUASI_STATIC_OMEGA
     spatial_frequency: float = 0.0
     num_lateral_joints: int = 4
     lateral_phase: float = 0.0

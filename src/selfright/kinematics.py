@@ -203,6 +203,5 @@ def wave_height_slope(morph: Morphology, num_lateral_joints: int = 4) -> float:
     """
     eps = 1e-6
     params = GaitParams(amplitude_lateral=0.0, amplitude_vertical=eps,
-                        temporal_frequency=1.0, spatial_frequency=0.0,
                         num_lateral_joints=num_lateral_joints)
     return body_wave_height(morph, params, 0.0) / eps

@@ -34,10 +34,6 @@ KAPPA_DEFAULT = 0.05
 # legged one-shot boundary falls between A = pi/8 and A = pi/6.
 DRIVE_CALIBRATION = 0.5
 
-# Drive frequency (rad/s) for simulation contexts. The model is
-# quasi-static, so results depend on gait phase, not on wall-clock rate.
-QUASI_STATIC_OMEGA = 1e-3
-
 STEPS_PER_CYCLE = 256
 MIN_STEPS_PER_CYCLE = 200
 

@@ -42,6 +42,7 @@ class Mutant:
 
 
 ROLL = "src/selfright/rollmodel.py"
+CONFIG = "src/selfright/config.py"
 ORACLE = "tests/test_rollmodel.py::test_integrate_matches_relocating_oracle"
 
 MUTANTS = (
@@ -79,12 +80,26 @@ MUTANTS = (
            "(moved - mb[:, None])",
            ("tests/test_sidewinding.py::"
             "test_fit_planar_recovers_rigid_motion",)),
-    Mutant("config sections filled from class defaults",
-           "src/selfright/config.py",
+    # Merged onto a non-default config, since class and run defaults agree.
+    Mutant("config sections filled from class defaults", CONFIG,
            "replace(config, **{",
            "type(config)(**{",
            ("tests/test_config_cli.py::"
-            "test_one_key_section_replaces_only_that_field",)),
+            "test_merge_config_merges_onto_the_running_config",)),
+    Mutant("GaitParams defaults to 1 rad/s", "src/selfright/gait.py",
+           "temporal_frequency: float = QUASI_STATIC_OMEGA",
+           "temporal_frequency: float = 1.0",
+           ("tests/test_config_cli.py::"
+            "test_gait_params_default_is_the_runs_gait",)),
+    Mutant("sweep grid's amplitudes unchecked", CONFIG,
+           "if not 0.0 <= a <= MAX_AMPLITUDE:",
+           "if False:",
+           ("tests/test_config_cli.py::"
+            "test_range_checks_reject_nan_and_negative_widths",)),
+    Mutant("parser built on every call", "src/selfright/cli.py",
+           "@functools.cache  # parse_args leaves the parser as it found it\n",
+           "",
+           ("tests/test_config_cli.py::test_parser_is_built_once",)),
     Mutant("reference flow freezes b over each interval", "tests/conftest.py",
            "+ spring * (x @ lap)",
            "+ spring * (start @ lap)",

@@ -20,11 +20,12 @@ from selfright import (BehaviorDiagram, ConfigError, DisplacementReport,
                        RollTrajectory, RunConfig, config_from_dict,
                        config_hash, config_json, config_to_dict,
                        lateral_angle, load_config, run_sweep, save_config)
-from selfright.cli import main, write_diagram_csv, write_diagram_json
+from selfright.cli import (build_parser, main, write_diagram_csv,
+                           write_diagram_json)
 from selfright.config import (DEFAULT_AMPLITUDES, RollSettings,
                               SidewindSettings, SweepSettings, merge_config)
-from selfright.rollmodel import (KAPPA_DEFAULT, MAX_RESOLUTION,
-                                QUASI_STATIC_OMEGA, STEPS_PER_CYCLE)
+from selfright.gait import QUASI_STATIC_OMEGA
+from selfright.rollmodel import KAPPA_DEFAULT, MAX_RESOLUTION, STEPS_PER_CYCLE
 
 from conftest import GRAVITY
 
@@ -96,6 +97,12 @@ def test_nested_validation_surfaces():
     (SweepSettings, "gain_noise", math.nan),
     (SweepSettings, "gamma_jitter", -0.1),
     (SweepSettings, "gain_noise", -0.1),
+    (SweepSettings, "amplitudes", (math.pi / 4, math.nan)),
+    (SweepSettings, "amplitudes", (-0.1,)),
+    (SweepSettings, "amplitudes", (2.0,)),
+    (SweepSettings, "xis", (math.nan,)),
+    (SweepSettings, "xis", (0.3, math.inf)),
+    (SweepSettings, "xis", (-0.1,)),
     (RunConfig, "seed", -1),
 ])
 def test_range_checks_reject_nan_and_negative_widths(cls, name, value):
@@ -116,10 +123,17 @@ ONE_KEY = (("morphology", "leg_length", 0.05),
            ("sweep", "trials_per_cell", 2), ("sidewinding", "cycles", 3))
 
 
+def test_gait_params_default_is_the_runs_gait():
+    """The drive frequency has one default, the quasi-static one: a bare
+    GaitParams() is the gait a default run drives."""
+    assert GaitParams() == RunConfig().gait
+    assert GaitParams().temporal_frequency == QUASI_STATIC_OMEGA
+
+
 def test_one_key_section_replaces_only_that_field():
-    """A section that names one field keeps RunConfig's other fields, not
-    its class's: {"gait": {"spatial_frequency": 0.6}} keeps the
-    quasi-static drive frequency, not GaitParams' 1 rad/s."""
+    """A section that names one field keeps RunConfig's other fields:
+    {"gait": {"spatial_frequency": 0.6}} keeps the quasi-static drive
+    frequency."""
     base = RunConfig()
     for section, name, value in ONE_KEY:
         want = replace(base, **{section: replace(getattr(base, section),
@@ -167,6 +181,12 @@ def read_meta(path):
     assert first.startswith("# config_sha256=")
     fields = dict(kv.split("=") for kv in first[2:].split())
     return fields
+
+
+def test_parser_is_built_once():
+    """main reuses one parser per process: building it costs a fair share
+    of a short command such as sidewind."""
+    assert build_parser() is build_parser()
 
 
 def test_cli_gait_table(tmp_path):
@@ -765,18 +785,32 @@ def test_cli_reports_an_unreadable_config(tmp_path, capsys, make):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name, value", [
-    ("lateral_phase", "1e400"), ("temporal_frequency", "Infinity")])
-def test_cli_rejects_non_finite_gait_in_config(tmp_path, capsys, name,
-                                               value):
+# A sweep grid is checked where the config is parsed, so commands that
+# run no sweep reject it too instead of hashing NaN or Infinity.
+BAD_GRIDS = (("amplitudes", "[NaN, 0.5]"), ("amplitudes", "[2.0]"),
+             ("xis", "[Infinity]"), ("xis", "[-0.1]"))
+
+
+@pytest.mark.parametrize("command, section, name, value", [
+    pytest.param("gait", "gait", "lateral_phase", "1e400",
+                 id="lateral_phase-1e400"),
+    pytest.param("gait", "gait", "temporal_frequency", "Infinity",
+                 id="temporal_frequency-Infinity"),
+    *(pytest.param(command, "sweep", name, value,
+                   id=f"{command}-{name}-{value}")
+      for command in ("gait", "energy", "simulate", "sidewind")
+      for name, value in BAD_GRIDS)])
+def test_cli_rejects_non_finite_gait_in_config(tmp_path, capsys, command,
+                                               section, name, value):
     path = tmp_path / "config.json"
-    path.write_text('{"gait": {"%s": %s}}' % (name, value))
+    path.write_text('{"%s": {"%s": %s}}' % (section, name, value))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_cli(["gait", "--config", path,
+        assert run_cli([command, "--config", path,
                         "--out", tmp_path / "out"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and name in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and name in captured.err
+    assert len(captured.err.splitlines()) == 1 and not captured.out
     assert not (tmp_path / "out").exists()
 
 

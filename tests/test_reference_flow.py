@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 
 from selfright import GaitParams, PerturbationSpec
-from selfright.gait import TWO_PI
-from selfright.rollmodel import (KAPPA_DEFAULT, MU_DEFAULT,
-                                 QUASI_STATIC_OMEGA, STEPS_PER_CYCLE,
+from selfright.gait import QUASI_STATIC_OMEGA, TWO_PI
+from selfright.rollmodel import (KAPPA_DEFAULT, MU_DEFAULT, STEPS_PER_CYCLE,
                                  _run_trials, _trial_lanes)
 
 from conftest import reference_flow

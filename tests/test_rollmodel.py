@@ -259,6 +259,23 @@ def test_drive_gain_zero_without_lift():
     assert gains == {drive_gain(quasi_static_gait(math.pi / 4), MORPH)}
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.6])
+def test_drive_gain_ignores_the_lateral_amplitude(xi):
+    """The gain is a calibrated law in A_v alone: at fixed A_v and xi,
+    drive_gain and every segmented lane's gain keep their bits whatever
+    the lateral amplitude (ROADMAP item 4). A model in which A_l acts on
+    the roll moves sweep cells, and fails here first."""
+    base = GaitParams(amplitude_vertical=math.pi / 6, spatial_frequency=xi)
+    lumped, segmented = set(), set()
+    for a_l in (0.0, math.pi / 4, math.pi / 2):
+        gait = replace(base, amplitude_lateral=a_l)
+        lumped.add(drive_gain(gait, MORPH))
+        _, gains, _ = _trial_lanes(gait, MORPH, "segmented", [0.0], [1.0])
+        segmented.add(gains.tobytes())
+    assert len(lumped) == 1 and len(segmented) == 1
+    assert lumped.pop() > 0.0
+
+
 def test_drive_gain_frozen_and_monotone():
     assert drive_gain(quasi_static_gait(), MORPH) == pytest.approx(
         FROZEN["drive_gain_pi4"], rel=1e-12)
