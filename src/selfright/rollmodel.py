@@ -618,9 +618,13 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     parked for the whole blocks of its rest span (_rest_span): while its
     drive stays strictly between the kink's one-sided slopes, the marcher
     returns its roll, piece and turn unchanged, so a parked lane keeps
-    exactly the bits it would be marched to. Each block marches only the
-    awake lanes; a block with none calls no march. Coupled chains are
-    never parked.
+    exactly the bits it would be marched to. On a flat table a lane that
+    ends a block on its command phase phi1 >= 1, bitwise, with
+    tanh(G*tau) rounding to 1, rides its command: the marcher would
+    return each later phi1 bitwise, so it is parked for the rest of the
+    trial and recorded as that phi1. Each block marches only the awake
+    lanes; a block with none calls no march. Coupled chains are never
+    parked.
 
     Returns (records, failures): records holds the lane states at every
     stride-th interval boundary, starting with gamma0; failures maps each
@@ -653,9 +657,10 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
     # Zero-padded twists: the Laplacian of a chain is one difference.
     twist = np.zeros((len(gam) // chain, chain + 1)) if coupled else None
     bias = None  # an uncoupled chain carries no bias
+    ride = np.zeros(len(gam), dtype=bool)  # lanes parked on their command
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # A flat table never parks, so its lanes stay in place: without
-        # bias its solve's gain-only factors are computed once, here.
+        # Without bias the flat solve's gain-only factors are computed
+        # once, here, and indexed to the awake lanes of each block.
         flat = (_flat_factors(gains, None, 0.5 * mu * dt)
                 if np.isinf(edges[0]) and not coupled else None)
         for first in range(0, n_intervals, BLOCK):
@@ -666,6 +671,7 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
             g, p, t, gain, ref = (v[at] for v in (
                 gam, piece, turn, gains, gamma_ref))
             off = phase_offsets[at] if shifted else None
+            factors = flat and tuple(v if v is None else v[at] for v in flat)
             rest = None
             for n in range(first, last):
                 if g.size:
@@ -682,7 +688,7 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                         rest = []
                     g, failed = _march_interval(g, p, t, phi1, gain, bias,
                                                 tables, mu, dt, rest=rest,
-                                                interval=n, flat=flat)
+                                                interval=n, flat=factors)
                     if failed:
                         lanes = np.sort(np.concatenate(failed))
                         for i, lane in zip(lanes.tolist(),
@@ -696,11 +702,30 @@ def _integrate(pieces, gains: np.ndarray, gamma0: np.ndarray,
                         # chain failed before is NaN already.
                         gam.reshape(-1, chain)[list(failures)] = np.nan
                         g[np.isnan(gam[at])] = np.nan
+                        ride.reshape(-1, chain)[list(failures)] = False
                 if (n + 1) % stride == 0:
                     row = records[(n + 1) // stride]
                     row[:] = gam
+                    if ride.any():  # the marcher's own phi1, bitwise
+                        phi = gamma_ref[ride] + omega * (n + 1) * dt
+                        row[ride] = (phi - phase_offsets[ride] if shifted
+                                     else phi)
                     row[at] = g
             gam[at], piece[at], turn[at] = g, p, t
+            if factors and g.size:
+                # A lane rides its command from here on if the marcher ended
+                # it on phi1 >= 1, bitwise, with factors (2, 0) (tanh(G*tau)
+                # rounds to 1). Each later interval starts at lag =
+                # phi_{m+1} - phi_m, exact (Sterbenz: phi >= 1 and the step
+                # is at most 2*pi/200); the solve's denominator is exactly
+                # 2, so the lane turns by lag*(1 + d), d a few ulp (tan, two
+                # products, atan2), and lag*|d| < 7e-17 is under half an
+                # ulp of phi_{m+1}: g + turned rounds to it and the cap
+                # returns it. A riding lane is parked for the rest of the
+                # trial, its records the marcher's phi1.
+                on = awake[(factors[0] == 2.0) & (factors[1] == 0.0)
+                           & (g == phi1) & (phi1 >= 1.0)]
+                ride[on], wake[on] = True, n_intervals
             if rest:
                 # Park the lanes held at the block's last interval for the
                 # whole blocks of their rest span. The margin covers the

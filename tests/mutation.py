@@ -44,6 +44,7 @@ class Mutant:
 ROLL = "src/selfright/rollmodel.py"
 CONFIG = "src/selfright/config.py"
 ORACLE = "tests/test_rollmodel.py::test_integrate_matches_relocating_oracle"
+RIDE = "tests/test_rollmodel.py::test_riding_lanes_match_the_relocating_oracle"
 
 MUTANTS = (
     Mutant("rest span one interval longer", ROLL,
@@ -75,6 +76,22 @@ MUTANTS = (
            "keep = r_next * r[go] > 0",
            "keep = r_next * r[go] > -np.inf",
            ("tests/test_acceptance.py::test_criterion_4_one_shot_roll",)),
+    Mutant("lanes ride off their command phase", ROLL,
+           "& (g == phi1) & (phi1 >= 1.0)]",
+           "& (phi1 >= 1.0)]",
+           (f"{RIDE}[chains-kappa0]",)),
+    Mutant("lanes ride without the (2, 0) flat factors", ROLL,
+           "(factors[0] == 2.0) & (factors[1] == 0.0)\n",
+           "True\n",
+           (f"{RIDE}[gain-scan]",)),
+    Mutant("lanes ride at any phi", ROLL,
+           "& (phi1 >= 1.0)]",
+           "]",
+           (f"{RIDE}[gain-scan]",)),
+    Mutant("riding records without the phase offsets", ROLL,
+           "(phi - phase_offsets[ride] if shifted\n",
+           "(phi if shifted\n",
+           (f"{RIDE}[chains-kappa0]",)),
     Mutant("_fit_planar without its conj", "src/selfright/sidewinding.py",
            "np.conj(moved - mb[:, None])",
            "(moved - mb[:, None])",

@@ -778,10 +778,13 @@ def rate_sizes(monkeypatch):
 
 def test_rates_evaluated_once_per_interval_on_one_piece(rate_sizes,
                                                          limbless_morph):
-    """A flat body's lanes never reach a kink, so each output interval
-    takes one flat solve; on a legged sweep no evaluation is empty."""
+    """A flat body's lanes never reach a kink, so each marched output
+    interval takes one flat solve. The lane from gamma0 = 0 rides its
+    command from the block in which its phi passes 1 (interval 41), so of
+    1.5 cycles' 384 intervals the first three blocks, 48, are marched. On
+    a legged sweep no evaluation is empty."""
     simulate_roll(quasi_static_gait(xi=0.6), limbless_morph, cycles=1.5)
-    assert len(rate_sizes) == 384
+    assert rate_sizes == [1] * 48
     rate_sizes.clear()
     for mode in ("lumped", "segmented"):
         run_sweep(RunConfig(morphology=MORPH, mode=mode, sweep=SweepSettings(
@@ -850,9 +853,11 @@ def test_march_never_raises_a_lumped_lane_energy(monkeypatch, morph):
     """Every lane-interval of the default lumped sweep is marched once or
     parked. A marched one, with caps, kink settles and kink passes, lowers
     chain_energy or keeps it, to rounding: a check of the marcher that
-    needs no second solver. A parked one keeps its roll bitwise. The
-    legged sweep parks about half of its lane-intervals; a flat body has
-    no kink and parks none. Lanes are told apart by their gains."""
+    needs no second solver. The legged sweep parks about half of its
+    lane-intervals, each resting on a kink and keeping its roll bitwise;
+    a flat body has no kink, and parks the 73% of its lane-intervals that
+    ride their command, each recorded as that interval's phi1 bitwise.
+    Lanes are told apart by their gains."""
     march, integrate = rollmodel._march_interval, rollmodel._integrate
     rises, marched, run = [], [], {}
 
@@ -866,10 +871,13 @@ def test_march_never_raises_a_lumped_lane_energy(monkeypatch, morph):
             run["gains"], gains, sorter=run["order"])])
         return out, failed
 
-    def recorded(pieces, gains, *args, **kwargs):
+    def recorded(pieces, gains, gamma0, omega, dt, *args, **kwargs):
         assert len(np.unique(gains)) == len(gains)
         run["order"], run["gains"] = np.argsort(gains), gains
-        run["records"], failures = integrate(pieces, gains, *args,
+        # Each interval's phi1, as _integrate computes it (no offsets).
+        run["phi1"] = gamma0 + omega * np.arange(1, 769)[:, None] * dt
+        run["records"], failures = integrate(pieces, gains, gamma0, omega,
+                                             dt, *args,
                                              **dict(kwargs, stride=1))
         return run["records"][[0, -1]], failures
 
@@ -883,11 +891,12 @@ def test_march_never_raises_a_lumped_lane_energy(monkeypatch, morph):
         parked = np.ones(715, dtype=bool)
         parked[lanes] = False
         assert len(lanes) + np.count_nonzero(parked) == 715
-        assert np.array_equal(records[n + 1, parked], records[n, parked])
+        held = (records[n] if morph is MORPH else run["phi1"][n])[parked]
+        assert records[n + 1, parked].tobytes() == held.tobytes()
         n_marched += len(lanes)
         n_parked += np.count_nonzero(parked)
     assert n_marched + n_parked == 549_120
-    assert n_parked == (260_544 if morph is MORPH else 0)
+    assert n_parked == (260_544 if morph is MORPH else 402_320)
     assert max(rises) <= ENERGY_ROUNDING
 
 
@@ -1310,6 +1319,115 @@ def test_rest_span_in_closed_form():
                 ([-0.5, -0.5, -0.5, d - 1.5e-9],
                  [0.9, 0.9, d + 1.5e-9, 0.9])) == [0.0] * 4
     assert span([np.nan], [1.0], ([-0.5], [0.9])) == [0.0]
+
+
+def limbless_chains():
+    """kappa = 0 chains of the limbless body from gamma0 = pi, one per
+    (A, xi), A in (0.3, 0.8, 1.2) and xi in (0.1, 0.2, 0.4): each module's
+    first lag is s - offset, not the step. A last chain repeats the
+    (1.2, 0.4) one with a NaN gain on its first lane, so it fails in
+    interval 0 beside nine lanes that would ride."""
+    morph = MORPH.limbless()
+    lanes = [_trial_lanes(quasi_static_gait(amplitude, xi), morph,
+                          "segmented", [math.pi], [1.0])
+             for amplitude in (0.3, 0.8, 1.2) for xi in (0.1, 0.2, 0.4)]
+    gamma0, gains, offsets = (np.concatenate(v + v[-1:])
+                              for v in zip(*lanes))
+    gains[-morph.num_modules] = np.nan
+    return ((support_pieces(morph), gains, gamma0, OMEGA,
+             TWO_PI / OMEGA / 256, 768, MU_DEFAULT),
+            dict(phase_offsets=offsets, kappa=0.0, chain=morph.num_modules))
+
+
+def gain_scan():
+    """Lumped limbless lanes from gamma0 = -5, 0 and 1 with G*tau spread
+    from 10 to 20 at mu = 5: below about 19.06 tanh(G*tau) does not round
+    to 1, and some such lanes end a block on phi1 bitwise, yet are marched
+    to other bits later."""
+    dt = TWO_PI / OMEGA / 256
+    gains = np.tile(np.linspace(10.0, 20.0, 200) / (0.5 * MU_DEFAULT * dt),
+                    3)
+    gamma0 = np.repeat([-5.0, 0.0, 1.0], 200)
+    return ((support_pieces(MORPH.limbless()), gains, gamma0, OMEGA, dt,
+             768, MU_DEFAULT), dict(phase_offsets=np.zeros(600)))
+
+
+@pytest.mark.parametrize("case", ["sweep-seed0", "sweep-seed11",
+                                  "chains-kappa0", "simulate-from-0",
+                                  "simulate-from-minus5", "gain-scan"])
+def test_riding_lanes_match_the_relocating_oracle(monkeypatch, case):
+    """Limbless lanes that ride their command are parked, and the records
+    at every interval are still the relocating marcher's, bitwise: the
+    default lumped sweep's lanes at seeds 0 and 11, the kappa = 0 chains
+    with phase offsets of limbless_chains, simulate_roll from gamma0 = 0
+    (phi passes 1 in the third block) and from gamma0 = -5 (phi stays
+    below 1 for 245 intervals), and the lanes of gain_scan. In each, some
+    lane-intervals ride."""
+    morph = MORPH.limbless()
+    batches = []
+    with monkeypatch.context() as m:
+        integrate = rollmodel._integrate
+
+        def capture(*args, **kwargs):
+            batches.append((args, kwargs))
+            return integrate(*args, **kwargs)
+
+        m.setattr(rollmodel, "_integrate", capture)
+        if case.startswith("sweep"):
+            run_sweep(RunConfig(morphology=morph,
+                                seed=int(case.removeprefix("sweep-seed"))))
+        elif case.startswith("simulate"):
+            simulate_roll(quasi_static_gait(xi=0.6), morph, cycles=3.0,
+                          gamma0=-5.0 if case.endswith("minus5") else 0.0)
+        else:
+            batches.append(limbless_chains() if case == "chains-kappa0"
+                           else gain_scan())
+    march, marched = rollmodel._march_interval, []
+
+    def counting(gam, *args, **kwargs):
+        marched.append(len(gam))
+        return march(gam, *args, **kwargs)
+
+    monkeypatch.setattr(rollmodel, "_march_interval", counting)
+    (args, kwargs), = batches
+    kwargs = {k: v for k, v in kwargs.items() if k != "stride"}
+    records, failures = _integrate(*args, **kwargs, stride=1)
+    want, _, want_failures = oracle_integrate(*args, **kwargs)
+    assert np.array_equal(records, want, equal_nan=True)
+    assert failures == want_failures
+    assert 0 < sum(marched) < records.size - records.shape[1]
+    if case == "chains-kappa0":
+        assert list(failures) == [9]
+        assert np.isnan(records[1:, -10:]).all()
+
+
+@settings(max_examples=500, deadline=None)
+@given(ref=st.floats(1.0, 1e5 * TWO_PI), n=st.integers(0, MAX_RESOLUTION),
+       offset=st.one_of(st.just(0.0), st.floats(0.0, TWO_PI)),
+       steps=st.integers(MIN_STEPS_PER_CYCLE, 4096),
+       omega=st.floats(1e-6, 1e3), mu=st.floats(0.05, 50.0),
+       gain_tau=st.floats(19.0, 1e6))
+def test_riding_step_returns_the_next_command_phase(ref, n, offset, steps,
+                                                    omega, mu, gain_tau):
+    """The induction step of riding: on the flat table a bias-free lane
+    with flat factors (2, 0) that starts an interval on its command phase
+    phi_n >= 1, bitwise, ends it on the next one, phi_{n+1}, bitwise. Both
+    are computed as _integrate computes them, gamma_ref + omega*(n+1)*dt
+    minus the lane's offset, with phi_n up to 1e5 turns out."""
+    dt = (TWO_PI / omega) / steps
+    phi_n, phi1 = (ref + omega * k * dt - offset for k in (n, n + 1))
+    assume(phi_n >= 1.0)
+    tau = 0.5 * mu * dt
+    gains = np.array([gain_tau / tau])
+    edges, slopes = support_pieces(MORPH.limbless())
+    tables = (edges, *np.ascontiguousarray(slopes.T))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        flat = rollmodel._flat_factors(gains, None, tau)
+        assume(flat[0][0] == 2.0 and flat[1][0] == 0.0)
+        out, failed = rollmodel._march_interval(
+            np.array([phi_n]), np.zeros(1, dtype=int), np.zeros(1),
+            np.array([phi1]), gains, None, tables, mu, dt, flat=flat)
+    assert out.tolist() == [phi1] and not failed
 
 
 def make_trajectory(rolls_per_cycle):
