@@ -224,8 +224,10 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out: Path) -> int:
 
     gammas = traj.gammas.reshape(len(traj.times), -1)
     start = float(gammas[0].mean())
-    omega = cfg.gait.temporal_frequency
-    phi_cmd = start + omega * (traj.times - traj.times[0])
+    # The head lane's command phase as the solver forms it, interval by
+    # interval: its start + omega * n * dt.
+    phi_cmd = (gammas[0, 0] + cfg.gait.temporal_frequency
+               * np.arange(len(traj.times)) * traj.times[1])
     names = (["gamma_rad"] if traj.mode == "lumped" else
              [f"gamma_{i}_rad" for i in range(gammas.shape[1])])
     template = ",".join(["%.17g"] * (2 + len(names)))

@@ -9,6 +9,7 @@ static legs extend the transverse silhouette.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,27 +113,18 @@ class FramePose:
                 "FramePose needs (..., 3) positions and (..., 3, 3) orientations")
 
 
-def _rotation(angle: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rotations by angle (any shape) that turn axis a toward axis b."""
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.broadcast_to(np.eye(3), c.shape + (3, 3)).copy()
-    rot[..., a, a] = c
-    rot[..., a, b] = -s
-    rot[..., b, a] = s
-    rot[..., b, b] = c
-    return rot
-
-
 def forward_kinematics(morph: Morphology, angles: JointAngles) -> FramePose:
     """Module frames of the chain under the given joint angles.
 
     Module k+1 sits one link_length along module k's local x axis; the
-    joint between them rotates about module k's local y (vertical joint,
-    positive pitches the head down) or z (lateral joint) axis. Leading
-    axes of the angle arrays are samples: the result stacks the module
-    frames on the axis after them, (..., M, 3) positions and
-    (..., M, 3, 3) orientations. Every sample starts from the world
-    frame: module 0 at the origin, axes aligned.
+    joint between them turns module k's frame about its local y (vertical
+    joint, positive pitches the head down: z turns toward x) or z
+    (lateral joint: x turns toward y) axis, so each joint mixes two of
+    the frame's axes. Leading axes of the angle arrays are samples: the
+    result stacks the module frames on the axis after them, (..., M, 3)
+    positions and (..., M, 3, 3) orientations whose columns are the
+    local axes. Every sample starts from the world frame: module 0 at
+    the origin, axes aligned.
     """
     n_vert = morph.num_vertical_joints
     n_lat = morph.num_lateral_joints
@@ -143,21 +135,21 @@ def forward_kinematics(morph: Morphology, angles: JointAngles) -> FramePose:
             f"got {angles.vertical.shape[-1:]} / {angles.lateral.shape[-1:]}")
 
     batch = angles.vertical.shape[:-1]
-    step = np.array([morph.link_length, 0.0, 0.0])
     pos = np.zeros(batch + (3,))
-    ori = np.broadcast_to(np.eye(3), batch + (3, 3))
-    positions, orientations = [pos], [ori]
+    x, y, z = (np.broadcast_to(axis, batch + (3,)) for axis in np.eye(3))
+    frames = [(pos, x, y, z)]
     for j in range(1, morph.num_joints + 1):
+        pos = pos + morph.link_length * x
+        angle = (angles.vertical[..., (j - 1) // 2] if j % 2 == 1
+                 else angles.lateral[..., j // 2 - 1])
+        c, s = np.cos(angle)[..., None], np.sin(angle)[..., None]
         if j % 2 == 1:
-            rot = _rotation(angles.vertical[..., (j - 1) // 2], 2, 0)
+            x, z = c * x - s * z, s * x + c * z
         else:
-            rot = _rotation(angles.lateral[..., j // 2 - 1], 0, 1)
-        pos = pos + ori @ step
-        ori = ori @ rot
-        positions.append(pos)
-        orientations.append(ori)
-    return FramePose(position=np.stack(positions, axis=-2),
-                     orientation=np.stack(orientations, axis=-3))
+            x, y = c * x + s * y, c * y - s * x
+        frames.append((pos, x, y, z))
+    positions, *axes = (np.stack(v, axis=-2) for v in zip(*frames))
+    return FramePose(position=positions, orientation=np.stack(axes, axis=-1))
 
 
 def center_of_mass(frames: FramePose, morph: Morphology) -> np.ndarray:
@@ -168,8 +160,8 @@ def center_of_mass(frames: FramePose, morph: Morphology) -> np.ndarray:
     """
     if frames.position.ndim < 2 or not frames.position.shape[-2]:
         raise DimensionError("center_of_mass needs at least one module frame")
-    half_step = np.array([morph.link_length / 2.0, 0.0, 0.0])
-    mids = frames.position + frames.orientation @ half_step
+    mids = (frames.position
+            + (morph.link_length / 2.0) * frames.orientation[..., 0])
     return mids.mean(axis=-2)
 
 
@@ -195,13 +187,15 @@ def body_wave_height(morph: Morphology, params: GaitParams, t: float) -> float:
     return float(z.max() - z.min())
 
 
-def wave_height_slope(morph: Morphology, num_lateral_joints: int = 4) -> float:
+@functools.lru_cache(maxsize=32)
+def wave_height_slope(morph: Morphology) -> float:
     """Small-amplitude slope of the peak wave height in A_vert.
 
-    Measured at the in-phase wave's height peak (t = 0, xi = 0); used to
-    linearize the roll-drive gain in the vertical amplitude.
+    Measured at the in-phase wave's height peak (t = 0, xi = 0) of a
+    gait that drives the body's own joints; used to linearize the
+    roll-drive gain in the vertical amplitude. Cached per body.
     """
     eps = 1e-6
     params = GaitParams(amplitude_lateral=0.0, amplitude_vertical=eps,
-                        num_lateral_joints=num_lateral_joints)
+                        num_lateral_joints=morph.num_lateral_joints)
     return body_wave_height(morph, params, 0.0) / eps

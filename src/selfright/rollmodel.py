@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, DimensionError, IntegrationError
 from .gait import MAX_RESOLUTION, TWO_PI, GaitParams, coherence
 from .kinematics import GRAVITY, Morphology, cross_section, wave_height_slope
 
@@ -206,20 +206,21 @@ def energy_landscape(morph: Morphology, resolution: int = DEFAULT_RESOLUTION) ->
                            minima=minima, barrier=barrier)
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_slope(morph: Morphology, n_lat: int) -> float:
-    return wave_height_slope(morph, n_lat)
-
-
 def _drive_gain_base(params: GaitParams, morph: Morphology) -> float:
     """Drive gain without the coherence factor.
 
     Proportional to the vertical wave's lifting moment: linearized wave
-    height times half the body weight.
+    height times half the body weight. Raises DimensionError unless the
+    gait drives the body's joints.
     """
+    if ((params.num_lateral_joints, params.num_vertical_joints)
+            != (morph.num_lateral_joints, morph.num_vertical_joints)):
+        raise DimensionError(
+            f"the gait drives {params.num_lateral_joints} lateral joints, "
+            f"the body has {morph.num_lateral_joints}")
     if params.amplitude_vertical == 0.0:
         return 0.0
-    slope = _cached_slope(morph, params.num_lateral_joints)
+    slope = wave_height_slope(morph)
     return (morph.total_mass * GRAVITY
             * (slope * params.amplitude_vertical / 2.0)
             * DRIVE_CALIBRATION)

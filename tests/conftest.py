@@ -129,20 +129,42 @@ def oracle_planar_chain(num_modules, link_length, theta):
 
 
 def oracle_chain_frames(morph, vertical, lateral):
-    """Module frames of one posture, one joint and one 3x3 matrix at a time.
+    """Module frames of one posture, one joint at a time.
 
-    The reference for the batched forward kinematics: the same products
-    in the same order, so results agree bitwise.
+    The reference for the batched forward kinematics: each joint turns
+    two axes of the frame, by the same products in the same order, so
+    results agree bitwise.
     """
+    pos = np.zeros(3)
+    x, y, z = np.eye(3)
+    positions, orientations = [pos], [np.eye(3)]
+    for j in range(1, morph.num_modules):
+        pos = pos + morph.link_length * x
+        angle = vertical[(j - 1) // 2] if j % 2 == 1 else lateral[j // 2 - 1]
+        c, s = math.cos(angle), math.sin(angle)
+        if j % 2 == 1:
+            x, z = c * x - s * z, s * x + c * z
+        else:
+            x, y = c * x + s * y, c * y - s * x
+        positions.append(pos)
+        orientations.append(np.column_stack((x, y, z)))
+    return np.array(positions), np.array(orientations)
+
+
+def rotation_chain_frames(morph, vertical, lateral):
+    """Module frames of one posture as a chain of 3x3 rotation matrices:
+    frame k+1 is frame k times the joint's rotation, and sits one link
+    along frame k's first column. An independent check of the axis turns;
+    matrix products round differently, so it agrees to a few ulp."""
     step = np.array([morph.link_length, 0.0, 0.0])
     pos, ori = np.zeros(3), np.eye(3)
     positions, orientations = [pos], [ori]
     for j in range(1, morph.num_modules):
         angle = vertical[(j - 1) // 2] if j % 2 == 1 else lateral[j // 2 - 1]
         c, s = math.cos(angle), math.sin(angle)
-        if j % 2 == 1:
+        if j % 2 == 1:  # about y
             rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-        else:
+        else:  # about z
             rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         pos = pos + ori @ step
         ori = ori @ rot

@@ -92,6 +92,11 @@ MUTANTS = (
            "(phi - phase_offsets[ride] if shifted\n",
            "(phi if shifted\n",
            (f"{RIDE}[chains-kappa0]",)),
+    Mutant("lateral joints turn x away from y", "src/selfright/kinematics.py",
+           "x, y = c * x + s * y, c * y - s * x",
+           "x, y = c * x - s * y, c * y + s * x",
+           ("tests/test_kinematics.py::"
+            "test_fk_batch_matches_single_samples[0.0-0.6]",)),
     Mutant("_fit_planar without its conj", "src/selfright/sidewinding.py",
            "np.conj(moved - mb[:, None])",
            "(moved - mb[:, None])",

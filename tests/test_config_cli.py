@@ -342,15 +342,17 @@ def odd_energy(monkeypatch):
 
 
 def odd_simulate(monkeypatch):
-    # Row 0 is finite, so the commanded phase is too.
-    times = np.array([0.0, *ODD_FLOATS])
+    # Row 0 and the first step (0.1, the phase's dt) are finite, so the
+    # commanded phase is too.
+    times = np.array([0.0, *odd_array(8, 2)])
     gammas = np.vstack([np.full(10, 0.25), odd_array((8, 10))])
     traj = RollTrajectory(times, gammas, cycles=1.0, rolls_per_cycle=0.0,
                           stalled=False, mode="segmented",
                           righting_intervals=(None,) * 10)
     monkeypatch.setattr(selfright.cli, "simulate_roll",
                         lambda *args, **kwargs: traj)
-    phi = 0.25 + RunConfig().gait.temporal_frequency * (times - times[0])
+    phi = (0.25 + RunConfig().gait.temporal_frequency
+           * np.arange(len(times)) * times[1])
     return (["simulate", "--mode", "segmented"], "trajectory.csv",
             [(t, p, *gs) for t, p, gs in
              zip(times.tolist(), phi.tolist(), gammas.tolist())])
@@ -509,6 +511,19 @@ def test_cli_simulate_segmented_columns(tmp_path):
     assert outcome["righting_interval"] == [70, 83, 100, 117, 134, 151, 168,
                                             185, 202, 218]
     assert outcome["righting_spread_cycles"] == (218 - 70) / STEPS_PER_CYCLE
+
+
+def test_cli_simulate_phi_cmd_is_the_solvers_phase(tmp_path):
+    """phi_cmd_rad is the command phase the solver forms, bitwise: a
+    limbless lane started on pi rides its command, so every row's roll
+    equals its phi_cmd_rad."""
+    assert run_cli(["simulate", "--out", tmp_path, "--legs", 0, "--gamma0",
+                    math.pi, "--cycles", 3]) == 0
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    header = lines.index("time_s,phi_cmd_rad,gamma_rad")
+    rows = [line.split(",") for line in lines[header + 1:]]
+    assert len(rows) == 3 * STEPS_PER_CYCLE + 1
+    assert all(phi == gamma for _, phi, gamma in rows)
 
 
 def simulate_righting(tmp_path, *argv, kappa=KAPPA_DEFAULT):

@@ -32,3 +32,24 @@ def test_default_drive_frequency_is_quasi_static(leg_length):
     assert not fast.errors and not slow.errors
     assert np.isfinite(fast.p_sr).all()
     assert np.abs(fast.p_sr - slow.p_sr).max() <= P_SR_DRIFT
+
+
+@pytest.mark.parametrize("leg_length", [Morphology.leg_length, 0.0],
+                         ids=["legged", "limbless"])
+def test_output_interval_refined_four_times(leg_length):
+    """steps_per_cycle 256 -> 1024 on the default grid. The output interval
+    is a zero-order hold of the command phase, so a trial's roll moves by
+    at most about one coarse command step, 2*pi/256 of its 2*pi*cycles:
+    its rolls per cycle, and a cell's P_sr (their mean), by at most
+    1/(256*cycles), 1.3e-3 at 3 cycles. No trial's rolls per cycle crosses
+    0.5."""
+    config = RunConfig(morphology=Morphology(leg_length=leg_length))
+    steps = config.roll.steps_per_cycle
+    fine_roll = replace(config.roll, steps_per_cycle=4 * steps)
+    coarse = run_sweep(config)
+    fine = run_sweep(replace(config, roll=fine_roll))
+    assert not coarse.errors and not fine.errors
+    bound = 1.0 / (steps * config.sweep.cycles_per_trial)
+    assert np.abs(coarse.trial_rolls - fine.trial_rolls).max() <= bound
+    assert np.abs(coarse.p_sr - fine.p_sr).max() <= bound
+    assert ((coarse.trial_rolls > 0.5) == (fine.trial_rolls > 0.5)).all()

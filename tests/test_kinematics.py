@@ -13,7 +13,7 @@ from selfright import (DimensionError, FramePose, GaitParams, GeometryError,
                        joint_vector, wave_height_slope)
 
 from conftest import (FROZEN, is_orthonormal, oracle_chain_frames,
-                      oracle_planar_chain)
+                      oracle_planar_chain, rotation_chain_frames)
 
 MORPH = Morphology()
 
@@ -113,12 +113,19 @@ def test_fk_size_mismatch():
                                               vertical=np.zeros(5)))
 
 
+# Each joint's 3x3 product rounds its unit-scale entries by at most about
+# two ulp more than the axis turns' two products; over the chain's joints
+# the two frames drift apart by at most that much per joint.
+ROTATION_CHAIN_TOL = 2 * MORPH.num_joints * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("xi", [0.0, 0.6, 1.2])
 @pytest.mark.parametrize("lateral_phase", [0.0, math.pi / 2])
 def test_fk_batch_matches_single_samples(xi, lateral_phase):
     """Frames and centre of mass of a sampled gait cycle, computed as one
     batch, equal the single-sample evaluations and the per-pose loop
-    bitwise."""
+    bitwise, and the 3x3 rotation-matrix chain to within ROTATION_CHAIN_TOL
+    (times the body length for positions)."""
     gait = GaitParams(amplitude_lateral=math.pi / 3,
                       amplitude_vertical=math.pi / 9, temporal_frequency=1e-3,
                       spatial_frequency=xi, lateral_phase=lateral_phase)
@@ -135,6 +142,12 @@ def test_fk_batch_matches_single_samples(xi, lateral_phase):
         pos, ori = oracle_chain_frames(MORPH, angles.vertical, angles.lateral)
         assert pos.tobytes() == batch.position[k].tobytes()
         assert ori.tobytes() == batch.orientation[k].tobytes()
+        pos, ori = rotation_chain_frames(MORPH, angles.vertical,
+                                         angles.lateral)
+        assert (np.abs(ori - batch.orientation[k]).max()
+                <= ROTATION_CHAIN_TOL)
+        assert (np.abs(pos - batch.position[k]).max()
+                <= ROTATION_CHAIN_TOL * MORPH.body_length)
 
 
 def test_morphology_validation():
@@ -242,3 +255,11 @@ def test_wave_height_amplitude_ordering():
 
 def test_wave_height_slope_linearization():
     assert wave_height_slope(MORPH) == pytest.approx(1.2, abs=1e-9)
+
+
+def test_wave_height_slope_reads_the_bodys_joints():
+    """The slope drives the body's own joints, so a 12-module body (five
+    lateral joints) has one, with the bits the five-joint gait gave it."""
+    m12 = Morphology(num_modules=12)
+    assert wave_height_slope(m12) == 1.7999999999954994
+    assert wave_height_slope(MORPH) == 1.1999999999979998

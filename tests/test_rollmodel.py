@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from selfright import (ConfigError, GaitParams, IntegrationError,
-                       Morphology, PerturbationSpec, RollTrajectory,
-                       RunConfig, coherence, drive_gain, energy_landscape,
-                       run_sweep, simulate_roll, support_height)
+from selfright import (ConfigError, DimensionError, GaitParams,
+                       IntegrationError, Morphology, PerturbationSpec,
+                       RollTrajectory, RunConfig, coherence, drive_gain,
+                       energy_landscape, run_sweep, simulate_roll,
+                       support_height)
 from selfright import rollmodel
 from selfright.rollmodel import (KAPPA_DEFAULT, MAX_RESOLUTION,
                                  MIN_STEPS_PER_CYCLE, MU_DEFAULT, STALL_STEP,
@@ -281,6 +282,22 @@ def test_drive_gain_frozen_and_monotone():
         FROZEN["drive_gain_pi4"], rel=1e-12)
     assert (drive_gain(quasi_static_gait(math.pi / 4), MORPH)
             > drive_gain(quasi_static_gait(math.pi / 12), MORPH))
+
+
+def test_drive_gain_on_the_bodys_own_joints():
+    """drive_gain linearizes the wave height of the body it is given; on
+    the default body and on a 12-module body under a five-joint gait it
+    keeps the bits of the slope taken with the gait's joint count."""
+    assert drive_gain(GaitParams(), MORPH) == FROZEN["drive_gain_pi4"]
+    assert drive_gain(GaitParams(num_lateral_joints=5),
+                      Morphology(num_modules=12)) == 4.159147445493658
+    # A gait that does not drive the body's joints has no gain on it.
+    for a_v in (math.pi / 4, 0.0):
+        with pytest.raises(DimensionError):
+            drive_gain(GaitParams(amplitude_vertical=a_v),
+                       Morphology(num_modules=12))
+    with pytest.raises(DimensionError):
+        simulate_roll(GaitParams(), Morphology(num_modules=12))
 
 
 def test_drive_gain_coherence_factor():
